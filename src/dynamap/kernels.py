@@ -1,6 +1,7 @@
 """Gaussian affinity kernels and bandwidth calibration to a target second eigenvalue."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,14 +9,16 @@ from scipy.linalg import eigvalsh
 
 from .exceptions import CalibrationError, InputError
 
-# Bandwidth search parameters: initial bracket is the median pairwise distance
-# scaled by BRACKET_SPAN on each side, each side expands tenfold at most
-# MAX_EXPANSIONS times, and a non-monotone bracket falls back to a log-spaced
-# grid scan of GRID_POINTS before bisecting.
-BRACKET_SPAN = 1e2
-MAX_EXPANSIONS = 4
+# Bandwidth search parameters: the search starts at the median pairwise
+# distance and walks toward the target in factor-2 steps, at most MAX_DOUBLINGS
+# of them (a reach of median * 2^[-20, 20], about median * [1e-6, 1e6]), until
+# lambda2 - target changes sign; Illinois regula falsi on log(epsilon) then
+# refines the bracket for at most MAX_REFINEMENTS steps. When the walk finds no
+# sign change (a non-monotone profile), a log-spaced grid of GRID_POINTS over
+# the same reach looks for a crossing before giving up.
+MAX_DOUBLINGS = 20
 GRID_POINTS = 64
-MAX_BISECTIONS = 200
+MAX_REFINEMENTS = 100
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,12 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     sq = np.zeros((n, n))
+    diff = np.empty((n, n))
     for k in range(pts.shape[1]):
-        diff = pts[:, k, None] - pts[None, :, k]
-        sq += diff * diff
+        col = pts[:, k]
+        np.subtract(col[:, None], col[None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        sq += diff
     return sq
 
 
@@ -109,8 +115,10 @@ def _second_eigenvalue(kernel_values: np.ndarray) -> float:
         vals = eigvalsh(sym, subset_by_index=(n - 2, n - 1))
         return float(vals[0])
     except np.linalg.LinAlgError:
-        # the subset driver can fail on tightly clustered spectra; the full
-        # divide-and-conquer solve is slower but does not
+        # the LAPACK subset solver can fail on tightly clustered spectra, as on
+        # near-identity kernels; the full divide-and-conquer solve is slower
+        # but does not. Calibration no longer visits such kernels on the
+        # reference data sets, but any caller-supplied kernel can have one.
         return float(np.linalg.eigvalsh(sym)[-2])
 
 
@@ -121,14 +129,18 @@ def calibrate_epsilon(
 ) -> float:
     """Find a Gaussian bandwidth whose diffusion matrix has the requested second eigenvalue.
 
-    Bisects on log(epsilon). The second eigenvalue runs from 1 (epsilon -> 0,
-    kernel collapses to the identity) down to 0 (epsilon -> infinity, kernel
-    collapses to all-ones), so the search assumes a non-increasing trend and
-    falls back to a 64-point log-spaced grid scan when the expanded bracket
-    does not straddle the target.
+    The second eigenvalue runs from 1 (epsilon -> 0, kernel collapses to the
+    identity) down to 0 (epsilon -> infinity, kernel collapses to all-ones),
+    so the sign of lambda2 - target at the median pairwise distance says which
+    way the root lies. The search walks that way in factor-2 steps until the
+    sign changes, then runs Illinois regula falsi on log(epsilon) inside the
+    bracket, returning the first bandwidth whose |lambda2 - target| <= tol.
+    When the walk reaches median * 2^(+-20) without a sign change, a 64-point
+    log-spaced grid over that whole reach looks for a crossing of a
+    non-monotone profile.
 
-    Raises CalibrationError, reporting the achieved eigenvalue range, when no
-    bandwidth inside the bracket limits crosses the target.
+    Raises CalibrationError, reporting the range of eigenvalues reached, when
+    no bandwidth in the reach crosses the target or the refinement stalls.
     """
     if not 0.0 < target_lambda2 < 1.0:
         raise InputError(f"target second eigenvalue must lie in (0, 1), got {target_lambda2}")
@@ -142,67 +154,63 @@ def calibrate_epsilon(
         raise CalibrationError(
             "all points coincide; the second eigenvalue is constant", achieved_range=None
         )
-    median_dist = float(np.sqrt(np.median(pos)))
+    x0 = 0.5 * math.log(float(np.median(pos)))  # log of the median distance
+    reached: list[float] = []
 
-    def lam2(eps: float) -> float:
-        vals = np.exp(-sq / (eps * eps))
+    def gap(x: float) -> float:
+        """lambda2 - target at epsilon = exp(x)."""
+        eps = math.exp(x)
+        vals = np.divide(sq, -(eps * eps))
+        np.exp(vals, out=vals)
         np.fill_diagonal(vals, 1.0)
-        return _second_eigenvalue(vals)
+        reached.append(_second_eigenvalue(vals))
+        return reached[-1] - target_lambda2
 
-    lo = median_dist / BRACKET_SPAN
-    hi = median_dist * BRACKET_SPAN
-    f_lo = lam2(lo)
-    f_hi = lam2(hi)
-    # want lam2(lo) >= target >= lam2(hi); each side may expand tenfold four times
-    for _ in range(MAX_EXPANSIONS):
-        if f_lo >= target_lambda2:
+    def miss(message: str) -> CalibrationError:
+        achieved = (min(reached), max(reached))
+        return CalibrationError(f"{message}: achieved range {achieved}", achieved_range=achieved)
+
+    # walk: lambda2 above the target means the bandwidth is too narrow
+    b, fb = x0, gap(x0)
+    if abs(fb) <= tol:
+        return math.exp(b)
+    step = math.log(2.0) if fb > 0.0 else -math.log(2.0)
+    for _ in range(MAX_DOUBLINGS):
+        a, fa = b, fb
+        b, fb = a + step, gap(a + step)
+        if abs(fb) <= tol:
+            return math.exp(b)
+        if fa * fb < 0.0:
             break
-        lo /= 10.0
-        f_lo = lam2(lo)
-    for _ in range(MAX_EXPANSIONS):
-        if f_hi <= target_lambda2:
-            break
-        hi *= 10.0
-        f_hi = lam2(hi)
+    else:
+        # no sign change within the reach: scan it for a non-monotone crossing
+        reach = MAX_DOUBLINGS * math.log(2.0)
+        grid = np.linspace(x0 - reach, x0 + reach, GRID_POINTS)
+        scans = np.array([gap(x) for x in grid])
+        hits = np.flatnonzero(np.abs(scans) <= tol)
+        if hits.size:
+            return float(np.exp(grid[hits[0]]))
+        crossings = np.flatnonzero(scans[:-1] * scans[1:] < 0.0)
+        if crossings.size == 0:
+            raise miss(f"second eigenvalue never crosses {target_lambda2}")
+        k = crossings[0]
+        a, fa, b, fb = float(grid[k]), float(scans[k]), float(grid[k + 1]), float(scans[k + 1])
 
-    if not (f_lo >= target_lambda2 >= f_hi):
-        # non-monotone or out-of-reach bracket: scan before giving up
-        grid = np.exp(np.linspace(np.log(lo), np.log(hi), GRID_POINTS))
-        scans = np.array([lam2(e) for e in grid])
-        crossing = None
-        for k in range(GRID_POINTS - 1):
-            a, b = scans[k], scans[k + 1]
-            if (a - target_lambda2) * (b - target_lambda2) <= 0.0:
-                crossing = k
-                break
-        if crossing is None:
-            achieved = (float(scans.min()), float(scans.max()))
-            raise CalibrationError(
-                "second eigenvalue never crosses "
-                f"{target_lambda2}: achieved range {achieved}",
-                achieved_range=achieved,
-            )
-        lo, hi = float(grid[crossing]), float(grid[crossing + 1])
-        f_lo, f_hi = float(scans[crossing]), float(scans[crossing + 1])
-
-    best_eps, best_gap = lo, abs(f_lo - target_lambda2)
-    if abs(f_hi - target_lambda2) < best_gap:
-        best_eps, best_gap = hi, abs(f_hi - target_lambda2)
-    for _ in range(MAX_BISECTIONS):
-        if best_gap <= tol:
-            return best_eps
-        mid = float(np.sqrt(lo * hi))
-        f_mid = lam2(mid)
-        gap = abs(f_mid - target_lambda2)
-        if gap < best_gap:
-            best_eps, best_gap = mid, gap
-        if (f_lo - target_lambda2) * (f_mid - target_lambda2) <= 0.0:
-            hi, f_hi = mid, f_mid
+    # Illinois: halve the stored value of an endpoint kept twice in a row
+    kept = 0
+    for _ in range(MAX_REFINEMENTS):
+        x = (a * fb - b * fa) / (fb - fa)
+        fx = gap(x)
+        if abs(fx) <= tol:
+            return math.exp(x)
+        if fx * fb > 0.0:
+            b, fb = x, fx
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
         else:
-            lo, f_lo = mid, f_mid
-    if best_gap <= tol:
-        return best_eps
-    raise CalibrationError(
-        f"bisection stalled at |lambda2 - {target_lambda2}| = {best_gap:.3e}",
-        achieved_range=(min(f_lo, f_hi), max(f_lo, f_hi)),
-    )
+            a, fa = x, fx
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+    raise miss(f"refinement stalled short of |lambda2 - {target_lambda2}| <= {tol:.3e}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dynamap import (
     CalibrationError,
@@ -16,7 +17,7 @@ from dynamap import (
     spectral_decomposition,
 )
 from dynamap.datasets import TorusSpec
-from dynamap.kernels import KernelMatrix, squared_distances
+from dynamap.kernels import KernelMatrix, _second_eigenvalue, squared_distances
 
 
 def test_point_cloud_validation():
@@ -160,3 +161,70 @@ def test_lambda2_trend_in_epsilon():
     values = [_lambda2_via_full_path(cloud, eps) for eps in (0.05, 0.5, 2.0, 8.0, 50.0)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     assert values[0] > 0.9 and values[-1] < 0.1
+
+
+def _squared_distances_loop(points):
+    # reference: per-coordinate accumulation with fresh temporaries
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    sq = np.zeros((n, n))
+    for k in range(pts.shape[1]):
+        diff = pts[:, k, None] - pts[None, :, k]
+        sq += diff * diff
+    return sq
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.floats(-1e6, 1e6, allow_nan=False),
+    ),
+    st.integers(0, 3),
+)
+def test_squared_distances_matches_reference_loop(points, copies):
+    # duplicated rows must give exact zeros in both versions
+    pts = np.vstack([points, points[:copies]])
+    sq = squared_distances(pts)
+    assert np.array_equal(sq, _squared_distances_loop(pts))
+    assert np.array_equal(sq, sq.T)
+
+
+def test_calibrate_torus_solve_count(monkeypatch):
+    # the search must not probe near-identity kernels, where the subset
+    # solver fails, and must settle in a handful of dense solves
+    import dynamap.kernels as kernels_mod
+
+    calls = []
+    errors = []
+    wrapped = kernels_mod.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        try:
+            return wrapped(*args, **kwargs)
+        except Exception as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(kernels_mod, "eigvalsh", counting)
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    calibrate_epsilon(cloud, 0.5, tol=1e-3)
+    assert not any(isinstance(exc, np.linalg.LinAlgError) for exc in errors)
+    assert len(calls) <= 8
+
+
+def test_second_eigenvalue_full_solve_fallback(monkeypatch):
+    import dynamap.kernels as kernels_mod
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("subset solver failed")
+
+    rng = np.random.default_rng(5)
+    cloud = PointCloud(rng.normal(size=(30, 2)))
+    values = gaussian_kernel(cloud, 1.0).values
+    inv_sqrt = 1.0 / np.sqrt(values.sum(axis=1))
+    sym = values * np.outer(inv_sqrt, inv_sqrt)
+    monkeypatch.setattr(kernels_mod, "eigvalsh", failing)
+    assert _second_eigenvalue(values) == float(np.linalg.eigvalsh(sym)[-2])
