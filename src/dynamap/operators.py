@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DegeneracyError, InputError, NumericalError
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, _lanczos_top
 
 EIGENVALUE_SLACK = 1e-10
 ORTHONORMALITY_TOL = 1e-8
@@ -126,16 +126,34 @@ def apply_sign_convention(psi: np.ndarray) -> np.ndarray:
 def spectral_decomposition(matrix: DiffusionMatrix, rank: int) -> SpectralDecomposition:
     """Top-`rank` eigenpairs of a diffusion matrix under empirical normalization.
 
-    Dense symmetric solve of the full spectrum, then truncation; eigenvalues
-    are verified to lie within roundoff of (-1, 1] and clipped to [-1, 1].
+    Two routes, chosen by size (see the LANCZOS_* constants in
+    :mod:`dynamap.kernels`): from n = LANCZOS_MIN_N on, a rank of at most
+    LANCZOS_MAX_RANK_FRACTION * n comes from seeded, restart-capped Lanczos,
+    which computes only the top `rank` eigenpairs; otherwise, including the
+    full rank the CLI asks for by default, and whenever Lanczos stalls, a dense
+    symmetric solve of the whole spectrum is truncated. Both routes give the
+    same eigenpairs to roundoff, up to a basis of any repeated eigenvalue.
+
+    The eigenvalues the route computed are verified to lie within roundoff of
+    (-1, 1] (the whole spectrum on the dense route, the top `rank` on the
+    Lanczos route) and clipped to [-1, 1]. The bottom of the spectrum needs no
+    check for a diffusion matrix built from a KernelMatrix: the kernel is
+    nonnegative with a positive diagonal, so by Perron-Frobenius the spectrum
+    of D^{-1/2} K D^{-1/2} lies in (-1, 1]. Every kept eigenpair must also pass
+    the RESIDUAL_TOL residual check, and the eigenfunctions the
+    ORTHONORMALITY_TOL check and the sign convention.
     """
     n = matrix.n
     if not 1 <= rank <= n:
         raise InputError(f"rank must lie in [1, {n}], got {rank}")
-    try:
-        lam, vec = np.linalg.eigh(matrix.values)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    top = _lanczos_top(matrix.values, rank, vectors=True)
+    if top is not None:
+        lam, vec = top
+    else:
+        try:
+            lam, vec = np.linalg.eigh(matrix.values)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     lam = lam[::-1]
     vec = vec[:, ::-1]
     if lam[0] > 1.0 + EIGENVALUE_SLACK or lam[-1] <= -1.0 - EIGENVALUE_SLACK:

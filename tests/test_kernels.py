@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import eigvalsh
 
 from dynamap import (
     CalibrationError,
@@ -13,11 +18,19 @@ from dynamap import (
     calibrate_epsilon,
     diffusion_matrix,
     gaussian_kernel,
+    pinched_torus_family,
     sample_torus,
     spectral_decomposition,
 )
 from dynamap.datasets import TorusSpec
-from dynamap.kernels import KernelMatrix, _second_eigenvalue, squared_distances
+from dynamap.kernels import (
+    KernelMatrix,
+    _median_squared_distance,
+    _second_eigenvalue,
+    squared_distances,
+)
+
+from conftest import counting_eigsh, near_identity_kernel, refuse_dense_solves
 
 
 def test_point_cloud_validation():
@@ -192,27 +205,33 @@ def test_squared_distances_matches_reference_loop(points, copies):
 
 
 def test_calibrate_torus_solve_count(monkeypatch):
-    # the search must not probe near-identity kernels, where the subset
-    # solver fails, and must settle in a handful of dense solves
+    # the search must settle in a handful of probes, each answered by the
+    # Lanczos route at this size: a dense solve would mean Lanczos stalled
     import dynamap.kernels as kernels_mod
 
-    calls = []
-    errors = []
-    wrapped = kernels_mod.eigvalsh
+    probes = []
+    dense = []
+    second, subset = kernels_mod._second_eigenvalue, kernels_mod.eigvalsh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        try:
-            return wrapped(*args, **kwargs)
-        except Exception as exc:
-            errors.append(exc)
-            raise
+    def counting_probe(values):
+        probes.append(1)
+        return second(values)
 
-    monkeypatch.setattr(kernels_mod, "eigvalsh", counting)
+    def counting_dense(*args, **kwargs):
+        dense.append(1)
+        return subset(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
+    monkeypatch.setattr(kernels_mod, "eigvalsh", counting_dense)
     cloud = sample_torus(TorusSpec(), 300, seed=4)
     calibrate_epsilon(cloud, 0.5, tol=1e-3)
-    assert not any(isinstance(exc, np.linalg.LinAlgError) for exc in errors)
-    assert len(calls) <= 8
+    assert not dense  # so no fallback and no LinAlgError from the subset solver
+    assert 1 <= len(probes) <= 8
+
+
+def _normalized(values):
+    inv_sqrt = 1.0 / np.sqrt(values.sum(axis=1))
+    return values * np.outer(inv_sqrt, inv_sqrt)
 
 
 def test_second_eigenvalue_full_solve_fallback(monkeypatch):
@@ -224,7 +243,76 @@ def test_second_eigenvalue_full_solve_fallback(monkeypatch):
     rng = np.random.default_rng(5)
     cloud = PointCloud(rng.normal(size=(30, 2)))
     values = gaussian_kernel(cloud, 1.0).values
-    inv_sqrt = 1.0 / np.sqrt(values.sum(axis=1))
-    sym = values * np.outer(inv_sqrt, inv_sqrt)
     monkeypatch.setattr(kernels_mod, "eigvalsh", failing)
-    assert _second_eigenvalue(values) == float(np.linalg.eigvalsh(sym)[-2])
+    assert _second_eigenvalue(values) == float(np.linalg.eigvalsh(_normalized(values))[-2])
+
+
+def _median_via_triu(sq):
+    # reference: gather the strict upper triangle through index arrays
+    upper = sq[np.triu_indices(sq.shape[0], k=1)]
+    return float(np.median(upper[upper > 0.0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=12),
+        elements=st.floats(-1e3, 1e3, allow_nan=False),
+    ),
+    st.integers(0, 4),
+)
+def test_median_squared_distance_matches_triu_reference(points, copies):
+    # coincident points put exact zeros in the triangle; both picks drop them
+    pts = np.vstack([points, points[:copies]])
+    sq = squared_distances(pts)
+    if not np.any(sq > 0.0):
+        with pytest.raises(CalibrationError):
+            _median_squared_distance(sq)
+        return
+    assert _median_squared_distance(sq) == _median_via_triu(sq)
+
+
+def test_median_squared_distance_torus_members():
+    clouds, _ = pinched_torus_family(7, n=300)
+    for cloud in clouds[:3]:
+        sq = squared_distances(cloud.points)
+        assert _median_squared_distance(sq) == _median_via_triu(sq)
+
+
+def test_second_eigenvalue_lanczos_matches_dense(monkeypatch):
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    values = gaussian_kernel(cloud, calibrate_epsilon(cloud, 0.5)).values
+    dense = np.linalg.eigvalsh(_normalized(values))[-2]
+    refuse_dense_solves(monkeypatch)
+    first = _second_eigenvalue(values)
+    assert abs(first - dense) <= 1e-12
+    assert _second_eigenvalue(values) == first  # fixed start vector: repeatable
+
+
+def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
+    # lambda2 = 0.99998: Lanczos stalls on the clustered top of the spectrum,
+    # gives up after about one dense solve's worth of products, and the dense
+    # subset solver answers
+    from dynamap.kernels import LANCZOS_MATVECS_PER_N, LANCZOS_NCV
+
+    values = near_identity_kernel().values
+    n = values.shape[0]
+    dense = float(eigvalsh(_normalized(values), subset_by_index=(n - 2, n - 1))[0])
+    stats = counting_eigsh(monkeypatch)
+    assert _second_eigenvalue(values) == dense
+    assert dense > 0.9999
+    assert stats["stalls"] == 1
+    assert stats["matvecs"] <= LANCZOS_MATVECS_PER_N * n + 2 * LANCZOS_NCV
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # eigsh is imported on first use; loading scipy.sparse with the package
+    # would add 20-30 ms to every import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, dynamap; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -9,17 +9,22 @@ from dynamap import (
     DegeneracyError,
     InputError,
     NumericalError,
+    PointCloud,
+    calibrate_epsilon,
     diffusion_matrix,
+    gaussian_kernel,
     graph_laplacian,
     kernel_power_row,
+    sample_torus,
     spectral_decomposition,
     transition_matrix,
     truncate,
 )
+from dynamap.datasets import TorusSpec
 from dynamap.kernels import KernelMatrix
 from dynamap.operators import DiffusionMatrix, apply_sign_convention
 
-from conftest import random_kernel
+from conftest import counting_eigsh, near_identity_kernel, random_kernel, refuse_dense_solves
 
 THREE_BY_THREE = KernelMatrix(
     np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
@@ -174,3 +179,70 @@ def test_power_row_validation():
         kernel_power_row(mat, 0, 1)
     with pytest.raises(InputError):
         kernel_power_row(mat, 2, 7)
+
+
+def _dense_top(mat, rank):
+    """Reference: full dense solve, truncated, under the same normalization."""
+    lam, vec = np.linalg.eigh(mat.values)
+    psi = apply_sign_convention(np.sqrt(mat.n) * vec[:, ::-1][:, :rank])
+    return lam[::-1][:rank], psi
+
+
+def test_lanczos_decomposition_matches_dense_on_torus(monkeypatch):
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    mat = diffusion_matrix(gaussian_kernel(cloud, calibrate_epsilon(cloud, 0.5)))
+    lam, psi = _dense_top(mat, 10)
+    refuse_dense_solves(monkeypatch)
+    dec = spectral_decomposition(mat, 10)
+    assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12
+    assert np.max(np.abs(dec.eigenfunctions - psi)) <= 1e-8
+    again = spectral_decomposition(mat, 10)  # fixed start vector: repeatable
+    assert np.array_equal(again.eigenvalues, dec.eigenvalues)
+    assert np.array_equal(again.eigenfunctions, dec.eigenfunctions)
+
+
+def test_lanczos_decomposition_on_ring_with_double_eigenvalues(monkeypatch):
+    # equally spaced points on a circle: a circulant kernel whose eigenvalues
+    # beyond the top one come in exact pairs (cosine and sine modes)
+    n = 256
+    theta = 2.0 * np.pi * np.arange(n) / n
+    cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]))
+    mat = diffusion_matrix(gaussian_kernel(cloud, 0.5))
+    dense = {rank: _dense_top(mat, rank) for rank in (2, 3, 5, 11)}
+    refuse_dense_solves(monkeypatch)
+    for rank, (lam, psi) in dense.items():
+        dec = spectral_decomposition(mat, rank)
+        assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12
+        if rank % 2 == 1:
+            # whole pairs kept: the eigenspace, not its basis, is determined
+            kept = dec.eigenfunctions @ dec.eigenfunctions.T / n
+            assert np.max(np.abs(kept - psi @ psi.T / n)) <= 1e-8
+
+
+def test_near_identity_decomposition_falls_back_to_dense(monkeypatch):
+    mat = diffusion_matrix(near_identity_kernel())
+    lam, psi = _dense_top(mat, 2)
+    stats = counting_eigsh(monkeypatch)
+    dec = spectral_decomposition(mat, 2)
+    assert stats["stalls"] == 1
+    assert np.array_equal(dec.eigenvalues, np.clip(lam, -1.0, 1.0))
+    assert np.array_equal(dec.eigenfunctions, psi)
+
+
+def test_lanczos_wrong_eigenpair_fails_residual_check(monkeypatch):
+    import scipy.sparse.linalg as ssl
+
+    real = ssl.eigsh
+
+    def rotated(*args, **kwargs):
+        # still orthonormal, but mixes the top two eigenvectors
+        lam, vec = real(*args, **kwargs)
+        vec = vec.copy()
+        vec[:, [-1, -2]] = (vec[:, [-1, -2]] @ np.array([[1.0, 1.0], [1.0, -1.0]])) / np.sqrt(2.0)
+        return lam, vec
+
+    monkeypatch.setattr(ssl, "eigsh", rotated)
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    mat = diffusion_matrix(gaussian_kernel(cloud, 2.0))
+    with pytest.raises(NumericalError, match="residual"):
+        spectral_decomposition(mat, 3)
