@@ -68,10 +68,8 @@ from .operators import (
     DiffusionMatrix,
     SpectralDecomposition,
     diffusion_matrix,
-    graph_laplacian,
     kernel_power_row,
     spectral_decomposition,
-    transition_matrix,
     truncate,
 )
 from .sampling import ConvergenceReport, RateEstimate, convergence_study
@@ -122,7 +120,6 @@ __all__ = [
     "global_diffusion_distance",
     "global_distance_matrix",
     "gram_matrix",
-    "graph_laplacian",
     "historical_embedding",
     "historical_kernel",
     "kernel_power_row",
@@ -137,7 +134,6 @@ __all__ = [
     "subgraph_diffusion_distance",
     "subgraph_rotation",
     "synthetic_cube_family",
-    "transition_matrix",
     "truncate",
     "truncation_residuals",
 ]

@@ -2,32 +2,26 @@
 
 Commands: embed, distance, global, metagraph, torus-experiment, convergence,
 change-detect, gen-data. Option precedence is flags > config file (key=value
-lines) > built-in defaults. Every command is deterministic given --seed, exits
-zero only when all outputs were written and verified, and removes partial
-outputs on failure.
+lines) > defaults. The parser states every option and the default of every
+option a command reads itself; torus-experiment, convergence and
+change-detect pass on only the options that were set, so their experiment
+functions' signatures hold the rest. Every command is deterministic given
+--seed, exits zero only when all outputs were written and verified, and
+removes partial outputs on failure.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
-from .datasets import (
-    SensorSpec,
-    TorusSpec,
-    pinched_torus_family,
-    sample_torus,
-    standard_map_orbits,
-    synthetic_cube_family,
-)
+from .datasets import TorusSpec, pinched_torus_family, sample_torus, standard_map_orbits
 from .distances import (
     asymptotic_distance_map,
-    asymptotic_global_distance,
     diffusion_distance_map,
     diffusion_distance_matrix,
     global_distance_matrix,
@@ -42,70 +36,9 @@ from .operators import diffusion_matrix, spectral_decomposition
 from .sampling import report_rows, report_summary
 from .svgplot import write_scatter_svg
 
-DEFAULTS = {
-    "t": 1,
-    "s": 1.92,
-    "dims": 3,
-    "target_lambda2": 0.5,
-    "tol": 1e-3,
-    "seed": 0,
-    "format": "csv",
-    "input_kind": "kernel",
-    "n": 1000,
-    "trials": 20,
-    "reference_n": 4000,
-    "n_grid": "100,200,400,800",
-    "band_counts": "30,50,70",
-    "noise_sigma": 0.01,
-    "block_size": 5,
-    "side": 32,
-    "grid": 12,
-    "steps": 100,
-    "alpha": 0.4,
-    "dataset": "torus",
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    command: str
-    inputs: list[Path]
-    output_dir: Path
-    fmt: str
-    seed: int
-    t: int | float
-    s: float
-    rank: int | None
-    dims: int
-    target_lambda2: float
-    tol: float
-    epsilon: float | str | None
-    common_base: int | None
-    input_kind: str
-    full_matrix: bool
-    extras: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.fmt not in FORMATS:
-            raise InputError(f"format must be one of {FORMATS}")
-        if self.t != math.inf and (not float(self.t).is_integer() or self.t < 1):
-            raise InputError(f"t must be a positive integer or 'inf', got {self.t}")
-        if not self.s > 0.0:
-            raise InputError(f"s must be positive, got {self.s}")
-        if self.rank is not None and self.rank < 1:
-            raise InputError(f"rank must be positive, got {self.rank}")
-        if self.dims < 1:
-            raise InputError(f"dims must be positive, got {self.dims}")
-        if not 0.0 < self.target_lambda2 < 1.0:
-            raise InputError("target second eigenvalue must lie in (0, 1)")
-        if not self.tol > 0.0:
-            raise InputError(f"tol must be positive, got {self.tol}")
-        if isinstance(self.epsilon, float) and not self.epsilon > 0.0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
-        if self.input_kind not in ("kernel", "points"):
-            raise InputError("input kind must be 'kernel' or 'points'")
+EXPERIMENTS = ("torus-experiment", "convergence", "change-detect")
+# the commands with a large-t limit, the only ones that take --t inf
+LARGE_T = ("distance", "global")
 
 
 class OutputTracker:
@@ -144,9 +77,126 @@ class OutputTracker:
             target.unlink(missing_ok=True)
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def _parse_t(raw: str) -> int | float:
+    text = raw.strip().lower()
+    if text in ("inf", "infinity", "asymptotic"):
+        return math.inf
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"t must be a positive integer or 'inf', got {raw!r}")
+
+
+def _parse_epsilon(raw: str) -> float | str:
+    text = raw.strip().lower()
+    if text == MEDIAN:
+        return MEDIAN
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"epsilon must be a number or '{MEDIAN}', got {raw!r}"
+        ) from exc
+
+
+def _int_list(raw: str) -> list[int]:
+    try:
+        return [int(tok) for tok in raw.replace(",", " ").split()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {raw!r}"
+        ) from exc
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparser of each command."""
+    parser = argparse.ArgumentParser(
+        prog="dynamap",
+        description="Diffusion maps for data whose kernel changes over a parameter space.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    return parser, {name: _add_command(sub, name) for name in HANDLERS}
+
+
+def _add_command(sub, name: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name)
+
+    def default(value):
+        # an experiment command passes on only the options that were set, so
+        # the experiment function's signature holds their defaults
+        return argparse.SUPPRESS if name in EXPERIMENTS else value
+
+    p.add_argument("--input", action="append", default=None, help="input matrix (repeatable)")
+    p.add_argument("--output-dir", type=Path, default=Path("."), help="directory for outputs")
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument(
+        "--t", type=_parse_t if name in LARGE_T else int, default=default(1),
+        help="diffusion time (a positive integer, or 'inf' for distance and global)",
+    )
+    p.add_argument("--s", type=float, default=default(1.92), help="meta diffusion time")
+    p.add_argument(
+        "--rank", type=int, default=default(None), help="retained eigenpairs (default: full)"
+    )
+    p.add_argument("--dims", type=int, default=default(3), help="embedding dimensions")
+    p.add_argument(
+        "--target-lambda2", type=float, default=default(0.5), help="calibration target"
+    )
+    p.add_argument("--tol", type=float, default=default(1e-3), help="calibration tolerance")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(
+        "--epsilon", type=_parse_epsilon, default=default(None), help="fixed bandwidth"
+    )
+    group.add_argument(
+        "--epsilon-median",
+        action="store_const",
+        dest="epsilon",
+        const=MEDIAN,
+        default=default(None),
+        help="median-distance bandwidth for the meta kernel",
+    )
+    p.add_argument("--common-base", type=int, default=None, help="base member for rotations")
+    p.add_argument("--seed", type=int, default=default(0))
+    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument(
+        "--input-kind",
+        choices=("kernel", "points"),
+        default="kernel",
+        help="inputs are kernel matrices (default) or point clouds",
+    )
+    p.add_argument("--full-matrix", action="store_true", help="emit all-pairs distances")
+    if name == "convergence":
+        p.add_argument(
+            "--n-grid", type=_int_list, default=argparse.SUPPRESS,
+            help="comma-separated sample sizes",
+        )
+        p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--reference-n", type=int, default=argparse.SUPPRESS)
+    if name in ("torus-experiment", "gen-data"):
+        p.add_argument("--n", type=int, default=default(1000), help="samples per torus")
+    if name in ("change-detect", "gen-data"):
+        # both pass these on to experiments.change_scene only when set
+        p.add_argument(
+            "--band-counts", type=_int_list, default=argparse.SUPPRESS,
+            help="comma-separated bands per epoch",
+        )
+        p.add_argument("--noise-sigma", type=float, default=argparse.SUPPRESS)
+        p.add_argument("--block-size", type=int, default=argparse.SUPPRESS)
+        p.add_argument(
+            "--side", type=int, default=argparse.SUPPRESS, help="pixel grid side length"
+        )
+    if name == "gen-data":
+        p.add_argument(
+            "--dataset", choices=("torus", "torus-family", "standard-map", "cube"), default="torus"
+        )
+        p.add_argument("--grid", type=int, default=12, help="standard-map lattice side")
+        p.add_argument("--steps", type=int, default=100, help="standard-map iterations")
+        p.add_argument("--alpha", type=float, default=0.4, help="standard-map nonlinearity")
+    return p
+
+
+def _config_values(command: argparse.ArgumentParser, path: str) -> dict:
+    """The options a config file of `key = value` lines sets, converted and
+    checked as flags are. Keys that name no option taking a value are ignored."""
+    actions = {action.dest: action for action in command._actions if action.nargs is None}
     values = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -154,194 +204,66 @@ def _load_config_file(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise InputError(f"config line without '=': {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key, _, raw = line.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        action = actions.get(key)
+        if action is None:
+            continue
+        try:
+            value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"expected one of {action.choices}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise InputError(f"bad config value for {key}: {raw!r} ({exc})") from exc
+        values[key] = value
     return values
 
 
-def _resolve(args, config: dict[str, str], name: str, cast, fallback):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise InputError(f"bad config value for {name}: {config[name]!r}") from exc
-    return fallback
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    # the config file's values become the command's defaults, so flags still
+    # win; --input flags replace the config's whitespace-separated inputs
+    values = _config_values(commands[args.command], args.config)
+    inputs = values.pop("input", "").split()
+    commands[args.command].set_defaults(**values)
+    args = parser.parse_args(argv)
+    args.input = args.input or inputs
+    return args
 
 
-def _parse_t(raw) -> int | float:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("inf", "infinity", "asymptotic"):
-        return math.inf
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"t must be a positive integer or 'inf', got {raw!r}") from exc
+def _set_options(args: argparse.Namespace, *names: str) -> dict:
+    """Those of the named options that a flag or the config file set."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _parse_epsilon(raw) -> float | str:
-    text = str(raw).strip().lower()
-    if text == MEDIAN:
-        return MEDIAN
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InputError(f"epsilon must be a number or '{MEDIAN}', got {raw!r}") from exc
+def _scene_options(args: argparse.Namespace) -> dict:
+    """Arguments of experiments.change_scene that a flag or the config file set."""
+    options = _set_options(args, "band_counts", "noise_sigma", "block_size")
+    if hasattr(args, "seed"):
+        options["scene_seed"] = args.seed
+    if hasattr(args, "side"):
+        options["shape"] = (args.side, args.side)
+    return options
 
 
-def _int_list(raw: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(raw).replace(",", " ").split()]
-    except ValueError as exc:
-        raise InputError(f"expected a comma-separated integer list, got {raw!r}") from exc
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dynamap",
-        description="Diffusion maps for data whose kernel changes over a parameter space.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", action="append", default=None, help="input matrix (repeatable)")
-        p.add_argument("--output-dir", default=None, help="directory for outputs")
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--t", default=None, help="diffusion time (positive integer or 'inf')")
-        p.add_argument("--s", type=float, default=None, help="meta diffusion time")
-        p.add_argument("--rank", type=int, default=None, help="retained eigenpairs (default: full)")
-        p.add_argument("--dims", type=int, default=None, help="embedding dimensions")
-        p.add_argument("--target-lambda2", type=float, default=None, help="calibration target")
-        p.add_argument("--tol", type=float, default=None, help="calibration tolerance")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--epsilon", default=None, help="fixed bandwidth")
-        group.add_argument(
-            "--epsilon-median",
-            action="store_true",
-            help="median-distance bandwidth for the meta kernel",
-        )
-        p.add_argument("--common-base", type=int, default=None, help="base member for rotations")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument(
-            "--input-kind",
-            choices=("kernel", "points"),
-            default=None,
-            help="inputs are kernel matrices (default) or point clouds",
-        )
-        p.add_argument("--full-matrix", action="store_true", help="emit all-pairs distances")
-
-    for name in (
-        "embed",
-        "distance",
-        "global",
-        "metagraph",
-        "torus-experiment",
-        "convergence",
-        "change-detect",
-        "gen-data",
-    ):
-        cmd = sub.add_parser(name)
-        add_shared(cmd)
-        if name == "convergence":
-            cmd.add_argument("--n-grid", default=None, help="comma-separated sample sizes")
-            cmd.add_argument("--trials", type=int, default=None)
-            cmd.add_argument("--reference-n", type=int, default=None)
-        if name in ("torus-experiment", "gen-data"):
-            cmd.add_argument("--n", type=int, default=None, help="samples per torus")
-        if name in ("change-detect", "gen-data"):
-            cmd.add_argument("--band-counts", default=None, help="comma-separated bands per epoch")
-            cmd.add_argument("--noise-sigma", type=float, default=None)
-            cmd.add_argument("--block-size", type=int, default=None)
-            cmd.add_argument("--side", type=int, default=None, help="pixel grid side length")
-        if name == "gen-data":
-            cmd.add_argument(
-                "--dataset",
-                choices=("torus", "torus-family", "standard-map", "cube"),
-                default=None,
-            )
-            cmd.add_argument("--grid", type=int, default=None, help="standard-map lattice side")
-            cmd.add_argument("--steps", type=int, default=None, help="standard-map iterations")
-            cmd.add_argument("--alpha", type=float, default=None, help="standard-map nonlinearity")
-    return parser
-
-
-def _make_config(args) -> RunConfig:
-    config = _load_config_file(args.config)
-    epsilon = None
-    if getattr(args, "epsilon_median", False):
-        epsilon = MEDIAN
-    elif args.epsilon is not None:
-        epsilon = _parse_epsilon(args.epsilon)
-    elif "epsilon" in config:
-        epsilon = _parse_epsilon(config["epsilon"])
-
-    inputs = args.input
-    if inputs is None and "input" in config:
-        inputs = [tok for tok in config["input"].split() if tok]
-    output_dir = _resolve(args, config, "output_dir", str, ".")
-
-    # the torus pipeline follows its own protocol default of t=2
-    t_default = 2 if args.command == "torus-experiment" else DEFAULTS["t"]
-    cfg = RunConfig(
-        command=args.command,
-        inputs=[Path(p) for p in (inputs or [])],
-        output_dir=Path(output_dir),
-        fmt=_resolve(args, config, "format", str, DEFAULTS["format"]),
-        seed=_resolve(args, config, "seed", int, DEFAULTS["seed"]),
-        t=_parse_t(_resolve(args, config, "t", _parse_t, t_default)),
-        s=_resolve(args, config, "s", float, DEFAULTS["s"]),
-        rank=_resolve(args, config, "rank", int, None),
-        dims=_resolve(args, config, "dims", int, DEFAULTS["dims"]),
-        target_lambda2=_resolve(
-            args, config, "target_lambda2", float, DEFAULTS["target_lambda2"]
-        ),
-        tol=_resolve(args, config, "tol", float, DEFAULTS["tol"]),
-        epsilon=epsilon,
-        common_base=_resolve(args, config, "common_base", int, None),
-        input_kind=_resolve(args, config, "input_kind", str, DEFAULTS["input_kind"]),
-        full_matrix=bool(getattr(args, "full_matrix", False)),
-    )
-    for key in (
-        "n",
-        "trials",
-        "reference_n",
-        "noise_sigma",
-        "block_size",
-        "side",
-        "grid",
-        "steps",
-        "alpha",
-    ):
-        cast = float if key in ("noise_sigma", "alpha") else int
-        cfg.extras[key] = _resolve(args, config, key, cast, DEFAULTS[key])
-    cfg.extras["n_grid"] = _int_list(_resolve(args, config, "n_grid", str, DEFAULTS["n_grid"]))
-    cfg.extras["band_counts"] = _int_list(
-        _resolve(args, config, "band_counts", str, DEFAULTS["band_counts"])
-    )
-    cfg.extras["dataset"] = _resolve(args, config, "dataset", str, DEFAULTS["dataset"])
-    cfg.validate()
-    return cfg
-
-
-def _load_decompositions(cfg: RunConfig, minimum: int):
+def _load_decompositions(args: argparse.Namespace, minimum: int):
     """Read inputs, build kernels if needed, and decompose each one."""
-    if len(cfg.inputs) < minimum:
-        raise InputError(f"{cfg.command} needs at least {minimum} --input file(s)")
+    inputs = args.input or []
+    if len(inputs) < minimum:
+        raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
     decs = []
     size = None
-    for path in cfg.inputs:
+    for path in inputs:
         values = read_matrix(path)
-        if cfg.input_kind == "points":
+        if args.input_kind == "points":
             cloud = PointCloud(values)
-            if isinstance(cfg.epsilon, float):
-                eps = cfg.epsilon
+            if isinstance(args.epsilon, float):
+                eps = args.epsilon
             else:
-                eps = calibrate_epsilon(cloud, cfg.target_lambda2, cfg.tol)
+                eps = calibrate_epsilon(cloud, args.target_lambda2, args.tol)
             kernel = gaussian_kernel(cloud, eps)
         else:
             kernel = KernelMatrix(values)
@@ -349,92 +271,66 @@ def _load_decompositions(cfg: RunConfig, minimum: int):
             size = kernel.n
         elif kernel.n != size:
             raise InputError(f"{path}: size {kernel.n} does not match {size}")
-        rank = cfg.rank if cfg.rank is not None else kernel.n
-        if rank > kernel.n:
-            raise InputError(f"rank {rank} exceeds input size {kernel.n}")
+        rank = args.rank if args.rank is not None else kernel.n
         decs.append(spectral_decomposition(diffusion_matrix(kernel), rank))
     return decs
 
 
-def cmd_embed(cfg: RunConfig, out: OutputTracker) -> None:
-    decs = _load_decompositions(cfg, minimum=1)
-    t = int(cfg.t) if cfg.t != math.inf else None
-    if t is None:
-        raise InputError("embed needs a finite diffusion time")
+def cmd_embed(args: argparse.Namespace, out: OutputTracker) -> None:
+    decs = _load_decompositions(args, minimum=1)
     for idx, dec in enumerate(decs):
-        out.matrix(f"embedding_{idx}", diffusion_map(dec, t).coords)
-    if cfg.common_base is not None:
-        rotated = common_embedding(decs, cfg.common_base, t)
+        out.matrix(f"embedding_{idx}", diffusion_map(dec, args.t).coords)
+    if args.common_base is not None:
+        rotated = common_embedding(decs, args.common_base, args.t)
         for idx, emb in enumerate(rotated):
             out.matrix(f"common_{idx}", emb.coords)
 
 
-def cmd_distance(cfg: RunConfig, out: OutputTracker) -> None:
-    decs = _load_decompositions(cfg, minimum=2)
+def cmd_distance(args: argparse.Namespace, out: OutputTracker) -> None:
+    decs = _load_decompositions(args, minimum=2)
     if len(decs) != 2:
         raise InputError("distance compares exactly two inputs")
     dec_a, dec_b = decs
-    if cfg.t == math.inf:
-        if cfg.full_matrix:
+    if args.t == math.inf:
+        if args.full_matrix:
             raise InputError("asymptotic distances are emitted per corresponding point")
         out.matrix("distance_map", asymptotic_distance_map(dec_a, dec_b))
         return
     gram = gram_matrix(dec_a, dec_b)
-    t = int(cfg.t)
-    if cfg.full_matrix:
-        out.matrix("distance_matrix", diffusion_distance_matrix(dec_a, dec_b, gram, t))
+    if args.full_matrix:
+        out.matrix("distance_matrix", diffusion_distance_matrix(dec_a, dec_b, gram, args.t))
     else:
-        out.matrix("distance_map", diffusion_distance_map(dec_a, dec_b, gram, t))
+        out.matrix("distance_map", diffusion_distance_map(dec_a, dec_b, gram, args.t))
 
 
-def cmd_global(cfg: RunConfig, out: OutputTracker) -> None:
-    decs = _load_decompositions(cfg, minimum=2)
-    t = int(cfg.t) if cfg.t != math.inf else None
-    if t is None:
-        count = len(decs)
-        dists = np.zeros((count, count))
-        for a in range(count):
-            for b in range(a + 1, count):
-                dists[a, b] = dists[b, a] = asymptotic_global_distance(decs[a], decs[b])
-    else:
-        dists = global_distance_matrix(decs, t)
-    out.matrix("global_distances", dists)
+def cmd_global(args: argparse.Namespace, out: OutputTracker) -> None:
+    decs = _load_decompositions(args, minimum=2)
+    out.matrix("global_distances", global_distance_matrix(decs, args.t))
 
 
-def cmd_metagraph(cfg: RunConfig, out: OutputTracker) -> None:
-    decs = _load_decompositions(cfg, minimum=2)
-    if cfg.t == math.inf:
-        raise InputError("metagraph needs a finite diffusion time")
-    t = int(cfg.t)
-    dists = global_distance_matrix(decs, t)
-    epsilon = cfg.epsilon if cfg.epsilon is not None else MEDIAN
-    meta = meta_kernel(dists, epsilon=epsilon, t=t)
-    coords = meta_embedding(meta, cfg.s, min(cfg.dims, meta.size))
+def cmd_metagraph(args: argparse.Namespace, out: OutputTracker) -> None:
+    decs = _load_decompositions(args, minimum=2)
+    dists = global_distance_matrix(decs, args.t)
+    epsilon = args.epsilon if args.epsilon is not None else MEDIAN
+    meta = meta_kernel(dists, epsilon=epsilon, t=args.t)
+    coords = meta_embedding(meta, args.s, min(args.dims, meta.size))
     out.matrix("global_distances", dists)
     out.matrix("meta_kernel", meta.kernel)
     out.matrix("meta_coords", coords)
 
 
-def cmd_torus_experiment(cfg: RunConfig, out: OutputTracker) -> None:
-    if cfg.t == math.inf:
-        raise InputError("the torus experiment needs a finite diffusion time")
+def _label_rows(labels) -> np.ndarray:
+    """(pinch angle, pinch radius) per torus family member, NaN when unpinched."""
+    return np.array([(math.nan, math.nan) if label is None else label for label in labels])
+
+
+def cmd_torus_experiment(args: argparse.Namespace, out: OutputTracker) -> None:
     result = experiments.torus_experiment(
-        n=cfg.extras["n"],
-        seed=cfg.seed,
-        target_lambda2=cfg.target_lambda2,
-        tol=cfg.tol,
-        rank=cfg.rank if cfg.rank is not None else 10,
-        t=int(cfg.t),
-        s=cfg.s,
-        dims=cfg.dims,
-        epsilon=cfg.epsilon if cfg.epsilon is not None else MEDIAN,
+        **_set_options(
+            args, "n", "seed", "target_lambda2", "tol", "rank", "t", "s", "dims", "epsilon"
+        )
     )
-    labels = np.array(
-        [
-            (math.nan, math.nan) if label is None else label
-            for label in result.labels
-        ]
-    )
+    labels = _label_rows(result.labels)
     out.matrix("torus_global_distances", result.global_distances)
     out.matrix("torus_meta_coords", result.coords)
     out.matrix("torus_labels", labels)
@@ -466,30 +362,17 @@ def cmd_torus_experiment(cfg: RunConfig, out: OutputTracker) -> None:
     )
 
 
-def cmd_convergence(cfg: RunConfig, out: OutputTracker) -> None:
-    if cfg.t == math.inf:
-        raise InputError("the convergence study needs a finite diffusion time")
+def cmd_convergence(args: argparse.Namespace, out: OutputTracker) -> None:
     report = experiments.torus_pair_study(
-        n_grid=cfg.extras["n_grid"],
-        trials=cfg.extras["trials"],
-        reference_n=cfg.extras["reference_n"],
-        t=int(cfg.t),
-        seed=cfg.seed,
-        target_lambda2=cfg.target_lambda2,
+        **_set_options(args, "n_grid", "trials", "reference_n", "t", "seed", "target_lambda2")
     )
     out.matrix("convergence_report", report_rows(report))
     out.text("convergence_summary", report_summary(report))
 
 
-def cmd_change_detect(cfg: RunConfig, out: OutputTracker) -> None:
+def cmd_change_detect(args: argparse.Namespace, out: OutputTracker) -> None:
     result = experiments.change_detection_experiment(
-        scene_seed=cfg.seed,
-        band_counts=cfg.extras["band_counts"],
-        noise_sigma=cfg.extras["noise_sigma"],
-        shape=(cfg.extras["side"], cfg.extras["side"]),
-        block_size=cfg.extras["block_size"],
-        target_lambda2=cfg.target_lambda2,
-        tol=cfg.tol,
+        **_scene_options(args), **_set_options(args, "target_lambda2", "tol")
     )
     out.matrix("change_scores", result.scores)
     out.matrix("change_mask", result.change_mask.astype(float))
@@ -508,23 +391,17 @@ def cmd_change_detect(cfg: RunConfig, out: OutputTracker) -> None:
     )
 
 
-def cmd_gen_data(cfg: RunConfig, out: OutputTracker) -> None:
-    dataset = cfg.extras["dataset"]
-    if dataset == "torus":
-        cloud = sample_torus(TorusSpec(), cfg.extras["n"], cfg.seed)
+def cmd_gen_data(args: argparse.Namespace, out: OutputTracker) -> None:
+    if args.dataset == "torus":
+        cloud = sample_torus(TorusSpec(), args.n, args.seed)
         out.matrix("torus", cloud.points)
-    elif dataset == "torus-family":
-        clouds, labels = pinched_torus_family(cfg.seed, n=cfg.extras["n"])
+    elif args.dataset == "torus-family":
+        clouds, labels = pinched_torus_family(args.seed, n=args.n)
         for idx, cloud in enumerate(clouds):
             out.matrix(f"torus_family_{idx:02d}", cloud.points)
-        numeric = np.array(
-            [(math.nan, math.nan) if label is None else label for label in labels]
-        )
-        out.matrix("torus_family_labels", numeric)
-    elif dataset == "standard-map":
-        orbits = standard_map_orbits(
-            cfg.extras["alpha"], cfg.extras["grid"], cfg.extras["steps"]
-        )
+        out.matrix("torus_family_labels", _label_rows(labels))
+    elif args.dataset == "standard-map":
+        orbits = standard_map_orbits(args.alpha, args.grid, args.steps)
         rows = []
         for orbit_id, orbit in enumerate(orbits):
             steps = np.arange(orbit.shape[0], dtype=float)
@@ -532,19 +409,8 @@ def cmd_gen_data(cfg: RunConfig, out: OutputTracker) -> None:
                 np.column_stack([np.full(orbit.shape[0], float(orbit_id)), steps, orbit])
             )
         out.matrix("standard_map", np.vstack(rows))
-    elif dataset == "cube":
-        sensors = [
-            SensorSpec(band_count=count, seed=cfg.seed * 1000 + 17 * (k + 1),
-                       noise_sigma=cfg.extras["noise_sigma"])
-            for k, count in enumerate(cfg.extras["band_counts"])
-        ]
-        family = synthetic_cube_family(
-            cfg.seed,
-            sensors,
-            plant_change=True,
-            shape=(cfg.extras["side"], cfg.extras["side"]),
-            block_size=cfg.extras["block_size"],
-        )
+    elif args.dataset == "cube":
+        family = experiments.change_scene(**_scene_options(args))
         for idx, cloud in enumerate(family.clouds):
             out.matrix(f"cube_epoch_{idx}", cloud.points)
         out.matrix("cube_mask", family.change_mask.astype(float))
@@ -555,8 +421,6 @@ def cmd_gen_data(cfg: RunConfig, out: OutputTracker) -> None:
                 + [f"snr_db epoch={k} {snr:.3f}" for k, snr in enumerate(family.snr_db)]
             ),
         )
-    else:
-        raise InputError(f"unknown dataset {dataset!r}")
 
 
 HANDLERS = {
@@ -572,17 +436,15 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _make_config(args)
+        args = _parse_args(argv)
     except (DynamapError, OSError) as exc:
         print(f"dynamap: {exc}", file=sys.stderr)
         return 1
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out = OutputTracker(cfg.output_dir, cfg.fmt)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    out = OutputTracker(args.output_dir, args.format)
     try:
-        HANDLERS[cfg.command](cfg, out)
+        HANDLERS[args.command](args, out)
         out.verify()
     except (DynamapError, OSError) as exc:
         out.cleanup()

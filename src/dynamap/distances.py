@@ -13,6 +13,7 @@ integral cancels the n^2 from the kernel evaluation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,8 @@ CONNECTIVITY_GAP = 1e-9
 # three-term squared distances below this fraction of their scale are
 # recomputed difference-first, where cancellation cannot occur
 STABLE_REL = 1e-9
+# entries recomputed per matrix product: an n x REFINE_BLOCK temporary
+REFINE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,7 @@ class GramMatrix:
 
 def gram_matrix(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition) -> GramMatrix:
     """Cross-parameter Gram matrix of two decompositions over the same sample set."""
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(
-            f"decompositions must share the sample set: n={dec_a.n} vs n={dec_b.n}"
-        )
+    _check_sizes(dec_a.n, dec_b.n)
     vals = dec_a.eigenfunctions.T @ dec_b.eigenfunctions / dec_a.n
     return GramMatrix(values=vals, n=dec_a.n)
 
@@ -73,17 +73,15 @@ def _clamp_sq(d2: float) -> float:
     return d2
 
 
-def _clamp_sq_array(d2: np.ndarray) -> np.ndarray:
-    low = float(d2.min()) if d2.size else 0.0
-    if low < -NEGATIVE_SQ_TOL:
-        raise NumericalError(f"squared distance {low:.3e} below roundoff tolerance")
-    return np.maximum(d2, 0.0)
-
-
 def _check_t(t) -> int:
     if not (isinstance(t, (int, np.integer)) and t >= 1):
         raise InputError(f"diffusion time must be a positive integer, got {t}")
     return int(t)
+
+
+def _check_sizes(n_a: int, n_b: int) -> None:
+    if n_a != n_b:
+        raise CorrespondenceError(f"size mismatch: n={n_a} vs n={n_b}")
 
 
 def _check_connected(dec: SpectralDecomposition) -> None:
@@ -96,11 +94,59 @@ def _check_connected(dec: SpectralDecomposition) -> None:
         )
 
 
-def _refined_sq(dec_a, dec_b, wa: np.ndarray, wb: np.ndarray) -> float:
-    """Cancellation-free squared distance: evaluate the two expanded diffusion
-    rows at the samples, subtract first, then take the empirical norm."""
-    diff = dec_a.eigenfunctions @ wa - dec_b.eigenfunctions @ wb
-    return float(diff @ diff) / dec_a.n
+def _check_index(name: str, idx, n: int) -> np.ndarray:
+    idx = np.asarray(idx)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise InputError(f"point index {name}={bad[0]} out of range for n={n}")
+    return idx
+
+
+def _squared_distances(dec_a, dec_b, gram, t, pairs=None) -> np.ndarray:
+    """Three-term squared diffusion distances |u|^2 + |v|^2 - 2 u G v, where
+    u = la^t psi_a[i] and v = lb^t psi_b[j] are diffusion coordinates.
+
+    pairs = (i, j) pairs point i[k] under a with point j[k] under b; None
+    takes every i against every j (n x n). At t = math.inf only the top
+    eigenfunctions survive, with weight 1, and G is their inner product g:
+    for unit-norm tops that is the formula of asymptotic_diffusion_distance.
+    Entries below STABLE_REL of their scale |u|^2 + |v|^2 are recomputed as
+    the empirical norm of psi_a u - psi_b v, REFINE_BLOCK per matrix product,
+    so every entry is nonnegative and accurate in absolute terms.
+    """
+    if t == math.inf:
+        _check_connected(dec_a)
+        _check_connected(dec_b)
+        _check_sizes(dec_a.n, dec_b.n)
+        psi_a = wa = dec_a.eigenfunctions[:, :1]
+        psi_b = wb = dec_b.eigenfunctions[:, :1]
+        gram = psi_a.T @ psi_b / dec_a.n
+    else:
+        t = _check_t(t)
+        _check_sizes(dec_a.n, dec_b.n)
+        psi_a, psi_b, gram = dec_a.eigenfunctions, dec_b.eigenfunctions, gram.values
+        wa = psi_a * dec_a.eigenvalues**t
+        wb = psi_b * dec_b.eigenvalues**t
+    n = dec_a.n
+    if pairs is None:
+        scale = np.einsum("ik,ik->i", wa, wa)[:, None] + np.einsum("ik,ik->i", wb, wb)[None, :]
+        d2 = scale - 2.0 * (wa @ gram) @ wb.T
+    else:
+        wa = wa[_check_index("i", pairs[0], n)]
+        wb = wb[_check_index("j", pairs[1], n)]
+        scale = np.einsum("ik,ik->i", wa, wa) + np.einsum("ik,ik->i", wb, wb)
+        d2 = scale - 2.0 * np.einsum("ik,ik->i", wa @ gram, wb)
+    flagged = np.nonzero(d2 < STABLE_REL * scale)
+    # a paired result has one index array, naming a row of wa and of wb alike
+    rows_a = wa[flagged[0]]
+    rows_b = wb[flagged[-1]]
+    refined = np.empty(rows_a.shape[0])
+    for start in range(0, refined.size, REFINE_BLOCK):
+        block = slice(start, start + REFINE_BLOCK)
+        diff = psi_a @ rows_a[block].T - psi_b @ rows_b[block].T
+        refined[block] = np.einsum("xk,xk->k", diff, diff) / n
+    d2[flagged] = refined
+    return d2
 
 
 def diffusion_distance(
@@ -119,16 +165,7 @@ def diffusion_distance(
     Near-zero values, where the three terms cancel, are recomputed
     difference-first so the result is accurate in absolute terms.
     """
-    t = _check_t(t)
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(f"size mismatch: n={dec_a.n} vs n={dec_b.n}")
-    wa = dec_a.eigenvalues**t * dec_a.eigenfunctions[i]
-    wb = dec_b.eigenvalues**t * dec_b.eigenfunctions[j]
-    scale = float(wa @ wa + wb @ wb)
-    d2 = float(scale - 2.0 * wa @ gram.values @ wb)
-    if d2 < STABLE_REL * scale:
-        d2 = _refined_sq(dec_a, dec_b, wa, wb)
-    return float(np.sqrt(_clamp_sq(d2)))
+    return float(np.sqrt(_squared_distances(dec_a, dec_b, gram, t, pairs=([i], [j]))[0]))
 
 
 def diffusion_distance_map(
@@ -138,17 +175,8 @@ def diffusion_distance_map(
     t: int,
 ) -> np.ndarray:
     """Corresponding-point distances D(x_i under a, x_i under b) for every sample i."""
-    t = _check_t(t)
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(f"size mismatch: n={dec_a.n} vs n={dec_b.n}")
-    wa = dec_a.eigenfunctions * dec_a.eigenvalues[None, :] ** t
-    wb = dec_b.eigenfunctions * dec_b.eigenvalues[None, :] ** t
-    scale = np.einsum("ik,ik->i", wa, wa) + np.einsum("ik,ik->i", wb, wb)
-    d2 = scale - 2.0 * np.einsum("ik,ik->i", wa @ gram.values, wb)
-    flagged = np.nonzero(d2 < STABLE_REL * scale)[0]
-    for i in flagged:
-        d2[i] = _refined_sq(dec_a, dec_b, wa[i], wb[i])
-    return np.sqrt(_clamp_sq_array(d2))
+    every = np.arange(dec_a.n)
+    return np.sqrt(_squared_distances(dec_a, dec_b, gram, t, pairs=(every, every)))
 
 
 def diffusion_distance_matrix(
@@ -158,18 +186,7 @@ def diffusion_distance_matrix(
     t: int,
 ) -> np.ndarray:
     """All-pairs distances D(x_i under a, y_j under b) as an n x n array."""
-    t = _check_t(t)
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(f"size mismatch: n={dec_a.n} vs n={dec_b.n}")
-    wa = dec_a.eigenfunctions * dec_a.eigenvalues[None, :] ** t
-    wb = dec_b.eigenfunctions * dec_b.eigenvalues[None, :] ** t
-    sq_a = np.einsum("ik,ik->i", wa, wa)
-    sq_b = np.einsum("ik,ik->i", wb, wb)
-    scale = sq_a[:, None] + sq_b[None, :]
-    d2 = scale - 2.0 * (wa @ gram.values) @ wb.T
-    for i, j in zip(*np.nonzero(d2 < STABLE_REL * scale)):
-        d2[i, j] = _refined_sq(dec_a, dec_b, wa[i], wb[j])
-    return np.sqrt(_clamp_sq_array(d2))
+    return np.sqrt(_squared_distances(dec_a, dec_b, gram, t))
 
 
 def direct_diffusion_distance(
@@ -181,8 +198,7 @@ def direct_diffusion_distance(
 ) -> float:
     """Oracle route: D^2 = n * sum_k (A_a^t[i,k] - A_b^t[j,k])^2 via matrix powers only."""
     t = _check_t(t)
-    if mat_a.n != mat_b.n:
-        raise CorrespondenceError(f"size mismatch: n={mat_a.n} vs n={mat_b.n}")
+    _check_sizes(mat_a.n, mat_b.n)
     row_a = kernel_power_row(mat_a, t, i)
     row_b = kernel_power_row(mat_b, t, j)
     diff = row_a - row_b
@@ -202,17 +218,7 @@ def asymptotic_diffusion_distance(
     D^2 = (pa(i) - pb(j))^2 + pa(i) pb(j) * mean_x (pa(x) - pb(x))^2,
     the pointwise density gap plus a term carrying the global density change.
     """
-    _check_connected(dec_a)
-    _check_connected(dec_b)
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(f"size mismatch: n={dec_a.n} vs n={dec_b.n}")
-    top_a = dec_a.eigenfunctions[:, 0]
-    top_b = dec_b.eigenfunctions[:, 0]
-    spread = float(np.mean((top_a - top_b) ** 2))
-    pa = float(top_a[i])
-    pb = float(top_b[j])
-    d2 = (pa - pb) ** 2 + pa * pb * spread
-    return float(np.sqrt(_clamp_sq(d2)))
+    return float(np.sqrt(_squared_distances(dec_a, dec_b, None, math.inf, pairs=([i], [j]))[0]))
 
 
 def asymptotic_distance_map(
@@ -220,15 +226,8 @@ def asymptotic_distance_map(
     dec_b: SpectralDecomposition,
 ) -> np.ndarray:
     """Corresponding-point large-t distances for every sample."""
-    _check_connected(dec_a)
-    _check_connected(dec_b)
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(f"size mismatch: n={dec_a.n} vs n={dec_b.n}")
-    top_a = dec_a.eigenfunctions[:, 0]
-    top_b = dec_b.eigenfunctions[:, 0]
-    spread = float(np.mean((top_a - top_b) ** 2))
-    d2 = (top_a - top_b) ** 2 + top_a * top_b * spread
-    return np.sqrt(_clamp_sq_array(d2))
+    every = np.arange(dec_a.n)
+    return np.sqrt(_squared_distances(dec_a, dec_b, None, math.inf, pairs=(every, every)))
 
 
 def global_diffusion_distance(
@@ -246,8 +245,7 @@ def global_diffusion_distance(
     value degrades gracefully as the discarded tail only shrinks the sums.
     """
     t = _check_t(t)
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(f"size mismatch: n={dec_a.n} vs n={dec_b.n}")
+    _check_sizes(dec_a.n, dec_b.n)
     la = dec_a.eigenvalues**t
     lb = dec_b.eigenvalues**t
     gsq = gram.values**2
@@ -268,8 +266,7 @@ def direct_global_distance(mat_a: DiffusionMatrix, mat_b: DiffusionMatrix, t: in
     evaluating the t-step kernels at sample points, so no scaling is needed.
     """
     t = _check_t(t)
-    if mat_a.n != mat_b.n:
-        raise CorrespondenceError(f"size mismatch: n={mat_a.n} vs n={mat_b.n}")
+    _check_sizes(mat_a.n, mat_b.n)
     pow_a = np.linalg.matrix_power(mat_a.values, t)
     pow_b = np.linalg.matrix_power(mat_b.values, t)
     return float(np.linalg.norm(pow_a - pow_b, ord="fro"))
@@ -282,20 +279,27 @@ def asymptotic_global_distance(
     """Large-t limit sqrt(2 (1 - g^2)) with g the inner product of the top eigenfunctions."""
     _check_connected(dec_a)
     _check_connected(dec_b)
-    if dec_a.n != dec_b.n:
-        raise CorrespondenceError(f"size mismatch: n={dec_a.n} vs n={dec_b.n}")
+    _check_sizes(dec_a.n, dec_b.n)
     g = float(dec_a.eigenfunctions[:, 0] @ dec_b.eigenfunctions[:, 0]) / dec_a.n
     return float(np.sqrt(_clamp_sq(2.0 * (1.0 - g * g))))
 
 
-def global_distance_matrix(decs: Sequence[SpectralDecomposition], t: int) -> np.ndarray:
-    """Pairwise global distances for a family, symmetric with an exactly zero diagonal."""
-    t = _check_t(t)
+def global_distance_matrix(decs: Sequence[SpectralDecomposition], t: int | float) -> np.ndarray:
+    """Pairwise global distances for a family, symmetric with an exactly zero diagonal.
+
+    t = math.inf gives the large-t limits (asymptotic_global_distance), which
+    need no Gram matrix.
+    """
+    if t != math.inf:
+        t = _check_t(t)
     count = len(decs)
     out = np.zeros((count, count))
     for a in range(count):
         for b in range(a + 1, count):
-            dist = global_diffusion_distance(decs[a], decs[b], gram_matrix(decs[a], decs[b]), t)
+            if t == math.inf:
+                dist = asymptotic_global_distance(decs[a], decs[b])
+            else:
+                dist = global_diffusion_distance(decs[a], decs[b], gram_matrix(decs[a], decs[b]), t)
             out[a, b] = dist
             out[b, a] = dist
     return out

@@ -1,4 +1,4 @@
-"""End-to-end experiment pipelines shared by the CLI, the scripts, and the tests."""
+"""End-to-end experiment pipelines shared by the CLI and the tests."""
 from __future__ import annotations
 
 import math
@@ -9,6 +9,7 @@ import numpy as np
 
 from .datasets import (
     PINCH_ANGLES,
+    CubeFamily,
     SensorSpec,
     TorusSpec,
     pinched_torus_family,
@@ -130,6 +131,28 @@ class ChangeDetectionResult:
         return int(self.change_mask[order].sum())
 
 
+def change_scene(
+    scene_seed: int = 11,
+    band_counts: Sequence[int] = (30, 50, 70),
+    noise_sigma: float = 0.01,
+    shape: tuple[int, int] = (32, 32),
+    bands: int = 124,
+    block_size: int = 5,
+) -> CubeFamily:
+    """The change-detection scene: one sensor per band count, each seeded from
+    the scene seed, and a planted block anomaly in one epoch.
+
+    The defaults are change_detection_experiment's.
+    """
+    sensors = [
+        SensorSpec(band_count=count, seed=scene_seed * 1000 + 17 * (k + 1), noise_sigma=noise_sigma)
+        for k, count in enumerate(band_counts)
+    ]
+    return synthetic_cube_family(
+        scene_seed, sensors, plant_change=True, shape=shape, bands=bands, block_size=block_size
+    )
+
+
 def change_detection_experiment(
     scene_seed: int = 11,
     band_counts: Sequence[int] = (30, 50, 70),
@@ -147,18 +170,7 @@ def change_detection_experiment(
     are scored by the mean asymptotic distance between the changed epoch and
     every other epoch, which needs only the top eigenfunctions.
     """
-    sensors = [
-        SensorSpec(band_count=count, seed=scene_seed * 1000 + 17 * (k + 1), noise_sigma=noise_sigma)
-        for k, count in enumerate(band_counts)
-    ]
-    family = synthetic_cube_family(
-        scene_seed,
-        sensors,
-        plant_change=True,
-        shape=shape,
-        bands=bands,
-        block_size=block_size,
-    )
+    family = change_scene(scene_seed, band_counts, noise_sigma, shape, bands, block_size)
     epsilons = np.zeros(len(family.clouds))
     decs = []
     for k, cloud in enumerate(family.clouds):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .exceptions import CalibrationError, InputError
+from .exceptions import CalibrationError, DegeneracyError, InputError
 
 # Bandwidth search parameters: the search starts at the median pairwise
 # distance and walks toward the target in factor-2 steps, at most MAX_DOUBLINGS
@@ -126,6 +126,15 @@ def gaussian_kernel(cloud: PointCloud, epsilon: float) -> KernelMatrix:
     return KernelMatrix(vals)
 
 
+def _degree_normalized(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D^{-1/2} K D^{-1/2} for a kernel K, and its degrees d (the row sums)."""
+    deg = values.sum(axis=1)
+    if not np.all(deg > 0.0):
+        raise DegeneracyError("kernel has a zero row degree; input is corrupt")
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return values * np.outer(inv_sqrt, inv_sqrt), deg
+
+
 def _lanczos_top(values: np.ndarray, k: int, vectors: bool):
     """Top-k eigenpairs of a dense symmetric matrix by implicitly restarted Lanczos.
 
@@ -166,9 +175,7 @@ def _second_eigenvalue(kernel_values: np.ndarray) -> float:
     Lanczos with k = 2 (`_lanczos_top`); below it, or when Lanczos stalls, the
     dense LAPACK subset solver computes them.
     """
-    deg = kernel_values.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    sym = kernel_values * np.outer(inv_sqrt, inv_sqrt)
+    sym, _ = _degree_normalized(kernel_values)
     top = _lanczos_top(sym, 2, vectors=False)
     if top is not None:
         return float(top[0])

@@ -1,4 +1,4 @@
-"""Matrix file formats shared by the CLI and the experiment scripts.
+"""Matrix file formats read and written by the CLI and the tests.
 
 CSV: a `# rows cols` header line, then comma-separated rows at 17 significant
 digits so values round-trip exactly. Binary: magic `DMAP1`, little-endian

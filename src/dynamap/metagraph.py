@@ -12,6 +12,7 @@ from .exceptions import (
     InputError,
     NumericalError,
 )
+from .distances import _check_t
 from .kernels import KernelMatrix
 from .operators import DiffusionMatrix, SpectralDecomposition, diffusion_matrix, spectral_decomposition
 
@@ -87,7 +88,7 @@ def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN, t: 
     kern = np.triu(kern, 1)
     kern = kern + kern.T
     np.fill_diagonal(kern, 1.0)
-    return MetaGraph(kernel=kern, epsilon=eps, t=int(t))
+    return MetaGraph(kernel=kern, epsilon=eps, t=_check_t(t))
 
 
 def _timescaled_coords(dec: SpectralDecomposition, s: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Symmetric diffusion matrices, graph Laplacians, and truncated spectral decompositions.
+"""Symmetric diffusion matrices and truncated spectral decompositions.
 
 Eigenfunctions are normalized against the empirical measure (1/n per sample):
 (1/n) * psi.T @ psi = I. With this scaling the spectral distance formulas in
@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DegeneracyError, InputError, NumericalError
-from .kernels import KernelMatrix, _lanczos_top
+from .kernels import KernelMatrix, _degree_normalized, _lanczos_top
 
 EIGENVALUE_SLACK = 1e-10
 ORTHONORMALITY_TOL = 1e-8
@@ -87,27 +87,8 @@ def diffusion_matrix(kernel: KernelMatrix) -> DiffusionMatrix:
     The per-sample 1/n factors of the empirical kernel and degree matrices
     cancel, so A is scale-free in n; its spectral radius is 1.
     """
-    deg = kernel.values.sum(axis=1)
-    if not np.all(deg > 0.0):
-        raise DegeneracyError("kernel has a zero row degree; input is corrupt")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    vals = kernel.values * np.outer(inv_sqrt, inv_sqrt)
+    vals, deg = _degree_normalized(kernel.values)
     return DiffusionMatrix(values=vals, density=deg / kernel.n)
-
-
-def transition_matrix(kernel: KernelMatrix) -> np.ndarray:
-    """Row-stochastic transition matrix D^{-1} K; shares eigenvalues with the
-    symmetric diffusion matrix (reference surface only, no map path)."""
-    deg = kernel.values.sum(axis=1)
-    if not np.all(deg > 0.0):
-        raise DegeneracyError("kernel has a zero row degree; input is corrupt")
-    return kernel.values / deg[:, None]
-
-
-def graph_laplacian(matrix: DiffusionMatrix) -> np.ndarray:
-    """Graph Laplacian (I - A) / 2; eigenvalues (1 - eig(A)) / 2 lie in [0, 1]."""
-    n = matrix.n
-    return 0.5 * (np.eye(n) - matrix.values)
 
 
 def apply_sign_convention(psi: np.ndarray) -> np.ndarray:

@@ -19,6 +19,17 @@ def random_kernel(n, rng):
     return KernelMatrix(vals)
 
 
+def transition_matrix(kernel):
+    """Row-stochastic transition matrix D^{-1} K; shares eigenvalues with the
+    symmetric diffusion matrix."""
+    return kernel.values / kernel.values.sum(axis=1)[:, None]
+
+
+def graph_laplacian(matrix):
+    """Graph Laplacian (I - A) / 2; eigenvalues (1 - eig(A)) / 2 lie in [0, 1]."""
+    return 0.5 * (np.eye(matrix.n) - matrix.values)
+
+
 def random_instance(n, seed, rank=None):
     """(DiffusionMatrix, SpectralDecomposition) from a random kernel."""
     rng = np.random.default_rng(seed)

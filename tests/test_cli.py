@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynamap.cli import main
+from dynamap.experiments import change_detection_experiment, change_scene
 from dynamap.matio import (
     read_matrix,
     read_matrix_bin,
@@ -109,13 +110,14 @@ def test_distance_asymptotic_matches_large_t(tmp_path):
 
 def test_global_identical_inputs(tmp_path):
     paths = _write_kernels(tmp_path, 5, [9, 9])
-    out = tmp_path / "out"
-    assert main([
-        "global", "--input", str(paths[0]), "--input", str(paths[1]),
-        "--output-dir", str(out), "--t", "2",
-    ]) == 0
-    np.testing.assert_allclose(read_matrix(out / "global_distances.csv"),
-                               np.zeros((2, 2)), atol=1e-12)
+    for t in ("2", "inf"):
+        out = tmp_path / t
+        assert main([
+            "global", "--input", str(paths[0]), "--input", str(paths[1]),
+            "--output-dir", str(out), "--t", t,
+        ]) == 0
+        np.testing.assert_allclose(read_matrix(out / "global_distances.csv"),
+                                   np.zeros((2, 2)), atol=1e-12)
 
 
 def test_metagraph_outputs(tmp_path):
@@ -186,6 +188,23 @@ def test_config_file_precedence(tmp_path):
         "--config", str(config), "--rank", "4",
     ]) == 0
     assert read_matrix(out_flag / "embedding_0.csv").shape == (6, 4)
+    # the config's inputs serve when no --input flag is given
+    config.write_text(f"rank = 3\ninput = {kern}\n", encoding="utf-8")
+    out_input = tmp_path / "input"
+    assert main(["embed", "--output-dir", str(out_input), "--config", str(config)]) == 0
+    assert read_matrix(out_input / "embedding_0.csv").shape == (6, 3)
+
+
+def test_config_and_flag_value_errors(tmp_path, capsys):
+    (kern,) = _write_kernels(tmp_path, 6, [18])
+    config = tmp_path / "bad.cfg"
+    config.write_text("rank = x\n", encoding="utf-8")
+    common = ["embed", "--input", str(kern), "--output-dir", str(tmp_path / "out")]
+    assert main([*common, "--config", str(config)]) == 1
+    assert "rank" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([*common, "--rank", "x"])
+    assert exc.value.code == 2
 
 
 def test_gen_data_torus_and_determinism(tmp_path):
@@ -226,6 +245,9 @@ def test_gen_data_cube(tmp_path):
     assert mask.sum() == 9
     assert read_matrix(out / "cube_epoch_0.csv").shape == (64, 10)
     assert read_matrix(out / "cube_epoch_1.csv").shape == (64, 12)
+    # the same scene change-detect scores, built by the same library function
+    scene = change_scene(2, band_counts=(10, 12), shape=(8, 8), block_size=3)
+    np.testing.assert_array_equal(read_matrix(out / "cube_epoch_1.csv"), scene.clouds[1].points)
 
 
 def test_torus_experiment_command(tmp_path):
@@ -257,16 +279,25 @@ def test_convergence_command(tmp_path):
 
 
 def test_change_detect_command(tmp_path):
+    scene = ["--side", "8", "--band-counts", "8,10", "--block-size", "3", "--noise-sigma", "0.0"]
     out = tmp_path / "out"
     assert main([
-        "change-detect", "--side", "8", "--band-counts", "8,10", "--block-size", "3",
-        "--noise-sigma", "0.0", "--target-lambda2", "0.9", "--seed", "4",
+        "change-detect", *scene, "--target-lambda2", "0.9", "--seed", "4",
         "--output-dir", str(out),
     ]) == 0
     scores = read_matrix(out / "change_scores.csv")
     mask = read_matrix(out / "change_mask.csv")
     assert scores.shape == (64, 1) and mask.sum() == 9
     assert "hits_in_top_50" in (out / "change_summary.txt").read_text()
+    # without --target-lambda2 and --seed the library's defaults apply
+    out_defaults = tmp_path / "defaults"
+    assert main(["change-detect", *scene, "--output-dir", str(out_defaults)]) == 0
+    expected = change_detection_experiment(
+        band_counts=(8, 10), noise_sigma=0.0, shape=(8, 8), block_size=3
+    )
+    np.testing.assert_array_equal(
+        read_matrix(out_defaults / "change_scores.csv")[:, 0], expected.scores
+    )
 
 
 def test_points_input_kind(tmp_path):

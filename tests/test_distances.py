@@ -20,6 +20,7 @@ from dynamap import (
     global_diffusion_distance,
     global_distance_matrix,
     gram_matrix,
+    pinched_torus_family,
     subgraph_diffusion_distance,
     truncate,
 )
@@ -139,9 +140,52 @@ def test_maps_and_matrix_agree_with_scalar():
 
 
 def test_identical_inputs_give_zero_map():
-    _, dec = random_instance(6, seed=14)
+    # every corresponding-point entry cancels, so at n = 300 the recomputation
+    # runs over more than one block
+    for _, dec in (random_instance(6, seed=14), gaussian_instance(300, seed=14)):
+        gram = gram_matrix(dec, dec)
+        zeros = np.zeros(dec.n)
+        np.testing.assert_array_equal(diffusion_distance_map(dec, dec, gram, 2), zeros)
+        np.testing.assert_array_equal(np.diag(diffusion_distance_matrix(dec, dec, gram, 2)), zeros)
+
+
+def test_recomputed_entries_match_oracle_on_torus_pair():
+    # away from the pinch the two tori coincide, so corresponding points there
+    # have nearly equal diffusion rows and take the difference-first
+    # recomputation; the plain three-term form misses 34 of them by over 1e-8
+    clouds, _ = pinched_torus_family(3, n=300)
+    mats = [diffusion_matrix(gaussian_kernel(clouds[k], 2.0)) for k in (0, 1)]
+    dec_a, dec_b = (spectral_decomposition(mat, 300) for mat in mats)
+    gram = gram_matrix(dec_a, dec_b)
+    wa = dec_a.eigenfunctions * dec_a.eigenvalues
+    wb = dec_b.eigenfunctions * dec_b.eigenvalues
+    scale = np.sum(wa * wa, axis=1) + np.sum(wb * wb, axis=1)
+    three_term = scale - 2.0 * np.sum((wa @ gram.values) * wb, axis=1)
+    recomputed = np.flatnonzero(three_term < 1e-9 * scale)
+    assert recomputed.size > 100
+    dmap = diffusion_distance_map(dec_a, dec_b, gram, 1)
+    full = diffusion_distance_matrix(dec_a, dec_b, gram, 1)
+    for i in (*recomputed, *range(0, 300, 30)):
+        direct = direct_diffusion_distance(*mats, i, i, 1)
+        assert abs(dmap[i] - direct) <= 1e-8
+        assert abs(full[i, i] - direct) <= 1e-8
+    for i, j in ((0, 7), (42, 299), (150, 3)):
+        assert abs(full[i, j] - direct_diffusion_distance(*mats, i, j, 1)) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_point_index_out_of_range(bad):
+    mat, dec = random_instance(6, seed=36)
     gram = gram_matrix(dec, dec)
-    np.testing.assert_array_equal(diffusion_distance_map(dec, dec, gram, 2), np.zeros(6))
+    routes = (
+        lambda i, j: diffusion_distance(dec, dec, gram, i, j, 2),
+        lambda i, j: asymptotic_diffusion_distance(dec, dec, i, j),
+        lambda i, j: direct_diffusion_distance(mat, mat, i, j, 2),
+    )
+    for route in routes:
+        for i, j in ((bad, 0), (0, bad)):
+            with pytest.raises(InputError):
+                route(i, j)
 
 
 def test_asymptotic_pointwise_against_large_t():
@@ -239,11 +283,14 @@ def test_global_monotone_decay_shared_eigenvectors():
 
 def test_global_distance_matrix_layout():
     decs = [random_instance(5, seed=900 + k)[1] for k in range(3)]
-    mat = global_distance_matrix(decs, 2)
-    assert mat.shape == (3, 3)
-    np.testing.assert_array_equal(np.diag(mat), np.zeros(3))
-    np.testing.assert_array_equal(mat, mat.T)
-    assert np.all(mat[~np.eye(3, dtype=bool)] > 0.0)
+    for t in (2, math.inf):
+        mat = global_distance_matrix(decs, t)
+        assert mat.shape == (3, 3)
+        np.testing.assert_array_equal(np.diag(mat), np.zeros(3))
+        np.testing.assert_array_equal(mat, mat.T)
+        assert np.all(mat[~np.eye(3, dtype=bool)] > 0.0)
+    # t = inf pairs the members through the large-t limit
+    assert mat[0, 2] == asymptotic_global_distance(decs[0], decs[2])
 
 
 def test_subgraph_full_overlap_recovers_standard():

@@ -72,6 +72,9 @@ def test_meta_kernel_validation():
         meta_kernel(np.array([[1.0, 1.0], [1.0, 1.0]]), epsilon=1.0)
     with pytest.raises(InputError):
         meta_kernel(np.zeros((3, 3)), epsilon=-1.0)
+    # global_distance_matrix takes t = inf; a meta graph records a finite t
+    with pytest.raises(InputError):
+        meta_kernel(np.zeros((3, 3)), epsilon=1.0, t=float("inf"))
 
 
 def test_meta_embedding_identical_graphs_collapse():

@@ -13,18 +13,23 @@ from dynamap import (
     calibrate_epsilon,
     diffusion_matrix,
     gaussian_kernel,
-    graph_laplacian,
     kernel_power_row,
     sample_torus,
     spectral_decomposition,
-    transition_matrix,
     truncate,
 )
 from dynamap.datasets import TorusSpec
 from dynamap.kernels import KernelMatrix
 from dynamap.operators import DiffusionMatrix, apply_sign_convention
 
-from conftest import counting_eigsh, near_identity_kernel, random_kernel, refuse_dense_solves
+from conftest import (
+    counting_eigsh,
+    graph_laplacian,
+    near_identity_kernel,
+    random_kernel,
+    refuse_dense_solves,
+    transition_matrix,
+)
 
 THREE_BY_THREE = KernelMatrix(
     np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
