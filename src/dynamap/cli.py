@@ -195,8 +195,8 @@ def _add_command(sub, name: str) -> argparse.ArgumentParser:
 
 def _config_values(command: argparse.ArgumentParser, path: str) -> dict:
     """The options a config file of `key = value` lines sets, converted and
-    checked as flags are. Keys that name no option taking a value are ignored."""
-    actions = {action.dest: action for action in command._actions if action.nargs is None}
+    checked as flags are. Keys that name no option of the command are ignored;
+    a flag that takes no value (--full-matrix, --epsilon-median) is refused."""
     values = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -206,16 +206,18 @@ def _config_values(command: argparse.ArgumentParser, path: str) -> dict:
             raise InputError(f"config line without '=': {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip().replace("-", "_"), raw.strip()
-        action = actions.get(key)
+        action = command._option_string_actions.get("--" + key.replace("_", "-"))
         if action is None:
             continue
+        if action.nargs == 0:
+            raise InputError(f"config key {key} is a flag without a value; pass it as a flag")
         try:
             value = action.type(raw) if action.type else raw
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"expected one of {action.choices}")
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise InputError(f"bad config value for {key}: {raw!r} ({exc})") from exc
-        values[key] = value
+        values[action.dest] = value
     return values
 
 
@@ -436,18 +438,16 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    out = None
     try:
         args = _parse_args(argv)
-    except (DynamapError, OSError) as exc:
-        print(f"dynamap: {exc}", file=sys.stderr)
-        return 1
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    out = OutputTracker(args.output_dir, args.format)
-    try:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        out = OutputTracker(args.output_dir, args.format)
         HANDLERS[args.command](args, out)
         out.verify()
     except (DynamapError, OSError) as exc:
-        out.cleanup()
+        if out is not None:
+            out.cleanup()
         print(f"dynamap: {exc}", file=sys.stderr)
         return 1
     return 0

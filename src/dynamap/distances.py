@@ -107,23 +107,22 @@ def _squared_distances(dec_a, dec_b, gram, t, pairs=None) -> np.ndarray:
     u = la^t psi_a[i] and v = lb^t psi_b[j] are diffusion coordinates.
 
     pairs = (i, j) pairs point i[k] under a with point j[k] under b; None
-    takes every i against every j (n x n). At t = math.inf only the top
-    eigenfunctions survive, with weight 1, and G is their inner product g:
+    takes every i against every j (n x n). t is a checked positive integer,
+    or math.inf, which only the asymptotic views pass: then only the top
+    eigenfunctions survive, with weight 1, and G is their inner product g;
     for unit-norm tops that is the formula of asymptotic_diffusion_distance.
     Entries below STABLE_REL of their scale |u|^2 + |v|^2 are recomputed as
     the empirical norm of psi_a u - psi_b v, REFINE_BLOCK per matrix product,
     so every entry is nonnegative and accurate in absolute terms.
     """
+    _check_sizes(dec_a.n, dec_b.n)
     if t == math.inf:
         _check_connected(dec_a)
         _check_connected(dec_b)
-        _check_sizes(dec_a.n, dec_b.n)
         psi_a = wa = dec_a.eigenfunctions[:, :1]
         psi_b = wb = dec_b.eigenfunctions[:, :1]
         gram = psi_a.T @ psi_b / dec_a.n
     else:
-        t = _check_t(t)
-        _check_sizes(dec_a.n, dec_b.n)
         psi_a, psi_b, gram = dec_a.eigenfunctions, dec_b.eigenfunctions, gram.values
         wa = psi_a * dec_a.eigenvalues**t
         wb = psi_b * dec_b.eigenvalues**t
@@ -138,12 +137,10 @@ def _squared_distances(dec_a, dec_b, gram, t, pairs=None) -> np.ndarray:
         d2 = scale - 2.0 * np.einsum("ik,ik->i", wa @ gram, wb)
     flagged = np.nonzero(d2 < STABLE_REL * scale)
     # a paired result has one index array, naming a row of wa and of wb alike
-    rows_a = wa[flagged[0]]
-    rows_b = wb[flagged[-1]]
-    refined = np.empty(rows_a.shape[0])
+    refined = np.empty(flagged[0].size)
     for start in range(0, refined.size, REFINE_BLOCK):
         block = slice(start, start + REFINE_BLOCK)
-        diff = psi_a @ rows_a[block].T - psi_b @ rows_b[block].T
+        diff = psi_a @ wa[flagged[0][block]].T - psi_b @ wb[flagged[-1][block]].T
         refined[block] = np.einsum("xk,xk->k", diff, diff) / n
     d2[flagged] = refined
     return d2
@@ -165,7 +162,7 @@ def diffusion_distance(
     Near-zero values, where the three terms cancel, are recomputed
     difference-first so the result is accurate in absolute terms.
     """
-    return float(np.sqrt(_squared_distances(dec_a, dec_b, gram, t, pairs=([i], [j]))[0]))
+    return float(np.sqrt(_squared_distances(dec_a, dec_b, gram, _check_t(t), pairs=([i], [j]))[0]))
 
 
 def diffusion_distance_map(
@@ -176,7 +173,7 @@ def diffusion_distance_map(
 ) -> np.ndarray:
     """Corresponding-point distances D(x_i under a, x_i under b) for every sample i."""
     every = np.arange(dec_a.n)
-    return np.sqrt(_squared_distances(dec_a, dec_b, gram, t, pairs=(every, every)))
+    return np.sqrt(_squared_distances(dec_a, dec_b, gram, _check_t(t), pairs=(every, every)))
 
 
 def diffusion_distance_matrix(
@@ -186,7 +183,7 @@ def diffusion_distance_matrix(
     t: int,
 ) -> np.ndarray:
     """All-pairs distances D(x_i under a, y_j under b) as an n x n array."""
-    return np.sqrt(_squared_distances(dec_a, dec_b, gram, t))
+    return np.sqrt(_squared_distances(dec_a, dec_b, gram, _check_t(t)))
 
 
 def direct_diffusion_distance(

@@ -202,6 +202,11 @@ def test_config_and_flag_value_errors(tmp_path, capsys):
     common = ["embed", "--input", str(kern), "--output-dir", str(tmp_path / "out")]
     assert main([*common, "--config", str(config)]) == 1
     assert "rank" in capsys.readouterr().err
+    # flags that take no value cannot be set from a config file
+    for key in ("full_matrix", "epsilon-median"):
+        config.write_text(f"{key} = true\n", encoding="utf-8")
+        assert main([*common, "--config", str(config)]) == 1
+        assert key.replace("-", "_") in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main([*common, "--rank", "x"])
     assert exc.value.code == 2

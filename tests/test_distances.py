@@ -431,3 +431,10 @@ def test_distance_rejects_bad_time():
         diffusion_distance(dec, dec, gram, 0, 1, 0)
     with pytest.raises(InputError):
         diffusion_distance(dec, dec, gram, 0, 1, 1.5)
+    # the large-t limit is reached through the asymptotic routes only
+    with pytest.raises(InputError):
+        diffusion_distance(dec, dec, gram, 0, 1, math.inf)
+    with pytest.raises(InputError):
+        diffusion_distance_map(dec, dec, gram, math.inf)
+    with pytest.raises(InputError):
+        diffusion_distance_matrix(dec, dec, gram, math.inf)
