@@ -51,7 +51,13 @@ from .exceptions import (
     InputError,
     NumericalError,
 )
-from .kernels import KernelMatrix, PointCloud, calibrate_epsilon, gaussian_kernel
+from .kernels import (
+    KernelMatrix,
+    PointCloud,
+    calibrate_epsilon,
+    calibrated_kernel,
+    gaussian_kernel,
+)
 from .metagraph import (
     EXPONENTIAL,
     INNER_PRODUCT,
@@ -106,6 +112,7 @@ __all__ = [
     "asymptotic_distance_map",
     "asymptotic_global_distance",
     "calibrate_epsilon",
+    "calibrated_kernel",
     "canonical_subgraph_basis",
     "common_embedding",
     "convergence_study",

@@ -29,7 +29,7 @@ from .distances import (
 )
 from .embeddings import common_embedding, diffusion_map
 from .exceptions import DynamapError, InputError
-from .kernels import KernelMatrix, PointCloud, calibrate_epsilon, gaussian_kernel
+from .kernels import KernelMatrix, PointCloud, calibrated_kernel, gaussian_kernel
 from .matio import FORMATS, read_matrix, write_matrix
 from .metagraph import MEDIAN, meta_embedding, meta_kernel
 from .operators import diffusion_matrix, spectral_decomposition
@@ -251,30 +251,40 @@ def _scene_options(args: argparse.Namespace) -> dict:
     return options
 
 
+def _read_kernel(args: argparse.Namespace, path: str) -> KernelMatrix:
+    """One input as a kernel: read as is, or built from a point cloud with the
+    fixed --epsilon or, without one, the bandwidth calibrated to --target-lambda2."""
+    values = read_matrix(path)
+    if args.input_kind != "points":
+        return KernelMatrix(values)
+    cloud = PointCloud(values)
+    if args.epsilon is None:
+        return calibrated_kernel(cloud, args.target_lambda2, args.tol)[1]
+    return gaussian_kernel(cloud, args.epsilon)
+
+
 def _load_decompositions(args: argparse.Namespace, minimum: int):
     """Read inputs, build kernels if needed, and decompose each one."""
     inputs = args.input or []
     if len(inputs) < minimum:
         raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
+    if args.input_kind == "points" and args.epsilon == MEDIAN:
+        raise InputError(
+            f"--epsilon {MEDIAN} has no meaning with --input-kind points: give a number, "
+            "or leave --epsilon out to calibrate to --target-lambda2"
+        )
     decs = []
     size = None
     for path in inputs:
-        values = read_matrix(path)
-        if args.input_kind == "points":
-            cloud = PointCloud(values)
-            if isinstance(args.epsilon, float):
-                eps = args.epsilon
-            else:
-                eps = calibrate_epsilon(cloud, args.target_lambda2, args.tol)
-            kernel = gaussian_kernel(cloud, eps)
-        else:
-            kernel = KernelMatrix(values)
+        kernel = _read_kernel(args, path)
         if size is None:
             size = kernel.n
         elif kernel.n != size:
             raise InputError(f"{path}: size {kernel.n} does not match {size}")
         rank = args.rank if args.rank is not None else kernel.n
-        decs.append(spectral_decomposition(diffusion_matrix(kernel), rank))
+        mat = diffusion_matrix(kernel)
+        del kernel  # not alive during the eigensolve
+        decs.append(spectral_decomposition(mat, rank))
     return decs
 
 

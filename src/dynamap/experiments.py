@@ -17,12 +17,36 @@ from .datasets import (
     torus_points,
 )
 from .distances import asymptotic_distance_map, global_distance_matrix
-from .kernels import KernelMatrix, PointCloud, calibrate_epsilon, gaussian_kernel
+from .kernels import (
+    KernelMatrix,
+    PointCloud,
+    calibrate_epsilon,
+    calibrated_kernel,
+    gaussian_kernel,
+)
 from .metagraph import MEDIAN, MetaGraph, meta_decomposition, meta_embedding, meta_kernel
 from .operators import SpectralDecomposition, diffusion_matrix, spectral_decomposition
 from .sampling import ConvergenceReport, convergence_study
 
 TWO_PI = 2.0 * math.pi
+
+
+def _calibrated_decompositions(
+    clouds: Sequence[PointCloud], target_lambda2: float, tol: float, rank: int
+) -> tuple[np.ndarray, list[SpectralDecomposition]]:
+    """Per member: the bandwidth calibrated to the common second eigenvalue and
+    the rank-`rank` decomposition of its diffusion matrix.
+
+    Only one member's n x n arrays are alive at a time: its kernel is dropped
+    before the next member's calibration starts.
+    """
+    epsilons = np.zeros(len(clouds))
+    decs = []
+    for k, cloud in enumerate(clouds):
+        epsilons[k], kern = calibrated_kernel(cloud, target_lambda2, tol)
+        decs.append(spectral_decomposition(diffusion_matrix(kern), rank))
+        del kern
+    return epsilons, decs
 
 
 @dataclass(frozen=True)
@@ -67,12 +91,7 @@ def torus_experiment(
     angle and pinch strength.
     """
     clouds, labels = pinched_torus_family(seed, n=n)
-    epsilons = np.zeros(len(clouds))
-    decs: list[SpectralDecomposition] = []
-    for k, cloud in enumerate(clouds):
-        epsilons[k] = calibrate_epsilon(cloud, target_lambda2, tol)
-        mat = diffusion_matrix(gaussian_kernel(cloud, epsilons[k]))
-        decs.append(spectral_decomposition(mat, rank))
+    epsilons, decs = _calibrated_decompositions(clouds, target_lambda2, tol, rank)
     dists = global_distance_matrix(decs, t)
     meta = meta_kernel(dists, epsilon=epsilon, t=t)
     meta_lambda2 = float(meta_decomposition(meta, 2).eigenvalues[1])
@@ -171,12 +190,7 @@ def change_detection_experiment(
     every other epoch, which needs only the top eigenfunctions.
     """
     family = change_scene(scene_seed, band_counts, noise_sigma, shape, bands, block_size)
-    epsilons = np.zeros(len(family.clouds))
-    decs = []
-    for k, cloud in enumerate(family.clouds):
-        epsilons[k] = calibrate_epsilon(cloud, target_lambda2, tol)
-        mat = diffusion_matrix(gaussian_kernel(cloud, epsilons[k]))
-        decs.append(spectral_decomposition(mat, 2))
+    epsilons, decs = _calibrated_decompositions(family.clouds, target_lambda2, tol, 2)
     chg = family.change_epoch
     others = [k for k in range(len(decs)) if k != chg]
     scores = np.mean(

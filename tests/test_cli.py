@@ -315,3 +315,20 @@ def test_points_input_kind(tmp_path):
         "--epsilon", "1.5", "--rank", "3", "--t", "1", "--output-dir", str(out),
     ]) == 0
     assert read_matrix(out / "embedding_0.csv").shape == (30, 3)
+
+
+@pytest.mark.parametrize("flag", [["--epsilon", "median"], ["--epsilon-median"]])
+def test_points_input_kind_rejects_median_epsilon(tmp_path, capsys, flag):
+    # a median bandwidth is a meta-kernel setting; for point clouds it used to
+    # fall through to calibration without a word
+    rng = np.random.default_rng(20)
+    pts = tmp_path / "points.csv"
+    write_matrix_csv(pts, rng.normal(size=(30, 3)))
+    out = tmp_path / "out"
+    assert main([
+        "embed", "--input", str(pts), "--input-kind", "points", *flag,
+        "--output-dir", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "--epsilon" in err and "--input-kind points" in err
+    assert not list(out.glob("embedding_*"))

@@ -16,6 +16,7 @@ from dynamap import (
     InputError,
     PointCloud,
     calibrate_epsilon,
+    calibrated_kernel,
     diffusion_matrix,
     gaussian_kernel,
     pinched_torus_family,
@@ -24,7 +25,10 @@ from dynamap import (
 )
 from dynamap.datasets import TorusSpec
 from dynamap.kernels import (
+    GRID_POINTS,
+    MAX_DOUBLINGS,
     KernelMatrix,
+    _degree_normalized,
     _median_squared_distance,
     _second_eigenvalue,
     squared_distances,
@@ -204,6 +208,126 @@ def test_squared_distances_matches_reference_loop(points, copies):
     assert np.array_equal(sq, sq.T)
 
 
+@pytest.mark.parametrize("d", [1, 3, 70])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 1000])
+def test_squared_distances_across_row_blocks(n, d):
+    # sizes on both sides of the 64-row block edges, with duplicated rows whose
+    # pairs fall in different blocks
+    rng = np.random.default_rng(100 * n + d)
+    pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    pts[n // 2] = pts[0]
+    pts[-1] = pts[n // 3]
+    sq = squared_distances(pts)
+    assert np.array_equal(sq, _squared_distances_loop(pts))
+    assert np.array_equal(sq, sq.T)
+    assert np.all(np.diag(sq) == 0.0)
+    assert sq[0, n // 2] == 0.0 and sq[n // 3, n - 1] == 0.0
+
+
+def _calibrate_counting(monkeypatch, cloud, target, tol=1e-3):
+    """calibrated_kernel's output and the number of lambda2 probes it made;
+    its bandwidth must be calibrate_epsilon's and its kernel gaussian_kernel's."""
+    import dynamap.kernels as kernels_mod
+
+    probes = []
+    second = kernels_mod._second_eigenvalue
+
+    def counting_probe(values):
+        probes.append(1)
+        return second(values)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
+    eps, kern = calibrated_kernel(cloud, target, tol)
+    assert np.array_equal(kern.values, gaussian_kernel(cloud, eps).values)
+    count = len(probes)
+    assert calibrate_epsilon(cloud, target, tol) == eps
+    return eps, count
+
+
+def _walk_start(cloud):
+    """log of the median distance, where the bandwidth search starts."""
+    return 0.5 * math.log(_median_squared_distance(squared_distances(cloud.points)))
+
+
+def _probe_lambda2(cloud, x):
+    return _second_eigenvalue(gaussian_kernel(cloud, math.exp(x)).values)
+
+
+def test_calibrated_kernel_first_probe_hit(monkeypatch):
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    x0 = _walk_start(cloud)
+    eps, probes = _calibrate_counting(monkeypatch, cloud, _probe_lambda2(cloud, x0))
+    assert probes == 1 and eps == math.exp(x0)
+
+
+def test_calibrated_kernel_walk_hit(monkeypatch):
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    x0 = _walk_start(cloud)
+    x1 = x0 + math.log(2.0)
+    target = _probe_lambda2(cloud, x1)
+    assert _probe_lambda2(cloud, x0) - target > 1e-3  # so the first probe misses
+    eps, probes = _calibrate_counting(monkeypatch, cloud, target)
+    assert probes == 2 and eps == math.exp(x1)
+
+
+def test_calibrated_kernel_illinois_hit(monkeypatch):
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    eps, probes = _calibrate_counting(monkeypatch, cloud, 0.5)
+    steps = (math.log(eps) - _walk_start(cloud)) / math.log(2.0)
+    assert probes >= 3 and abs(steps - round(steps)) > 1e-6  # not a walk point
+    assert abs(_lambda2_via_full_path(cloud, eps) - 0.5) <= 1e-3
+
+
+def test_calibrated_kernel_grid_scan_hit(monkeypatch):
+    # rig a profile that sits below the target everywhere the walk looks (it
+    # walks toward small bandwidths from the median distance 1) and on it only
+    # on a plateau at larger bandwidths, which holds one grid point (x = 0.22)
+    import dynamap.kernels as kernels_mod
+
+    def rigged(values):
+        k12 = values[0, 1]
+        if not 0.0 < k12 < 1.0:
+            return 0.3
+        x = math.log(math.sqrt(-1.0 / math.log(k12)))
+        return 0.5 if 0.1 <= x <= 0.35 else 0.3
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    eps, probes = _calibrate_counting(monkeypatch, cloud, 0.5)
+    assert probes == 1 + MAX_DOUBLINGS + GRID_POINTS
+    assert 0.1 <= math.log(eps) <= 0.35
+    # the kernel is the hit's, not that of the grid's last (widest) probe
+    assert rigged(calibrated_kernel(cloud, 0.5)[1].values) == 0.5
+
+
+def test_experiments_build_one_kernel_per_member(monkeypatch):
+    # each member's squared distances are computed once, by the calibration,
+    # and its calibrated kernel is decomposed without being rebuilt
+    import dynamap.experiments as experiments_mod
+    import dynamap.kernels as kernels_mod
+
+    calls = {"squared_distances": 0, "gaussian_kernel": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (kernels_mod, experiments_mod):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    result = experiments_mod.torus_experiment(n=120)
+    assert calls == {"squared_distances": len(result.epsilons), "gaussian_kernel": 0}
+    assert len(result.epsilons) == 31
+    calls.update(squared_distances=0)
+    result = experiments_mod.change_detection_experiment(shape=(8, 8), block_size=3)
+    assert calls == {"squared_distances": 3, "gaussian_kernel": 0}
+    assert len(result.epsilons) == 3
+
+
 def test_calibrate_torus_solve_count(monkeypatch):
     # the search must settle in a handful of probes, each answered by the
     # Lanczos route at this size: a dense solve would mean Lanczos stalled
@@ -232,6 +356,15 @@ def test_calibrate_torus_solve_count(monkeypatch):
 def _normalized(values):
     inv_sqrt = 1.0 / np.sqrt(values.sum(axis=1))
     return values * np.outer(inv_sqrt, inv_sqrt)
+
+
+def test_degree_normalized_matches_outer_product():
+    # the in-place scaling forms the outer product's products, entry for entry
+    cloud = PointCloud(np.random.default_rng(200).normal(size=(200, 3)))
+    values = gaussian_kernel(cloud, 1.0).values
+    sym, deg = _degree_normalized(values)
+    assert np.array_equal(sym, _normalized(values))
+    assert np.array_equal(deg, values.sum(axis=1))
 
 
 def test_second_eigenvalue_full_solve_fallback(monkeypatch):
