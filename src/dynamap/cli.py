@@ -2,16 +2,16 @@
 
 Commands: embed, distance, global, metagraph, torus-experiment, convergence,
 change-detect, gen-data. Option precedence is flags > config file (key=value
-lines) > defaults. The parser states every option and the default of every
-option a command reads itself; torus-experiment, convergence and
-change-detect pass on only the options that were set, so their experiment
-functions' signatures hold the rest. Every command is deterministic given
---seed, exits zero only when all outputs were written and verified, and
-removes partial outputs on failure.
+lines) > defaults. Each command accepts only the options it reads.
+torus-experiment, convergence and change-detect pass the options that were
+set to their experiment function, whose signature holds the other defaults.
+Every command is deterministic given --seed, exits zero only when all outputs
+were written and verified, and removes partial outputs on failure.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -36,9 +36,9 @@ from .operators import diffusion_matrix, spectral_decomposition
 from .sampling import report_rows, report_summary
 from .svgplot import write_scatter_svg
 
+# the commands that read --input files
+FILE_COMMANDS = ("embed", "distance", "global", "metagraph")
 EXPERIMENTS = ("torus-experiment", "convergence", "change-detect")
-# the commands with a large-t limit, the only ones that take --t inf
-LARGE_T = ("distance", "global")
 
 
 class OutputTracker:
@@ -107,90 +107,84 @@ def _int_list(raw: str) -> list[int]:
         ) from exc
 
 
+def _square_shape(raw: str) -> tuple[int, int]:
+    """--side as the (side, side) pixel grid shape."""
+    try:
+        side = int(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"side must be an integer, got {raw!r}") from exc
+    return side, side
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subparser of each command."""
+    """The top-level parser and the subparser of each command, which declares
+    only the options its handler reads. An experiment command's options are
+    unset by default; a `default` below is that of the other commands."""
     parser = argparse.ArgumentParser(
         prog="dynamap",
         description="Diffusion maps for data whose kernel changes over a parameter space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    return parser, {name: _add_command(sub, name) for name in HANDLERS}
+    commands = {}
+    for name in HANDLERS:
+        # no abbreviations: `convergence --s` would otherwise set --seed
+        p = commands[name] = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--output-dir", type=Path, default=Path("."), help="directory for outputs")
+        p.add_argument("--config", default=None, help="key=value config file")
+        p.add_argument("--format", choices=FORMATS, default="csv")
+    meta = ("metagraph", "torus-experiment")
+    groups = {name: commands[name].add_mutually_exclusive_group() for name in meta}
 
+    def add(names, *flags, default=None, to=commands, **kwargs):
+        for name in names:
+            unset = name in EXPERIMENTS
+            to[name].add_argument(*flags, default=argparse.SUPPRESS if unset else default, **kwargs)
 
-def _add_command(sub, name: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name)
-
-    def default(value):
-        # an experiment command passes on only the options that were set, so
-        # the experiment function's signature holds their defaults
-        return argparse.SUPPRESS if name in EXPERIMENTS else value
-
-    p.add_argument("--input", action="append", default=None, help="input matrix (repeatable)")
-    p.add_argument("--output-dir", type=Path, default=Path("."), help="directory for outputs")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument(
-        "--t", type=_parse_t if name in LARGE_T else int, default=default(1),
-        help="diffusion time (a positive integer, or 'inf' for distance and global)",
-    )
-    p.add_argument("--s", type=float, default=default(1.92), help="meta diffusion time")
-    p.add_argument(
-        "--rank", type=int, default=default(None), help="retained eigenpairs (default: full)"
-    )
-    p.add_argument("--dims", type=int, default=default(3), help="embedding dimensions")
-    p.add_argument(
-        "--target-lambda2", type=float, default=default(0.5), help="calibration target"
-    )
-    p.add_argument("--tol", type=float, default=default(1e-3), help="calibration tolerance")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--epsilon", type=_parse_epsilon, default=default(None), help="fixed bandwidth"
-    )
-    group.add_argument(
-        "--epsilon-median",
-        action="store_const",
-        dest="epsilon",
-        const=MEDIAN,
-        default=default(None),
-        help="median-distance bandwidth for the meta kernel",
-    )
-    p.add_argument("--common-base", type=int, default=None, help="base member for rotations")
-    p.add_argument("--seed", type=int, default=default(0))
-    p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument(
-        "--input-kind",
-        choices=("kernel", "points"),
-        default="kernel",
-        help="inputs are kernel matrices (default) or point clouds",
-    )
-    p.add_argument("--full-matrix", action="store_true", help="emit all-pairs distances")
-    if name == "convergence":
-        p.add_argument(
-            "--n-grid", type=_int_list, default=argparse.SUPPRESS,
-            help="comma-separated sample sizes",
-        )
-        p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--reference-n", type=int, default=argparse.SUPPRESS)
-    if name in ("torus-experiment", "gen-data"):
-        p.add_argument("--n", type=int, default=default(1000), help="samples per torus")
-    if name in ("change-detect", "gen-data"):
-        # both pass these on to experiments.change_scene only when set
-        p.add_argument(
-            "--band-counts", type=_int_list, default=argparse.SUPPRESS,
-            help="comma-separated bands per epoch",
-        )
-        p.add_argument("--noise-sigma", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--block-size", type=int, default=argparse.SUPPRESS)
-        p.add_argument(
-            "--side", type=int, default=argparse.SUPPRESS, help="pixel grid side length"
-        )
-    if name == "gen-data":
-        p.add_argument(
-            "--dataset", choices=("torus", "torus-family", "standard-map", "cube"), default="torus"
-        )
-        p.add_argument("--grid", type=int, default=12, help="standard-map lattice side")
-        p.add_argument("--steps", type=int, default=100, help="standard-map iterations")
-        p.add_argument("--alpha", type=float, default=0.4, help="standard-map nonlinearity")
-    return p
+    add(FILE_COMMANDS, "--input", action="append", help="input matrix (repeatable)")
+    add(FILE_COMMANDS, "--input-kind", choices=("kernel", "points"), default="kernel",
+        help="inputs are kernel matrices (default) or point clouds")
+    add(("embed", "distance", "global"), "--epsilon", type=_parse_epsilon,
+        help="fixed bandwidth for point-cloud inputs")
+    add(FILE_COMMANDS + EXPERIMENTS, "--target-lambda2", type=float, default=0.5,
+        help="calibration target")
+    add(FILE_COMMANDS + ("torus-experiment", "change-detect"), "--tol", type=float, default=1e-3,
+        help="calibration tolerance")
+    add(FILE_COMMANDS + ("torus-experiment",), "--rank", type=int, help="retained eigenpairs")
+    add(("embed", "metagraph", "torus-experiment", "convergence"), "--t", type=int, default=1,
+        help="diffusion time")
+    # the commands with a large-t limit
+    add(("distance", "global"), "--t", type=_parse_t, default=1,
+        help="diffusion time: a positive integer, or 'inf' for the large-t limit")
+    add(("embed",), "--common-base", type=int, help="base member for rotations")
+    add(("distance",), "--full-matrix", action="store_true", default=False,
+        help="emit all-pairs distances")
+    add(meta, "--s", type=float, default=1.92, help="meta diffusion time")
+    add(meta, "--dims", type=int, default=3, help="embedding dimensions")
+    # the meta kernel's bandwidth; point-cloud members are calibrated
+    add(meta, "--epsilon", type=_parse_epsilon, default=MEDIAN, to=groups,
+        help="meta-kernel bandwidth (default: the median family distance)")
+    add(meta, "--epsilon-median", action="store_const", dest="epsilon", const=MEDIAN,
+        default=MEDIAN, to=groups, help="median-distance bandwidth for the meta kernel")
+    add(("torus-experiment", "gen-data"), "--n", type=int, default=1000, help="samples per torus")
+    add(("torus-experiment", "convergence", "gen-data"), "--seed", type=int, default=0)
+    add(("change-detect",), "--seed", type=int, dest="scene_seed", metavar="SEED")
+    add(("convergence",), "--n-grid", type=_int_list, help="comma-separated sample sizes")
+    add(("convergence",), "--trials", type=int)
+    add(("convergence",), "--reference-n", type=int)
+    # gen-data too passes these on to experiments.change_scene only when set
+    scene, unset = ("change-detect", "gen-data"), argparse.SUPPRESS
+    add(scene, "--band-counts", type=_int_list, default=unset,
+        help="comma-separated bands per epoch")
+    add(scene, "--noise-sigma", type=float, default=unset)
+    add(scene, "--block-size", type=int, default=unset)
+    add(scene, "--side", type=_square_shape, dest="shape", metavar="SIDE", default=unset,
+        help="pixel grid side length")
+    add(("gen-data",), "--dataset", choices=("torus", "torus-family", "standard-map", "cube"),
+        default="torus")
+    add(("gen-data",), "--grid", type=int, default=12, help="standard-map lattice side")
+    add(("gen-data",), "--steps", type=int, default=100, help="standard-map iterations")
+    add(("gen-data",), "--alpha", type=float, default=0.4, help="standard-map nonlinearity")
+    return parser, commands
 
 
 def _config_values(command: argparse.ArgumentParser, path: str) -> dict:
@@ -229,46 +223,40 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     # the config file's values become the command's defaults, so flags still
     # win; --input flags replace the config's whitespace-separated inputs
     values = _config_values(commands[args.command], args.config)
-    inputs = values.pop("input", "").split()
+    inputs = values.pop("input", None)
     commands[args.command].set_defaults(**values)
     args = parser.parse_args(argv)
-    args.input = args.input or inputs
+    if inputs is not None and not args.input:
+        args.input = inputs.split()
     return args
 
 
-def _set_options(args: argparse.Namespace, *names: str) -> dict:
-    """Those of the named options that a flag or the config file set."""
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+def _options(args: argparse.Namespace) -> dict:
+    """An experiment command's options as keyword arguments of its experiment
+    function: those a flag or the config file set."""
+    common = ("command", "config", "output_dir", "format")
+    return {key: value for key, value in vars(args).items() if key not in common}
 
 
-def _scene_options(args: argparse.Namespace) -> dict:
-    """Arguments of experiments.change_scene that a flag or the config file set."""
-    options = _set_options(args, "band_counts", "noise_sigma", "block_size")
-    if hasattr(args, "seed"):
-        options["scene_seed"] = args.seed
-    if hasattr(args, "side"):
-        options["shape"] = (args.side, args.side)
-    return options
-
-
-def _read_kernel(args: argparse.Namespace, path: str) -> KernelMatrix:
+def _read_kernel(args: argparse.Namespace, path: str, epsilon) -> KernelMatrix:
     """One input as a kernel: read as is, or built from a point cloud with the
-    fixed --epsilon or, without one, the bandwidth calibrated to --target-lambda2."""
+    fixed `epsilon` or, when it is None, the bandwidth calibrated to
+    --target-lambda2."""
     values = read_matrix(path)
     if args.input_kind != "points":
         return KernelMatrix(values)
     cloud = PointCloud(values)
-    if args.epsilon is None:
+    if epsilon is None:
         return calibrated_kernel(cloud, args.target_lambda2, args.tol)[1]
-    return gaussian_kernel(cloud, args.epsilon)
+    return gaussian_kernel(cloud, epsilon)
 
 
-def _load_decompositions(args: argparse.Namespace, minimum: int):
-    """Read inputs, build kernels if needed, and decompose each one."""
+def _load_decompositions(args: argparse.Namespace, minimum: int, epsilon=None):
+    """Read inputs, build kernels with `_read_kernel`, and decompose each one."""
     inputs = args.input or []
     if len(inputs) < minimum:
         raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
-    if args.input_kind == "points" and args.epsilon == MEDIAN:
+    if args.input_kind == "points" and epsilon == MEDIAN:
         raise InputError(
             f"--epsilon {MEDIAN} has no meaning with --input-kind points: give a number, "
             "or leave --epsilon out to calibrate to --target-lambda2"
@@ -276,7 +264,7 @@ def _load_decompositions(args: argparse.Namespace, minimum: int):
     decs = []
     size = None
     for path in inputs:
-        kernel = _read_kernel(args, path)
+        kernel = _read_kernel(args, path, epsilon)
         if size is None:
             size = kernel.n
         elif kernel.n != size:
@@ -289,7 +277,7 @@ def _load_decompositions(args: argparse.Namespace, minimum: int):
 
 
 def cmd_embed(args: argparse.Namespace, out: OutputTracker) -> None:
-    decs = _load_decompositions(args, minimum=1)
+    decs = _load_decompositions(args, 1, args.epsilon)
     for idx, dec in enumerate(decs):
         out.matrix(f"embedding_{idx}", diffusion_map(dec, args.t).coords)
     if args.common_base is not None:
@@ -299,7 +287,7 @@ def cmd_embed(args: argparse.Namespace, out: OutputTracker) -> None:
 
 
 def cmd_distance(args: argparse.Namespace, out: OutputTracker) -> None:
-    decs = _load_decompositions(args, minimum=2)
+    decs = _load_decompositions(args, 2, args.epsilon)
     if len(decs) != 2:
         raise InputError("distance compares exactly two inputs")
     dec_a, dec_b = decs
@@ -316,15 +304,15 @@ def cmd_distance(args: argparse.Namespace, out: OutputTracker) -> None:
 
 
 def cmd_global(args: argparse.Namespace, out: OutputTracker) -> None:
-    decs = _load_decompositions(args, minimum=2)
+    decs = _load_decompositions(args, 2, args.epsilon)
     out.matrix("global_distances", global_distance_matrix(decs, args.t))
 
 
 def cmd_metagraph(args: argparse.Namespace, out: OutputTracker) -> None:
-    decs = _load_decompositions(args, minimum=2)
+    # --epsilon is the meta kernel's bandwidth: point-cloud members are calibrated
+    decs = _load_decompositions(args, 2)
     dists = global_distance_matrix(decs, args.t)
-    epsilon = args.epsilon if args.epsilon is not None else MEDIAN
-    meta = meta_kernel(dists, epsilon=epsilon, t=args.t)
+    meta = meta_kernel(dists, epsilon=args.epsilon, t=args.t)
     coords = meta_embedding(meta, args.s, min(args.dims, meta.size))
     out.matrix("global_distances", dists)
     out.matrix("meta_kernel", meta.kernel)
@@ -337,11 +325,7 @@ def _label_rows(labels) -> np.ndarray:
 
 
 def cmd_torus_experiment(args: argparse.Namespace, out: OutputTracker) -> None:
-    result = experiments.torus_experiment(
-        **_set_options(
-            args, "n", "seed", "target_lambda2", "tol", "rank", "t", "s", "dims", "epsilon"
-        )
-    )
+    result = experiments.torus_experiment(**_options(args))
     labels = _label_rows(result.labels)
     out.matrix("torus_global_distances", result.global_distances)
     out.matrix("torus_meta_coords", result.coords)
@@ -375,17 +359,13 @@ def cmd_torus_experiment(args: argparse.Namespace, out: OutputTracker) -> None:
 
 
 def cmd_convergence(args: argparse.Namespace, out: OutputTracker) -> None:
-    report = experiments.torus_pair_study(
-        **_set_options(args, "n_grid", "trials", "reference_n", "t", "seed", "target_lambda2")
-    )
+    report = experiments.torus_pair_study(**_options(args))
     out.matrix("convergence_report", report_rows(report))
     out.text("convergence_summary", report_summary(report))
 
 
 def cmd_change_detect(args: argparse.Namespace, out: OutputTracker) -> None:
-    result = experiments.change_detection_experiment(
-        **_scene_options(args), **_set_options(args, "target_lambda2", "tol")
-    )
+    result = experiments.change_detection_experiment(**_options(args))
     out.matrix("change_scores", result.scores)
     out.matrix("change_mask", result.change_mask.astype(float))
     planted = int(result.change_mask.sum())
@@ -422,7 +402,10 @@ def cmd_gen_data(args: argparse.Namespace, out: OutputTracker) -> None:
             )
         out.matrix("standard_map", np.vstack(rows))
     elif args.dataset == "cube":
-        family = experiments.change_scene(**_scene_options(args))
+        scene = inspect.signature(experiments.change_scene).parameters
+        family = experiments.change_scene(
+            args.seed, **{key: value for key, value in vars(args).items() if key in scene}
+        )
         for idx, cloud in enumerate(family.clouds):
             out.matrix(f"cube_epoch_{idx}", cloud.points)
         out.matrix("cube_mask", family.change_mask.astype(float))

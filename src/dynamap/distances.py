@@ -25,7 +25,7 @@ from .exceptions import (
     InputError,
     NumericalError,
 )
-from .operators import DiffusionMatrix, SpectralDecomposition, kernel_power_row
+from .operators import DiffusionMatrix, SpectralDecomposition, _check_t, kernel_power_row
 
 GRAM_ENTRY_SLACK = 1e-8
 NEGATIVE_SQ_TOL = 1e-12
@@ -71,12 +71,6 @@ def _clamp_sq(d2: float) -> float:
             raise NumericalError(f"squared distance {d2:.3e} below roundoff tolerance")
         return 0.0
     return d2
-
-
-def _check_t(t) -> int:
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
-        raise InputError(f"diffusion time must be a positive integer, got {t}")
-    return int(t)
 
 
 def _check_sizes(n_a: int, n_b: int) -> None:

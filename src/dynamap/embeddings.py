@@ -8,7 +8,7 @@ import numpy as np
 
 from .distances import diffusion_distance_matrix, gram_matrix
 from .exceptions import CorrespondenceError, InputError
-from .operators import SpectralDecomposition, apply_sign_convention, truncate
+from .operators import SpectralDecomposition, _check_t, apply_sign_convention, truncate
 
 BASIS_ORTHONORMALITY_TOL = 1e-8
 
@@ -60,10 +60,9 @@ class RotationOperator:
 
 def diffusion_map(dec: SpectralDecomposition, t: int, param: int | None = None) -> DiffusionEmbedding:
     """Embed every sample as (lambda_i^t psi_i(x))_i."""
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
-        raise InputError(f"diffusion time must be a positive integer, got {t}")
-    coords = dec.eigenfunctions * dec.eigenvalues[None, :] ** int(t)
-    return DiffusionEmbedding(coords=coords, t=int(t), param=param)
+    t = _check_t(t)
+    coords = dec.eigenfunctions * dec.eigenvalues[None, :] ** t
+    return DiffusionEmbedding(coords=coords, t=t, param=param)
 
 
 def rotation(
@@ -79,10 +78,6 @@ def rotation(
     eigenfunction, so applying it expresses a source-coordinates vector in
     target coordinates.
     """
-    if dec_target.n != dec_source.n:
-        raise CorrespondenceError(
-            f"size mismatch: n={dec_target.n} vs n={dec_source.n}"
-        )
     vals = gram_matrix(dec_target, dec_source).values
     return RotationOperator(values=vals, target=target, source=source)
 

@@ -5,9 +5,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
+from numpy.linalg import eigvalsh
 
-from .exceptions import CalibrationError, DegeneracyError, InputError
+from .exceptions import CalibrationError, DegeneracyError, InputError, NumericalError
 
 # Bandwidth search parameters: the search starts at the median pairwise
 # distance and walks toward the target in factor-2 steps, at most MAX_DOUBLINGS
@@ -25,10 +25,12 @@ MAX_REFINEMENTS = 100
 # (ARPACK through scipy's eigsh) finds k of them in O(k n^2) per restart, where
 # a dense LAPACK solve costs O(n^3). Measured on calibrated torus kernels on a
 # 2-core x86 VM (OpenBLAS, 1 and 2 threads), Lanczos lambda2 breaks even with
-# the dense subset solver at n ~ 128-150 and is 5-10x faster at n = 1000; a
-# rank-k Lanczos decomposition beats a full dense eigh up to k ~ n/12 (n = 1000)
-# to n/7 (n = 200). So Lanczos runs when n >= LANCZOS_MIN_N and
-# k <= LANCZOS_MAX_RANK_FRACTION * n, and the dense solvers run otherwise.
+# a dense solve at n ~ 128-150 and is 5-10x faster at n = 1000; a rank-k
+# Lanczos decomposition beats a full dense eigh up to k ~ n/12 (n = 1000) to
+# n/7 (n = 200). So Lanczos runs when n >= LANCZOS_MIN_N and
+# k <= LANCZOS_MAX_RANK_FRACTION * n, and a dense solve of the whole spectrum
+# runs otherwise (below n = 150 it costs no more than LAPACK's subset driver
+# for the top two: 0.62 against 0.65 ms at n = 120, 1 thread).
 # Each Lanczos run keeps LANCZOS_NCV basis vectors (the default 2k + 1 is
 # 3-10x slower on clustered spectra), starts from a fixed seeded vector, so
 # repeated calls give bit-identical results, and stops after about
@@ -169,60 +171,54 @@ def _degree_normalized(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, deg
 
 
-def _lanczos_top(values: np.ndarray, k: int, vectors: bool):
-    """Top-k eigenpairs of a dense symmetric matrix by implicitly restarted Lanczos.
+def _eigensolve(values: np.ndarray, k: int, vectors: bool):
+    """Top-k eigenvalues of a dense symmetric matrix, or its whole spectrum.
 
-    Returns the eigenvalues in ascending order, plus the matching unit
-    eigenvectors as columns when `vectors` is set, like the dense solvers.
-    Returns None when the dense route should run instead: below the measured
+    Implicitly restarted Lanczos computes only the top k; below the measured
     crossovers in n and k, or when ARPACK does not converge within its restart
-    cap. The settings are explained with the LANCZOS_* constants.
+    cap, a dense LAPACK solve (`eigvalsh`, or numpy's `eigh` for vectors)
+    returns the whole spectrum instead. Either way the eigenvalues come in
+    ascending order, plus the matching unit eigenvectors as columns when
+    `vectors` is set. The settings are explained with the LANCZOS_* constants.
+
+    Raises NumericalError when the dense solve does not converge.
     """
     n = values.shape[0]
-    if n < LANCZOS_MIN_N or k > LANCZOS_MAX_RANK_FRACTION * n:
-        return None
-    # imported here: scipy.sparse adds 20-30 ms to `import dynamap`
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    if n >= LANCZOS_MIN_N and k <= LANCZOS_MAX_RANK_FRACTION * n:
+        # imported here: scipy.sparse adds 20-30 ms to `import dynamap`
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    ncv = max(LANCZOS_NCV, 2 * k + 1)
-    maxiter = int(LANCZOS_MATVECS_PER_N * n) // (ncv - k)
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        ncv = max(LANCZOS_NCV, 2 * k + 1)
+        maxiter = int(LANCZOS_MATVECS_PER_N * n) // (ncv - k)
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        try:
+            out = eigsh(
+                values, k=k, which="LA", ncv=ncv, v0=v0, maxiter=maxiter,
+                return_eigenvectors=vectors,
+            )
+        except ArpackNoConvergence:
+            pass  # stalled: the dense solve answers
+        else:
+            if not vectors:
+                return np.sort(out)
+            lam, vec = out
+            order = np.argsort(lam)
+            return lam[order], vec[:, order]
     try:
-        out = eigsh(
-            values, k=k, which="LA", ncv=ncv, v0=v0, maxiter=maxiter,
-            return_eigenvectors=vectors,
-        )
-    except ArpackNoConvergence:
-        return None
-    if not vectors:
-        return np.sort(out)
-    lam, vec = out
-    order = np.argsort(lam)
-    return lam[order], vec[:, order]
+        return np.linalg.eigh(values) if vectors else eigvalsh(values)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def _second_eigenvalue(kernel_values: np.ndarray) -> float:
     """Second-largest eigenvalue of D^{-1/2} K D^{-1/2} for a positive kernel.
 
     The top eigenpair is known (eigenvalue 1, eigenvector sqrt(d)), so the two
-    largest eigenvalues suffice. From n = LANCZOS_MIN_N on they come from
-    Lanczos with k = 2 (`_lanczos_top`); below it, or when Lanczos stalls, the
-    dense LAPACK subset solver computes them.
+    largest eigenvalues suffice: Lanczos with k = 2 from n = LANCZOS_MIN_N on,
+    the dense spectrum below it or when Lanczos stalls (`_eigensolve`).
     """
     sym, _ = _degree_normalized(kernel_values)
-    top = _lanczos_top(sym, 2, vectors=False)
-    if top is not None:
-        return float(top[0])
-    n = sym.shape[0]
-    try:
-        vals = eigvalsh(sym, subset_by_index=(n - 2, n - 1))
-        return float(vals[0])
-    except np.linalg.LinAlgError:
-        # the LAPACK subset solver can fail on tightly clustered spectra, as on
-        # near-identity kernels; the full divide-and-conquer solve is slower
-        # but does not. Calibration no longer visits such kernels on the
-        # reference data sets, but any caller-supplied kernel can have one.
-        return float(np.linalg.eigvalsh(sym)[-2])
+    return float(_eigensolve(sym, 2, vectors=False)[-2])
 
 
 def _median_squared_distance(sq: np.ndarray) -> float:

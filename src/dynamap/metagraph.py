@@ -12,9 +12,10 @@ from .exceptions import (
     InputError,
     NumericalError,
 )
-from .distances import _check_t
 from .kernels import KernelMatrix
-from .operators import DiffusionMatrix, SpectralDecomposition, diffusion_matrix, spectral_decomposition
+from .operators import (
+    DiffusionMatrix, SpectralDecomposition, _check_t, diffusion_matrix, spectral_decomposition
+)
 
 MEDIAN = "median"
 
@@ -134,13 +135,25 @@ def meta_decomposition(meta: MetaGraph, rank: int) -> SpectralDecomposition:
     return spectral_decomposition(diffusion_matrix(KernelMatrix(meta.kernel)), rank)
 
 
-def _pairwise_sq_distance_block(pow_a: np.ndarray, pow_b: np.ndarray, n: int) -> np.ndarray:
-    """Squared cross distances between every row of two t-step diffusion matrices."""
-    sq_a = np.einsum("ik,ik->i", pow_a, pow_a)
-    sq_b = np.einsum("ik,ik->i", pow_b, pow_b)
-    cross = pow_a @ pow_b  # symmetric factors, so this is the row inner product
-    d2 = n * (sq_a[:, None] + sq_b[None, :] - 2.0 * cross)
-    return np.maximum(d2, 0.0)
+def _kernel_block(
+    pow_a: np.ndarray, pow_b: np.ndarray, variant: str, epsilon: float | None
+) -> np.ndarray:
+    """Historical kernel between every row of two t-step diffusion matrices
+    (symmetric factors, so pow_a @ pow_b holds the row inner products), built
+    in place with at most one n x n temporary."""
+    n = pow_a.shape[0]
+    block = pow_a @ pow_b
+    if variant == INNER_PRODUCT:
+        block *= n
+        return block
+    # exp(-sqrt(n (|a|^2 + |b|^2 - 2 a.b)) / epsilon), squared distances clamped at 0
+    dist = np.add.outer(np.einsum("ik,ik->i", pow_a, pow_a), np.einsum("ik,ik->i", pow_b, pow_b))
+    block *= 2.0
+    dist -= block
+    dist *= n
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+    dist /= -epsilon
+    return np.exp(dist, out=dist)
 
 
 def historical_kernel(
@@ -165,26 +178,27 @@ def historical_kernel(
     if variant == EXPONENTIAL:
         if epsilon is None or not epsilon > 0.0:
             raise InputError("the exponential variant needs a positive epsilon")
-    t = int(t)
-    if t < 1:
-        raise InputError(f"diffusion time must be a positive integer, got {t}")
+    t = _check_t(t)
 
     powers = [np.linalg.matrix_power(mat.values, t) for mat in family]
     count = len(family)
-    big = np.zeros((count * n, count * n))
+    big = np.empty((count * n, count * n))
     for a in range(count):
+        rows = slice(a * n, (a + 1) * n)
         for b in range(a, count):
-            if variant == INNER_PRODUCT:
-                block = n * (powers[a] @ powers[b])
+            cols = slice(b * n, (b + 1) * n)
+            big[rows, cols] = _kernel_block(powers[a], powers[b], variant, epsilon)
+            # the lower triangle mirrors the upper one, so the kernel is
+            # symmetric bitwise: an off-diagonal block's transpose fills its
+            # mirror block, a diagonal block mirrors its own upper triangle
+            if a == b:
+                tile = big[rows, cols]
+                for i in range(1, n):
+                    tile[i, :i] = tile[:i, i]
             else:
-                d2 = _pairwise_sq_distance_block(powers[a], powers[b], n)
-                block = np.exp(-np.sqrt(d2) / epsilon)
-            big[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
+                big[cols, rows] = big[rows, cols].T
     if variant == EXPONENTIAL:
         np.fill_diagonal(big, 1.0)
-    # mirror the upper triangle so the assembled kernel is symmetric bitwise
-    big = np.triu(big)
-    big = big + np.triu(big, 1).T
     return HistoricalGraph(
         kernel=big, epsilon=epsilon, t=t, n=n, n_params=count
     )

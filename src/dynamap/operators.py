@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DegeneracyError, InputError, NumericalError
-from .kernels import KernelMatrix, _degree_normalized, _lanczos_top
+from .kernels import KernelMatrix, _degree_normalized, _eigensolve
 
 EIGENVALUE_SLACK = 1e-10
 ORTHONORMALITY_TOL = 1e-8
@@ -127,14 +127,7 @@ def spectral_decomposition(matrix: DiffusionMatrix, rank: int) -> SpectralDecomp
     n = matrix.n
     if not 1 <= rank <= n:
         raise InputError(f"rank must lie in [1, {n}], got {rank}")
-    top = _lanczos_top(matrix.values, rank, vectors=True)
-    if top is not None:
-        lam, vec = top
-    else:
-        try:
-            lam, vec = np.linalg.eigh(matrix.values)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    lam, vec = _eigensolve(matrix.values, rank, vectors=True)
     lam = lam[::-1]
     vec = vec[:, ::-1]
     if lam[0] > 1.0 + EIGENVALUE_SLACK or lam[-1] <= -1.0 - EIGENVALUE_SLACK:
@@ -161,10 +154,16 @@ def truncate(dec: SpectralDecomposition, rank: int) -> SpectralDecomposition:
     )
 
 
+def _check_t(t) -> int:
+    """A diffusion time: a positive integer (a float such as 2.0 is refused)."""
+    if not (isinstance(t, (int, np.integer)) and t >= 1):
+        raise InputError(f"diffusion time must be a positive integer, got {t}")
+    return int(t)
+
+
 def kernel_power_row(matrix: DiffusionMatrix, t: int, i: int) -> np.ndarray:
     """Row i of A^t by repeated multiplication; the oracle path, no eigensolve."""
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
-        raise InputError(f"t must be a positive integer, got {t}")
+    t = _check_t(t)
     if not 0 <= i < matrix.n:
         raise InputError(f"row index {i} out of range for n={matrix.n}")
     row = matrix.values[i].copy()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dynamap.cli import main
+from dynamap.cli import build_parser, main
+from dynamap.distances import global_distance_matrix
 from dynamap.experiments import change_detection_experiment, change_scene
+from dynamap.kernels import PointCloud, calibrated_kernel
 from dynamap.matio import (
     read_matrix,
     read_matrix_bin,
@@ -10,8 +12,44 @@ from dynamap.matio import (
     write_matrix_bin,
     write_matrix_csv,
 )
+from dynamap.metagraph import MEDIAN, meta_kernel
+from dynamap.operators import diffusion_matrix, spectral_decomposition
 
 from conftest import random_kernel
+
+# the options each command reads besides --output-dir, --config and --format
+COMMAND_OPTIONS = {
+    "embed": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t --common-base",
+    "distance": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t "
+    "--full-matrix",
+    "global": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t",
+    "metagraph": "--input --input-kind --target-lambda2 --tol --rank --t --epsilon "
+    "--epsilon-median --s --dims",
+    "torus-experiment": "--n --seed --target-lambda2 --tol --rank --t --s --dims --epsilon "
+    "--epsilon-median",
+    "convergence": "--n-grid --trials --reference-n --t --seed --target-lambda2",
+    "change-detect": "--band-counts --noise-sigma --block-size --side --seed --target-lambda2 "
+    "--tol",
+    "gen-data": "--dataset --n --seed --grid --steps --alpha --band-counts --noise-sigma "
+    "--block-size --side",
+}
+
+
+def _declared_options():
+    _, commands = build_parser()
+    return {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+
+
+def _exit_code(argv):
+    """main's exit status, including argparse's exit on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _write_kernels(tmp_path, n, seeds, fmt="csv"):
@@ -203,9 +241,9 @@ def test_config_and_flag_value_errors(tmp_path, capsys):
     assert main([*common, "--config", str(config)]) == 1
     assert "rank" in capsys.readouterr().err
     # flags that take no value cannot be set from a config file
-    for key in ("full_matrix", "epsilon-median"):
+    for command, key in (("distance", "full_matrix"), ("metagraph", "epsilon-median")):
         config.write_text(f"{key} = true\n", encoding="utf-8")
-        assert main([*common, "--config", str(config)]) == 1
+        assert main([command, *common[1:], "--config", str(config)]) == 1
         assert key.replace("-", "_") in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main([*common, "--rank", "x"])
@@ -320,15 +358,74 @@ def test_points_input_kind(tmp_path):
 @pytest.mark.parametrize("flag", [["--epsilon", "median"], ["--epsilon-median"]])
 def test_points_input_kind_rejects_median_epsilon(tmp_path, capsys, flag):
     # a median bandwidth is a meta-kernel setting; for point clouds it used to
-    # fall through to calibration without a word
+    # fall through to calibration without a word. embed has no --epsilon-median
+    # at all, so that flag is a usage error
+    usage_error = flag == ["--epsilon-median"]
     rng = np.random.default_rng(20)
     pts = tmp_path / "points.csv"
     write_matrix_csv(pts, rng.normal(size=(30, 3)))
     out = tmp_path / "out"
-    assert main([
+    assert _exit_code([
         "embed", "--input", str(pts), "--input-kind", "points", *flag,
         "--output-dir", str(out),
-    ]) == 1
+    ]) == (2 if usage_error else 1)
     err = capsys.readouterr().err
-    assert "--epsilon" in err and "--input-kind points" in err
+    assert "--epsilon" in err and (usage_error or "--input-kind points" in err)
     assert not list(out.glob("embedding_*"))
+
+
+def test_each_command_declares_the_options_it_reads():
+    common = {"--output-dir", "--config", "--format"}
+    declared = _declared_options()
+    assert declared == {name: set(opts.split()) | common for name, opts in COMMAND_OPTIONS.items()}
+    assert sum(len(flags) for flags in declared.values()) == 90
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_options_a_command_does_not_read_are_refused(tmp_path, capsys, command):
+    # every option of any other command, e.g. convergence --rank, change-detect
+    # --t, global --common-base, gen-data --input, embed --epsilon-median; and
+    # no prefix of one may pass as another (convergence --s is not --seed)
+    declared = _declared_options()
+    foreign = set().union(*declared.values()) - declared[command]
+    for flag in sorted(foreign):
+        out = tmp_path / flag.strip("-")
+        assert _exit_code([command, flag, "1", "--output-dir", str(out)]) == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _write_clouds(tmp_path, seeds, n=40):
+    paths = []
+    for seed in seeds:
+        path = tmp_path / f"points_{seed}.csv"
+        write_matrix_csv(path, np.random.default_rng(seed).normal(size=(n, 3)))
+        paths.append(path)
+    return paths
+
+
+def _calibrated_family_distances(paths, t):
+    decs = []
+    for path in paths:
+        _, kern = calibrated_kernel(PointCloud(read_matrix(path)), 0.5, 1e-3)
+        decs.append(spectral_decomposition(diffusion_matrix(kern), kern.n))
+    return global_distance_matrix(decs, t)
+
+
+@pytest.mark.parametrize(
+    "flag, epsilon", [(["--epsilon", "1.5"], 1.5), (["--epsilon-median"], MEDIAN)]
+)
+def test_metagraph_epsilon_is_the_meta_bandwidth(tmp_path, flag, epsilon):
+    # point-cloud members are calibrated to --target-lambda2 whatever --epsilon
+    # says; --epsilon sets only the meta kernel's bandwidth
+    paths = _write_clouds(tmp_path, [30, 31, 32])
+    out = tmp_path / "out"
+    assert main([
+        "metagraph", *sum((["--input", str(p)] for p in paths), []), "--input-kind", "points",
+        "--t", "2", *flag, "--output-dir", str(out),
+    ]) == 0
+    dists = _calibrated_family_distances(paths, 2)
+    np.testing.assert_array_equal(read_matrix(out / "global_distances.csv"), dists)
+    np.testing.assert_array_equal(
+        read_matrix(out / "meta_kernel.csv"), meta_kernel(dists, epsilon=epsilon, t=2).kernel
+    )

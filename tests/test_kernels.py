@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import eigvalsh
 
 from dynamap import (
     CalibrationError,
@@ -335,7 +334,7 @@ def test_calibrate_torus_solve_count(monkeypatch):
 
     probes = []
     dense = []
-    second, subset = kernels_mod._second_eigenvalue, kernels_mod.eigvalsh
+    second, dense_solve = kernels_mod._second_eigenvalue, kernels_mod.eigvalsh
 
     def counting_probe(values):
         probes.append(1)
@@ -343,13 +342,13 @@ def test_calibrate_torus_solve_count(monkeypatch):
 
     def counting_dense(*args, **kwargs):
         dense.append(1)
-        return subset(*args, **kwargs)
+        return dense_solve(*args, **kwargs)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
     monkeypatch.setattr(kernels_mod, "eigvalsh", counting_dense)
     cloud = sample_torus(TorusSpec(), 300, seed=4)
     calibrate_epsilon(cloud, 0.5, tol=1e-3)
-    assert not dense  # so no fallback and no LinAlgError from the subset solver
+    assert not dense  # so Lanczos never stalled
     assert 1 <= len(probes) <= 8
 
 
@@ -365,19 +364,6 @@ def test_degree_normalized_matches_outer_product():
     sym, deg = _degree_normalized(values)
     assert np.array_equal(sym, _normalized(values))
     assert np.array_equal(deg, values.sum(axis=1))
-
-
-def test_second_eigenvalue_full_solve_fallback(monkeypatch):
-    import dynamap.kernels as kernels_mod
-
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("subset solver failed")
-
-    rng = np.random.default_rng(5)
-    cloud = PointCloud(rng.normal(size=(30, 2)))
-    values = gaussian_kernel(cloud, 1.0).values
-    monkeypatch.setattr(kernels_mod, "eigvalsh", failing)
-    assert _second_eigenvalue(values) == float(np.linalg.eigvalsh(_normalized(values))[-2])
 
 
 def _median_via_triu(sq):
@@ -426,12 +412,12 @@ def test_second_eigenvalue_lanczos_matches_dense(monkeypatch):
 def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
     # lambda2 = 0.99998: Lanczos stalls on the clustered top of the spectrum,
     # gives up after about one dense solve's worth of products, and the dense
-    # subset solver answers
+    # solve of the whole spectrum answers
     from dynamap.kernels import LANCZOS_MATVECS_PER_N, LANCZOS_NCV
 
     values = near_identity_kernel().values
     n = values.shape[0]
-    dense = float(eigvalsh(_normalized(values), subset_by_index=(n - 2, n - 1))[0])
+    dense = float(np.linalg.eigvalsh(_normalized(values))[-2])
     stats = counting_eigsh(monkeypatch)
     assert _second_eigenvalue(values) == dense
     assert dense > 0.9999

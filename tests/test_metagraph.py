@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,9 +201,48 @@ def test_historical_kernel_validation():
         historical_kernel(mats, t=1, variant=EXPONENTIAL)  # missing epsilon
     with pytest.raises(InputError):
         historical_kernel(mats, t=1, epsilon=1.0, variant="nope")
+    with pytest.raises(InputError):
+        historical_kernel(mats, t=2.5, epsilon=1.0)  # not rounded down to t = 2
     small, _ = random_instance(3, seed=117)
     with pytest.raises(CorrespondenceError):
         historical_kernel([mats[0], small], t=1, epsilon=1.0)
+
+
+def _historical_reference(mats, t, epsilon, variant):
+    """The kernel assembled whole and then mirrored with np.triu."""
+    n = mats[0].n
+    powers = [np.linalg.matrix_power(mat.values, t) for mat in mats]
+    big = np.zeros((len(mats) * n, len(mats) * n))
+    for a in range(len(mats)):
+        for b in range(a, len(mats)):
+            cross = powers[a] @ powers[b]
+            if variant == INNER_PRODUCT:
+                block = n * cross
+            else:
+                sq_a = np.einsum("ik,ik->i", powers[a], powers[a])
+                sq_b = np.einsum("ik,ik->i", powers[b], powers[b])
+                d2 = np.maximum(n * (sq_a[:, None] + sq_b[None, :] - 2.0 * cross), 0.0)
+                block = np.exp(-np.sqrt(d2) / epsilon)
+            big[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
+    if variant == EXPONENTIAL:
+        np.fill_diagonal(big, 1.0)
+    big = np.triu(big)
+    return big + np.triu(big, 1).T
+
+
+@pytest.mark.parametrize("variant, epsilon", [(INNER_PRODUCT, None), (EXPONENTIAL, 0.8)])
+def test_historical_kernel_assembled_in_place(variant, epsilon):
+    # no whole-kernel temporary: the peak stays within half a kernel of the
+    # kernel itself, and the result equals the whole-array mirror bit for bit
+    mats, _ = _family(100, range(121, 129))
+    tracemalloc.start()
+    try:
+        hist = historical_kernel(mats, t=2, epsilon=epsilon, variant=variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * hist.kernel.nbytes
+    assert np.array_equal(hist.kernel, _historical_reference(mats, 2, epsilon, variant))
 
 
 def test_historical_embedding_identical_graphs_constant_trajectories():
