@@ -119,7 +119,8 @@ def _square_shape(raw: str) -> tuple[int, int]:
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the subparser of each command, which declares
     only the options its handler reads. An experiment command's options are
-    unset by default; a `default` below is that of the other commands."""
+    unset by default, and so are the bandwidth options (`unset`); any other
+    `default` below is that of the other commands."""
     parser = argparse.ArgumentParser(
         prog="dynamap",
         description="Diffusion maps for data whose kernel changes over a parameter space.",
@@ -134,21 +135,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--format", choices=FORMATS, default="csv")
     meta = ("metagraph", "torus-experiment")
     groups = {name: commands[name].add_mutually_exclusive_group() for name in meta}
+    unset = argparse.SUPPRESS
 
     def add(names, *flags, default=None, to=commands, **kwargs):
         for name in names:
-            unset = name in EXPERIMENTS
-            to[name].add_argument(*flags, default=argparse.SUPPRESS if unset else default, **kwargs)
+            value = unset if name in EXPERIMENTS else default
+            to[name].add_argument(*flags, default=value, **kwargs)
 
     add(FILE_COMMANDS, "--input", action="append", help="input matrix (repeatable)")
     add(FILE_COMMANDS, "--input-kind", choices=("kernel", "points"), default="kernel",
         help="inputs are kernel matrices (default) or point clouds")
-    add(("embed", "distance", "global"), "--epsilon", type=_parse_epsilon,
+    # bandwidth options: the library states their defaults
+    add(("embed", "distance", "global"), "--epsilon", type=_parse_epsilon, default=unset,
         help="fixed bandwidth for point-cloud inputs")
-    add(FILE_COMMANDS + EXPERIMENTS, "--target-lambda2", type=float, default=0.5,
+    add(FILE_COMMANDS + EXPERIMENTS, "--target-lambda2", type=float, default=unset,
         help="calibration target")
-    add(FILE_COMMANDS + ("torus-experiment", "change-detect"), "--tol", type=float, default=1e-3,
-        help="calibration tolerance")
+    add(FILE_COMMANDS + ("torus-experiment", "change-detect"), "--tol", type=float,
+        default=unset, help="calibration tolerance")
     add(FILE_COMMANDS + ("torus-experiment",), "--rank", type=int, help="retained eigenpairs")
     add(("embed", "metagraph", "torus-experiment", "convergence"), "--t", type=int, default=1,
         help="diffusion time")
@@ -172,7 +175,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add(("convergence",), "--trials", type=int)
     add(("convergence",), "--reference-n", type=int)
     # gen-data too passes these on to experiments.change_scene only when set
-    scene, unset = ("change-detect", "gen-data"), argparse.SUPPRESS
+    scene = ("change-detect", "gen-data")
     add(scene, "--band-counts", type=_int_list, default=unset,
         help="comma-separated bands per epoch")
     add(scene, "--noise-sigma", type=float, default=unset)
@@ -238,25 +241,22 @@ def _options(args: argparse.Namespace) -> dict:
     return {key: value for key, value in vars(args).items() if key not in common}
 
 
-def _read_kernel(args: argparse.Namespace, path: str, epsilon) -> KernelMatrix:
-    """One input as a kernel: read as is, or built from a point cloud with the
-    fixed `epsilon` or, when it is None, the bandwidth calibrated to
-    --target-lambda2."""
-    values = read_matrix(path)
-    if args.input_kind != "points":
-        return KernelMatrix(values)
-    cloud = PointCloud(values)
-    if epsilon is None:
-        return calibrated_kernel(cloud, args.target_lambda2, args.tol)[1]
-    return gaussian_kernel(cloud, epsilon)
-
-
-def _load_decompositions(args: argparse.Namespace, minimum: int, epsilon=None):
-    """Read inputs, build kernels with `_read_kernel`, and decompose each one."""
+def _load_decompositions(
+    args: argparse.Namespace, minimum: int, bandwidth=("epsilon", "target_lambda2", "tol")
+):
+    """Read the inputs as kernels and decompose each one. Point clouds take a
+    fixed --epsilon, or else calibrated_kernel's --target-lambda2 and --tol:
+    the `bandwidth` options that a flag or the config file set, which kernel
+    inputs refuse."""
     inputs = args.input or []
     if len(inputs) < minimum:
         raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
-    if args.input_kind == "points" and epsilon == MEDIAN:
+    options = {key: getattr(args, key) for key in bandwidth if hasattr(args, key)}
+    if args.input_kind == "kernel" and options:
+        flags = ", ".join("--" + key.replace("_", "-") for key in options)
+        raise InputError(f"{flags}: a point-cloud bandwidth option needs --input-kind points")
+    epsilon = options.pop("epsilon", None)
+    if epsilon == MEDIAN:
         raise InputError(
             f"--epsilon {MEDIAN} has no meaning with --input-kind points: give a number, "
             "or leave --epsilon out to calibrate to --target-lambda2"
@@ -264,20 +264,26 @@ def _load_decompositions(args: argparse.Namespace, minimum: int, epsilon=None):
     decs = []
     size = None
     for path in inputs:
-        kernel = _read_kernel(args, path, epsilon)
+        values = read_matrix(path)
+        if args.input_kind == "kernel":
+            kernel = KernelMatrix(values)
+        elif epsilon is None:
+            kernel = calibrated_kernel(PointCloud(values), **options)[1]
+        else:
+            kernel = gaussian_kernel(PointCloud(values), epsilon)
         if size is None:
             size = kernel.n
         elif kernel.n != size:
             raise InputError(f"{path}: size {kernel.n} does not match {size}")
         rank = args.rank if args.rank is not None else kernel.n
         mat = diffusion_matrix(kernel)
-        del kernel  # not alive during the eigensolve
+        del kernel, values  # the kernel is not alive during the eigensolve
         decs.append(spectral_decomposition(mat, rank))
     return decs
 
 
 def cmd_embed(args: argparse.Namespace, out: OutputTracker) -> None:
-    decs = _load_decompositions(args, 1, args.epsilon)
+    decs = _load_decompositions(args, 1)
     for idx, dec in enumerate(decs):
         out.matrix(f"embedding_{idx}", diffusion_map(dec, args.t).coords)
     if args.common_base is not None:
@@ -287,7 +293,7 @@ def cmd_embed(args: argparse.Namespace, out: OutputTracker) -> None:
 
 
 def cmd_distance(args: argparse.Namespace, out: OutputTracker) -> None:
-    decs = _load_decompositions(args, 2, args.epsilon)
+    decs = _load_decompositions(args, 2)
     if len(decs) != 2:
         raise InputError("distance compares exactly two inputs")
     dec_a, dec_b = decs
@@ -304,15 +310,15 @@ def cmd_distance(args: argparse.Namespace, out: OutputTracker) -> None:
 
 
 def cmd_global(args: argparse.Namespace, out: OutputTracker) -> None:
-    decs = _load_decompositions(args, 2, args.epsilon)
+    decs = _load_decompositions(args, 2)
     out.matrix("global_distances", global_distance_matrix(decs, args.t))
 
 
 def cmd_metagraph(args: argparse.Namespace, out: OutputTracker) -> None:
     # --epsilon is the meta kernel's bandwidth: point-cloud members are calibrated
-    decs = _load_decompositions(args, 2)
+    decs = _load_decompositions(args, 2, bandwidth=("target_lambda2", "tol"))
     dists = global_distance_matrix(decs, args.t)
-    meta = meta_kernel(dists, epsilon=args.epsilon, t=args.t)
+    meta = meta_kernel(dists, epsilon=args.epsilon)
     coords = meta_embedding(meta, args.s, min(args.dims, meta.size))
     out.matrix("global_distances", dists)
     out.matrix("meta_kernel", meta.kernel)

@@ -16,6 +16,7 @@ TWO_PI = 2.0 * math.pi
 PINCH_ANGLES = (math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 PINCH_STRENGTHS = tuple(1.0 + 0.1 * k for k in range(10))
 FULL_SCALE_TORUS_SAMPLES = 7744  # default sample count; reduce at desk scale
+ENDMEMBERS = 4  # smooth background spectra mixed into every cube scene
 
 
 @dataclass(frozen=True)
@@ -98,24 +99,17 @@ def sample_torus(spec: TorusSpec, n: int, seed: int) -> PointCloud:
 def pinched_torus_family(
     seed: int,
     n: int = FULL_SCALE_TORUS_SAMPLES,
-    base: TorusSpec = TorusSpec(),
 ) -> tuple[list[PointCloud], list[tuple[float, float] | None]]:
     """The 31-member family: one unpinched torus plus 3 angles x 10 pinch strengths.
 
     All members reuse the same angle samples. labels[k] is (pinch angle,
     pinch radius) for pinched members and None for the unpinched one.
     """
-    clouds = [sample_torus(base, n, seed)]
+    clouds = [sample_torus(TorusSpec(), n, seed)]
     labels: list[tuple[float, float] | None] = [None]
     for angle in PINCH_ANGLES:
         for strength in PINCH_STRENGTHS:
-            spec = TorusSpec(
-                central_radius=base.central_radius,
-                lateral_radius=base.lateral_radius,
-                pinch_angle=angle,
-                pinch_radius=strength,
-                pinch_half_width=base.pinch_half_width,
-            )
+            spec = TorusSpec(pinch_angle=angle, pinch_radius=strength)
             clouds.append(sample_torus(spec, n, seed))
             labels.append((angle, strength))
     return clouds, labels
@@ -158,7 +152,6 @@ class CubeFamily:
     change_mask: np.ndarray
     change_epoch: int | None
     snr_db: list[float]
-    shape: tuple[int, int]
 
 
 def _smooth_spectra(rng: np.random.Generator, count: int, bands: int) -> np.ndarray:
@@ -201,23 +194,19 @@ def synthetic_cube_family(
     plant_change: bool,
     shape: tuple[int, int] = (32, 32),
     bands: int = 124,
-    endmembers: int = 4,
     block_size: int = 5,
-    change_epoch: int | None = None,
 ) -> CubeFamily:
     """One scene observed by several sensors, optionally with a planted anomaly.
 
     The scene mixes a few smooth endmember spectra with smooth spatial
     abundances. Each epoch applies its sensor's illumination scale, band
     subset, band permutation, and additive Gaussian noise. With plant_change,
-    a contiguous block of pixels in exactly one epoch swaps to an anomalous
+    a contiguous block of pixels in the last epoch swaps to an anomalous
     endmember; the boolean mask marks those pixels. Realized SNR is reported
     per epoch as 10 log10(mean(signal^2) / mean(noise^2)).
     """
     if len(sensors) < 2:
         raise InputError("need at least two sensor epochs")
-    if not (3 <= endmembers <= 5):
-        raise InputError("endmember count must lie in [3, 5]")
     for spec in sensors:
         if spec.band_count > bands:
             raise InputError(
@@ -229,8 +218,8 @@ def synthetic_cube_family(
         raise InputError("change block does not fit the pixel grid")
 
     rng = np.random.default_rng(scene_seed)
-    spectra = _smooth_spectra(rng, endmembers, bands)
-    abundances = _smooth_fields(rng, endmembers, shape)
+    spectra = _smooth_spectra(rng, ENDMEMBERS, bands)
+    abundances = _smooth_fields(rng, ENDMEMBERS, shape)
     scene = abundances @ spectra  # n x bands
 
     # anomalous signature: spectrally narrow double spike unlike the smooth backgrounds
@@ -244,9 +233,7 @@ def synthetic_cube_family(
     mask = np.zeros(n, dtype=bool)
     epoch_of_change = None
     if plant_change:
-        epoch_of_change = len(sensors) - 1 if change_epoch is None else int(change_epoch)
-        if not 0 <= epoch_of_change < len(sensors):
-            raise InputError("change epoch out of range")
+        epoch_of_change = len(sensors) - 1
         top = (rows - block_size) // 2
         left = (cols - block_size) // 2
         grid = np.zeros((rows, cols), dtype=bool)
@@ -284,5 +271,4 @@ def synthetic_cube_family(
         change_mask=mask,
         change_epoch=epoch_of_change,
         snr_db=snr_db,
-        shape=(rows, cols),
     )

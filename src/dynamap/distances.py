@@ -45,7 +45,6 @@ class GramMatrix:
     """
 
     values: np.ndarray
-    n: int
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -59,8 +58,7 @@ class GramMatrix:
 def gram_matrix(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition) -> GramMatrix:
     """Cross-parameter Gram matrix of two decompositions over the same sample set."""
     _check_sizes(dec_a.n, dec_b.n)
-    vals = dec_a.eigenfunctions.T @ dec_b.eigenfunctions / dec_a.n
-    return GramMatrix(values=vals, n=dec_a.n)
+    return GramMatrix(values=dec_a.eigenfunctions.T @ dec_b.eigenfunctions / dec_a.n)
 
 
 def _clamp_sq(d2: float) -> float:

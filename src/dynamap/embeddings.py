@@ -18,16 +18,6 @@ class DiffusionEmbedding:
     """Per-point diffusion coordinates coords[x, i] = lambda_i^t psi_i(x)."""
 
     coords: np.ndarray
-    t: int
-    param: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.coords.shape[1]
 
 
 @dataclass(frozen=True)
@@ -39,8 +29,6 @@ class RotationOperator:
     """
 
     values: np.ndarray
-    target: int | None = None
-    source: int | None = None
 
     @property
     def isometry_defect(self) -> float:
@@ -51,25 +39,17 @@ class RotationOperator:
         return self.values @ np.asarray(vector, dtype=float)
 
     def rotate(self, embedding: DiffusionEmbedding) -> DiffusionEmbedding:
-        return DiffusionEmbedding(
-            coords=embedding.coords @ self.values.T,
-            t=embedding.t,
-            param=embedding.param,
-        )
+        return DiffusionEmbedding(coords=embedding.coords @ self.values.T)
 
 
-def diffusion_map(dec: SpectralDecomposition, t: int, param: int | None = None) -> DiffusionEmbedding:
+def diffusion_map(dec: SpectralDecomposition, t: int) -> DiffusionEmbedding:
     """Embed every sample as (lambda_i^t psi_i(x))_i."""
-    t = _check_t(t)
-    coords = dec.eigenfunctions * dec.eigenvalues[None, :] ** t
-    return DiffusionEmbedding(coords=coords, t=t, param=param)
+    coords = dec.eigenfunctions * dec.eigenvalues[None, :] ** _check_t(t)
+    return DiffusionEmbedding(coords=coords)
 
 
 def rotation(
-    dec_target: SpectralDecomposition,
-    dec_source: SpectralDecomposition,
-    target: int | None = None,
-    source: int | None = None,
+    dec_target: SpectralDecomposition, dec_source: SpectralDecomposition
 ) -> RotationOperator:
     """Rotation from the source eigenbasis into the target eigenbasis.
 
@@ -78,8 +58,7 @@ def rotation(
     eigenfunction, so applying it expresses a source-coordinates vector in
     target coordinates.
     """
-    vals = gram_matrix(dec_target, dec_source).values
-    return RotationOperator(values=vals, target=target, source=source)
+    return RotationOperator(values=gram_matrix(dec_target, dec_source).values)
 
 
 def common_embedding(
@@ -96,11 +75,10 @@ def common_embedding(
         raise InputError(f"base index {gamma} out of range for family of {len(family)}")
     base = family[gamma]
     out = []
-    for idx, dec in enumerate(family):
+    for dec in family:
         if dec.n != base.n:
             raise CorrespondenceError("family members must share the sample set")
-        emb = diffusion_map(dec, t, param=idx)
-        out.append(rotation(base, dec, target=gamma, source=idx).rotate(emb))
+        out.append(rotation(base, dec).rotate(diffusion_map(dec, t)))
     return out
 
 
@@ -109,21 +87,19 @@ def truncation_residuals(
     gamma: int,
     t: int,
     rank: int,
-    probe: int = 16,
-    seed: int = 0,
 ) -> np.ndarray:
     """Per-member residual of a rank-truncated common embedding on a probe set.
 
     For each member, reports the largest discrepancy between the truncated
     rotated Euclidean distance and the exact full-rank diffusion distance over
-    probe point pairs against the base member. A small residual certifies that
-    the base parameter retained enough eigenfunctions.
+    16 x 16 seeded point pairs against the base member. A small residual
+    certifies that the base parameter retained enough eigenfunctions.
     """
     truncated = [truncate(dec, rank) for dec in family]
     rotated = common_embedding(truncated, gamma, t)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = family[gamma].n
-    take = min(probe, n)
+    take = min(16, n)
     rows = rng.choice(n, size=take, replace=False)
     cols = rng.choice(n, size=take, replace=False)
     base_rot = rotated[gamma]

@@ -93,7 +93,7 @@ def torus_experiment(
     clouds, labels = pinched_torus_family(seed, n=n)
     epsilons, decs = _calibrated_decompositions(clouds, target_lambda2, tol, rank)
     dists = global_distance_matrix(decs, t)
-    meta = meta_kernel(dists, epsilon=epsilon, t=t)
+    meta = meta_kernel(dists, epsilon=epsilon)
     meta_lambda2 = float(meta_decomposition(meta, 2).eigenvalues[1])
     coords = meta_embedding(meta, s, dims)
     return TorusExperimentResult(
@@ -142,7 +142,6 @@ class ChangeDetectionResult:
     change_epoch: int
     snr_db: list[float]
     epsilons: np.ndarray
-    shape: tuple[int, int]
 
     def hits_in_top(self, top: int) -> int:
         """Planted pixels among the `top` highest scores."""
@@ -155,41 +154,38 @@ def change_scene(
     band_counts: Sequence[int] = (30, 50, 70),
     noise_sigma: float = 0.01,
     shape: tuple[int, int] = (32, 32),
-    bands: int = 124,
     block_size: int = 5,
 ) -> CubeFamily:
     """The change-detection scene: one sensor per band count, each seeded from
-    the scene seed, and a planted block anomaly in one epoch.
+    the scene seed, and a planted block anomaly in the last epoch.
 
-    The defaults are change_detection_experiment's.
+    change_detection_experiment passes its scene options here, so these
+    defaults are its defaults too.
     """
     sensors = [
         SensorSpec(band_count=count, seed=scene_seed * 1000 + 17 * (k + 1), noise_sigma=noise_sigma)
         for k, count in enumerate(band_counts)
     ]
     return synthetic_cube_family(
-        scene_seed, sensors, plant_change=True, shape=shape, bands=bands, block_size=block_size
+        scene_seed, sensors, plant_change=True, shape=shape, block_size=block_size
     )
 
 
 def change_detection_experiment(
     scene_seed: int = 11,
-    band_counts: Sequence[int] = (30, 50, 70),
-    noise_sigma: float = 0.01,
-    shape: tuple[int, int] = (32, 32),
-    bands: int = 124,
-    block_size: int = 5,
     target_lambda2: float = 0.97,
     tol: float = 1e-3,
+    **scene,
 ) -> ChangeDetectionResult:
     """Synthetic multi-sensor change detection via the asymptotic diffusion distance.
 
-    Each epoch sees the scene through its own random band subset, permutation,
-    illumination, and noise; one epoch carries a planted block anomaly. Pixels
-    are scored by the mean asymptotic distance between the changed epoch and
-    every other epoch, which needs only the top eigenfunctions.
+    The scene is change_scene(scene_seed, **scene). Each epoch sees it through
+    its own random band subset, permutation, illumination, and noise; one
+    epoch carries a planted block anomaly. Pixels are scored by the mean
+    asymptotic distance between the changed epoch and every other epoch,
+    which needs only the top eigenfunctions.
     """
-    family = change_scene(scene_seed, band_counts, noise_sigma, shape, bands, block_size)
+    family = change_scene(scene_seed, **scene)
     epsilons, decs = _calibrated_decompositions(family.clouds, target_lambda2, tol, 2)
     chg = family.change_epoch
     others = [k for k in range(len(decs)) if k != chg]
@@ -202,7 +198,6 @@ def change_detection_experiment(
         change_epoch=chg,
         snr_db=family.snr_db,
         epsilons=epsilons,
-        shape=family.shape,
     )
 
 
@@ -212,26 +207,23 @@ def torus_pair_study(
     reference_n: int = 4000,
     t: int = 1,
     seed: int = 5,
-    pinch_angle: float = math.pi,
-    pinch_radius: float = 1.0,
     target_lambda2: float = 0.5,
-    calibration_n: int = 500,
-    tracked_pairs: Sequence[tuple[int, int]] = ((0, 0), (1, 1), (0, 2)),
 ) -> ConvergenceReport:
     """Convergence study on an unpinched-vs-pinched torus pair.
 
-    Samples are angle pairs; the two kernels embed them on the plain and the
-    pinched torus. Bandwidths are calibrated once, on a moderate subsample,
-    and then held fixed across every sample size.
+    Samples are angle pairs; the two kernels embed them on the plain torus and
+    on the one pinched to radius 1 at angle pi. Bandwidths are calibrated
+    once, on a 500-point subsample, and then held fixed across every sample
+    size.
     """
     plain = TorusSpec()
-    pinched = TorusSpec(pinch_angle=pinch_angle, pinch_radius=pinch_radius)
+    pinched = TorusSpec(pinch_angle=math.pi, pinch_radius=1.0)
 
     def generator(count: int, gen_seed: int) -> np.ndarray:
         rng = np.random.default_rng(gen_seed)
         return rng.uniform(0.0, TWO_PI, (count, 2))
 
-    calib = generator(calibration_n, seed + 1)
+    calib = generator(500, seed + 1)
     eps_plain = calibrate_epsilon(
         PointCloud(torus_points(plain, calib[:, 0], calib[:, 1])), target_lambda2
     )
@@ -251,6 +243,6 @@ def torus_pair_study(
         n_grid=n_grid,
         trials=trials,
         reference_n=reference_n,
-        tracked_pairs=tracked_pairs,
+        tracked_pairs=((0, 0), (1, 1), (0, 2)),
         seed=seed,
     )

@@ -237,7 +237,7 @@ def _median_squared_distance(sq: np.ndarray) -> float:
 
 def calibrate_epsilon(
     cloud: PointCloud,
-    target_lambda2: float,
+    target_lambda2: float = 0.5,
     tol: float = 1e-3,
 ) -> float:
     """The bandwidth `calibrated_kernel` finds, without its kernel."""
@@ -246,7 +246,7 @@ def calibrate_epsilon(
 
 def calibrated_kernel(
     cloud: PointCloud,
-    target_lambda2: float,
+    target_lambda2: float = 0.5,
     tol: float = 1e-3,
 ) -> tuple[float, KernelMatrix]:
     """A Gaussian bandwidth whose diffusion matrix has the requested second

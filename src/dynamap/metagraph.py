@@ -31,7 +31,6 @@ class MetaGraph:
 
     kernel: np.ndarray
     epsilon: float
-    t: int
 
     @property
     def size(self) -> int:
@@ -43,8 +42,6 @@ class HistoricalGraph:
     """Kernel over all (point, parameter) pairs; index = parameter * n + point."""
 
     kernel: np.ndarray
-    epsilon: float | None
-    t: int
     n: int
     n_params: int
 
@@ -53,14 +50,13 @@ class HistoricalGraph:
 class Trajectory:
     """One point's sequence of embedded coordinates across the parameter family."""
 
-    point: int
     coords: np.ndarray
 
     def __len__(self) -> int:
         return self.coords.shape[0]
 
 
-def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN, t: int = 1) -> MetaGraph:
+def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN) -> MetaGraph:
     """Gaussian weights exp(-dist^2 / epsilon^2) over a family's global distances.
 
     epsilon=MEDIAN resolves the bandwidth to the median off-diagonal distance.
@@ -89,14 +85,14 @@ def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN, t: 
     kern = np.triu(kern, 1)
     kern = kern + kern.T
     np.fill_diagonal(kern, 1.0)
-    return MetaGraph(kernel=kern, epsilon=eps, t=_check_t(t))
+    return MetaGraph(kernel=kern, epsilon=eps)
 
 
 def _timescaled_coords(dec: SpectralDecomposition, s: float) -> np.ndarray:
     """Coordinates lambda^s psi; real (non-integer) powers demand nonnegative spectra."""
     lam = dec.eigenvalues
-    if float(s) <= 0.0:
-        raise InputError(f"diffusion time must be positive, got {s}")
+    if not 0.0 < float(s) < np.inf:
+        raise InputError(f"diffusion time s must be finite and positive, got {s}")
     if float(s).is_integer():
         scale = lam ** int(s)
     else:
@@ -109,25 +105,14 @@ def _timescaled_coords(dec: SpectralDecomposition, s: float) -> np.ndarray:
     return dec.eigenfunctions * scale[None, :]
 
 
-def meta_embedding(
-    meta: MetaGraph,
-    s: float,
-    dims: int,
-    drop_trivial: bool = False,
-) -> np.ndarray:
+def meta_embedding(meta: MetaGraph, s: float, dims: int) -> np.ndarray:
     """Diffusion coordinates of the graph-of-graphs at meta diffusion time s.
 
-    By default the trivial top eigenpair is kept (its coordinate is nearly
-    constant); drop_trivial skips it and uses the next `dims` pairs.
+    The trivial top eigenpair is kept: its coordinate is nearly constant.
     """
     if not 1 <= dims <= meta.size:
         raise InputError(f"dims must lie in [1, {meta.size}], got {dims}")
-    rank = dims + 1 if drop_trivial else dims
-    if rank > meta.size:
-        raise InputError("dropping the trivial pair needs dims + 1 <= family size")
-    dec = meta_decomposition(meta, rank)
-    coords = _timescaled_coords(dec, s)
-    return coords[:, 1:] if drop_trivial else coords
+    return _timescaled_coords(meta_decomposition(meta, dims), s)
 
 
 def meta_decomposition(meta: MetaGraph, rank: int) -> SpectralDecomposition:
@@ -199,9 +184,7 @@ def historical_kernel(
                 big[cols, rows] = big[rows, cols].T
     if variant == EXPONENTIAL:
         np.fill_diagonal(big, 1.0)
-    return HistoricalGraph(
-        kernel=big, epsilon=epsilon, t=t, n=n, n_params=count
-    )
+    return HistoricalGraph(kernel=big, n=n, n_params=count)
 
 
 def historical_embedding(
@@ -220,7 +203,7 @@ def historical_embedding(
     dec = spectral_decomposition(diffusion_matrix(KernelMatrix(hist.kernel)), dims)
     coords = _timescaled_coords(dec, s)
     trajectories = [
-        Trajectory(point=x, coords=coords[x :: hist.n, :].copy())
+        Trajectory(coords=coords[x :: hist.n, :].copy())
         for x in range(hist.n)
     ]
     return coords, trajectories

@@ -7,6 +7,8 @@ from typing import Sequence
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+SIZE = 480  # square canvas side, in pixels
+RADIUS = 4.0  # marker radius, in pixels
 
 
 def write_scatter_svg(
@@ -14,8 +16,6 @@ def write_scatter_svg(
     x: np.ndarray,
     y: np.ndarray,
     groups: Sequence[int] | None = None,
-    size: int = 480,
-    radius: float = 4.0,
     title: str | None = None,
 ) -> None:
     """Scatter the (x, y) points into an SVG file, colored by integer group."""
@@ -25,7 +25,7 @@ def write_scatter_svg(
         groups = np.zeros(x.shape[0], dtype=int)
     groups = np.asarray(groups, dtype=int)
     margin = 40.0
-    span = size - 2.0 * margin
+    span = SIZE - 2.0 * margin
 
     def scaled(values: np.ndarray) -> np.ndarray:
         lo, hi = float(values.min()), float(values.max())
@@ -34,20 +34,20 @@ def write_scatter_svg(
         return margin + span * (values - lo) / (hi - lo)
 
     px = scaled(x)
-    py = size - scaled(y)  # svg y axis points down
+    py = SIZE - scaled(y)  # svg y axis points down
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{size / 2}" y="{margin / 2}" text-anchor="middle" '
+            f'<text x="{SIZE / 2}" y="{margin / 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
     for xi, yi, gi in zip(px, py, groups):
         color = PALETTE[int(gi) % len(PALETTE)]
-        parts.append(f'<circle cx="{xi:.2f}" cy="{yi:.2f}" r="{radius}" fill="{color}"/>')
+        parts.append(f'<circle cx="{xi:.2f}" cy="{yi:.2f}" r="{RADIUS}" fill="{color}"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="ascii")

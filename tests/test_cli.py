@@ -171,6 +171,46 @@ def test_metagraph_outputs(tmp_path):
     assert coords.shape == (3, 2)
 
 
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_metagraph_refuses_non_finite_meta_time(tmp_path, capsys, s):
+    # NaN coordinates used to be written with exit status 0
+    paths = _write_kernels(tmp_path, 6, [10, 11, 12])
+    out = tmp_path / "out"
+    assert main([
+        "metagraph", *sum((["--input", str(p)] for p in paths), []),
+        "--output-dir", str(out), "--s", s,
+    ]) == 1
+    assert "s must be finite and positive" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# the options that build a kernel from a point cloud; metagraph's --epsilon is
+# the meta kernel's bandwidth and applies to kernel inputs too
+BANDWIDTH_OPTIONS = [
+    (command, option)
+    for command in ("embed", "distance", "global", "metagraph")
+    for option in ("--epsilon", "--target-lambda2", "--tol")
+    if (command, option) != ("metagraph", "--epsilon")
+]
+
+
+@pytest.mark.parametrize("command, option", BANDWIDTH_OPTIONS)
+def test_kernel_inputs_refuse_bandwidth_options(tmp_path, capsys, command, option):
+    # kernel inputs used to ignore these options and exit 0
+    paths = _write_kernels(tmp_path, 6, [16, 17])
+    inputs = sum((["--input", str(p)] for p in paths), [])
+    config = tmp_path / "bandwidth.cfg"
+    config.write_text(f"{option[2:]} = 0.5\n", encoding="utf-8")
+    for route, setting in (("flag", [option, "0.5"]), ("config", ["--config", str(config)])):
+        out = tmp_path / route
+        assert main([command, *inputs, *setting, "--output-dir", str(out)]) == 1, route
+        err = capsys.readouterr().err
+        assert option in err and "--input-kind points" in err
+        assert list(out.iterdir()) == []
+    out = tmp_path / "unset"
+    assert main([command, *inputs, "--output-dir", str(out)]) == 0
+
+
 def test_failed_command_removes_partial_outputs(tmp_path):
     # the out-of-range base is rejected only after the per-parameter
     # embeddings were already written; failure must remove them
@@ -427,5 +467,5 @@ def test_metagraph_epsilon_is_the_meta_bandwidth(tmp_path, flag, epsilon):
     dists = _calibrated_family_distances(paths, 2)
     np.testing.assert_array_equal(read_matrix(out / "global_distances.csv"), dists)
     np.testing.assert_array_equal(
-        read_matrix(out / "meta_kernel.csv"), meta_kernel(dists, epsilon=epsilon, t=2).kernel
+        read_matrix(out / "meta_kernel.csv"), meta_kernel(dists, epsilon=epsilon).kernel
     )

@@ -351,6 +351,50 @@ def test_metric_properties(seed):
                 assert dist(p, r) <= dist(p, q) + dist(q, r) + 1e-10
 
 
+def _gaussian_pair(points):
+    """Full-rank decompositions of a two-member Gaussian family on one sample
+    order: the points as given and a fixed deformation of them."""
+    decs = []
+    for cloud in (points, points + 0.3 * np.sin(points[:, ::-1])):
+        mat = diffusion_matrix(gaussian_kernel(PointCloud(cloud), 1.5))
+        decs.append(spectral_decomposition(mat, mat.n))
+    return decs
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_permutation_equivariance(seed):
+    # relabelling the shared samples by P permutes every pointwise distance by
+    # P and leaves the whole-graph distance alone
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 16))
+    t = int(rng.integers(1, 4))
+    points = rng.normal(size=(n, 3))
+    perm = rng.permutation(n)
+    dec_a, dec_b = _gaussian_pair(points)
+    pdec_a, pdec_b = _gaussian_pair(points[perm])
+    gram = gram_matrix(dec_a, dec_b)
+    pgram = gram_matrix(pdec_a, pdec_b)
+    np.testing.assert_allclose(
+        diffusion_distance_matrix(pdec_a, pdec_b, pgram, t),
+        diffusion_distance_matrix(dec_a, dec_b, gram, t)[np.ix_(perm, perm)],
+        rtol=0.0, atol=1e-10,
+    )
+    np.testing.assert_allclose(
+        diffusion_distance_map(pdec_a, pdec_b, pgram, t),
+        diffusion_distance_map(dec_a, dec_b, gram, t)[perm],
+        rtol=0.0, atol=1e-10,
+    )
+    np.testing.assert_allclose(
+        asymptotic_distance_map(pdec_a, pdec_b),
+        asymptotic_distance_map(dec_a, dec_b)[perm],
+        rtol=0.0, atol=1e-10,
+    )
+    assert global_diffusion_distance(pdec_a, pdec_b, pgram, t) == pytest.approx(
+        global_diffusion_distance(dec_a, dec_b, gram, t), abs=1e-10
+    )
+
+
 def _hexagon_instance():
     """Kernel on a regular hexagon: circulant, so eigenvalues come in exact pairs."""
     angles = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)

@@ -74,9 +74,6 @@ def test_meta_kernel_validation():
         meta_kernel(np.array([[1.0, 1.0], [1.0, 1.0]]), epsilon=1.0)
     with pytest.raises(InputError):
         meta_kernel(np.zeros((3, 3)), epsilon=-1.0)
-    # global_distance_matrix takes t = inf; a meta graph records a finite t
-    with pytest.raises(InputError):
-        meta_kernel(np.zeros((3, 3)), epsilon=1.0, t=float("inf"))
 
 
 def test_meta_embedding_identical_graphs_collapse():
@@ -107,14 +104,11 @@ def test_meta_embedding_trivial_flag_and_validation():
     dists = global_distance_matrix(decs, 2)
     meta = meta_kernel(dists, epsilon=MEDIAN)
     keep = meta_embedding(meta, s=1.92, dims=2)
-    drop = meta_embedding(meta, s=1.92, dims=2, drop_trivial=True)
-    assert keep.shape == (4, 2) and drop.shape == (4, 2)
+    assert keep.shape == (4, 2)
     dec = meta_decomposition(meta, 3)
-    np.testing.assert_allclose(drop[:, 0], dec.eigenvalues[1] ** 1.92 * dec.eigenfunctions[:, 1], atol=1e-10)
+    np.testing.assert_allclose(keep[:, 1], dec.eigenvalues[1] ** 1.92 * dec.eigenfunctions[:, 1], atol=1e-10)
     with pytest.raises(InputError):
         meta_embedding(meta, s=1.92, dims=5)
-    with pytest.raises(InputError):
-        meta_embedding(meta, s=1.92, dims=4, drop_trivial=True)
     with pytest.raises(InputError):
         meta_embedding(meta, s=-1.0, dims=2)
 
@@ -124,12 +118,25 @@ def test_meta_embedding_real_power_guard():
     kern = np.array(
         [[1.0, 0.99, 0.01], [0.99, 1.0, 0.99], [0.01, 0.99, 1.0]]
     )
-    meta = MetaGraph(kernel=kern, epsilon=1.0, t=1)
+    meta = MetaGraph(kernel=kern, epsilon=1.0)
     eigs = np.linalg.eigvalsh(diffusion_matrix(KernelMatrix(kern)).values)
     assert eigs.min() < -1e-6  # the guard is actually exercised
     with pytest.raises(NumericalError):
         meta_embedding(meta, s=1.5, dims=3)
     meta_embedding(meta, s=2, dims=3)  # integer powers stay legal
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_embeddings_refuse_non_finite_time(s):
+    # both used to return all-NaN coordinates
+    decs = [random_instance(5, seed=99 + k)[1] for k in range(4)]
+    meta = meta_kernel(global_distance_matrix(decs, 2), epsilon=MEDIAN)
+    with pytest.raises(InputError):
+        meta_embedding(meta, s=s, dims=2)
+    mats, _ = _family(4, [60, 61])
+    hist = historical_kernel(mats, 2, variant=INNER_PRODUCT)
+    with pytest.raises(InputError):
+        historical_embedding(hist, s=s, dims=2)
 
 
 def _family(n, seeds):
