@@ -119,8 +119,8 @@ def _square_shape(raw: str) -> tuple[int, int]:
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the subparser of each command, which declares
     only the options its handler reads. An experiment command's options are
-    unset by default, and so are the bandwidth options (`unset`); any other
-    `default` below is that of the other commands."""
+    unset by default, and so are the bandwidth options and metagraph's --dims
+    (`unset`); any other `default` below is that of the other commands."""
     parser = argparse.ArgumentParser(
         prog="dynamap",
         description="Diffusion maps for data whose kernel changes over a parameter space.",
@@ -162,7 +162,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add(("distance",), "--full-matrix", action="store_true", default=False,
         help="emit all-pairs distances")
     add(meta, "--s", type=float, default=1.92, help="meta diffusion time")
-    add(meta, "--dims", type=int, default=3, help="embedding dimensions")
+    add(("torus-experiment",), "--dims", type=int, help="embedding dimensions")
+    add(("metagraph",), "--dims", type=int, default=unset,
+        help="embedding dimensions (default: 3, or the family size when it is smaller)")
     # the meta kernel's bandwidth; point-cloud members are calibrated
     add(meta, "--epsilon", type=_parse_epsilon, default=MEDIAN, to=groups,
         help="meta-kernel bandwidth (default: the median family distance)")
@@ -247,7 +249,7 @@ def _load_decompositions(
     """Read the inputs as kernels and decompose each one. Point clouds take a
     fixed --epsilon, or else calibrated_kernel's --target-lambda2 and --tol:
     the `bandwidth` options that a flag or the config file set, which kernel
-    inputs refuse."""
+    inputs refuse, and of which --epsilon refuses the other two."""
     inputs = args.input or []
     if len(inputs) < minimum:
         raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
@@ -261,6 +263,9 @@ def _load_decompositions(
             f"--epsilon {MEDIAN} has no meaning with --input-kind points: give a number, "
             "or leave --epsilon out to calibrate to --target-lambda2"
         )
+    if epsilon is not None and options:
+        flags = ", ".join("--" + key.replace("_", "-") for key in options)
+        raise InputError(f"{flags}: calibration options conflict with a fixed --epsilon")
     decs = []
     size = None
     for path in inputs:
@@ -319,7 +324,9 @@ def cmd_metagraph(args: argparse.Namespace, out: OutputTracker) -> None:
     decs = _load_decompositions(args, 2, bandwidth=("target_lambda2", "tol"))
     dists = global_distance_matrix(decs, args.t)
     meta = meta_kernel(dists, epsilon=args.epsilon)
-    coords = meta_embedding(meta, args.s, min(args.dims, meta.size))
+    # a --dims that is set and exceeds the family size is refused by meta_embedding
+    dims = args.dims if "dims" in args else min(3, meta.size)
+    coords = meta_embedding(meta, args.s, dims)
     out.matrix("global_distances", dists)
     out.matrix("meta_kernel", meta.kernel)
     out.matrix("meta_coords", coords)

@@ -17,13 +17,7 @@ from .datasets import (
     torus_points,
 )
 from .distances import asymptotic_distance_map, global_distance_matrix
-from .kernels import (
-    KernelMatrix,
-    PointCloud,
-    calibrate_epsilon,
-    calibrated_kernel,
-    gaussian_kernel,
-)
+from .kernels import KernelMatrix, PointCloud, _calibrate, calibrate_epsilon, gaussian_kernel
 from .metagraph import MEDIAN, MetaGraph, meta_decomposition, meta_embedding, meta_kernel
 from .operators import SpectralDecomposition, diffusion_matrix, spectral_decomposition
 from .sampling import ConvergenceReport, convergence_study
@@ -37,13 +31,20 @@ def _calibrated_decompositions(
     """Per member: the bandwidth calibrated to the common second eigenvalue and
     the rank-`rank` decomposition of its diffusion matrix.
 
+    Member 0's search starts at its median pairwise distance, as
+    `calibrated_kernel`'s does; each later member's starts at the bandwidth
+    accepted for the member before it, with the slope of lambda2 found there
+    (a continuation along the family: the calibrated bandwidth of a smoothly
+    changing family moves little from member to member).
+
     Only one member's n x n arrays are alive at a time: its kernel is dropped
     before the next member's calibration starts.
     """
     epsilons = np.zeros(len(clouds))
     decs = []
+    start = None
     for k, cloud in enumerate(clouds):
-        epsilons[k], kern = calibrated_kernel(cloud, target_lambda2, tol)
+        epsilons[k], kern, start = _calibrate(cloud, target_lambda2, tol, start)
         decs.append(spectral_decomposition(diffusion_matrix(kern), rank))
         del kern
     return epsilons, decs

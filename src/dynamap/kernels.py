@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigvalsh
@@ -10,12 +11,13 @@ from numpy.linalg import eigvalsh
 from .exceptions import CalibrationError, DegeneracyError, InputError, NumericalError
 
 # Bandwidth search parameters: the search starts at the median pairwise
-# distance and walks toward the target in factor-2 steps, at most MAX_DOUBLINGS
-# of them (a reach of median * 2^[-20, 20], about median * [1e-6, 1e6]), until
-# lambda2 - target changes sign; Illinois regula falsi on log(epsilon) then
-# refines the bracket for at most MAX_REFINEMENTS steps. When the walk finds no
-# sign change (a non-monotone profile), a log-spaced grid of GRID_POINTS over
-# the same reach looks for a crossing before giving up.
+# distance (or, along a family, at the previous member's bandwidth) and walks
+# toward the target in factor-2 steps, at most MAX_DOUBLINGS of them (a reach of
+# start * 2^[-20, 20], about start * [1e-6, 1e6]), until lambda2 - target
+# changes sign; Illinois regula falsi on log(epsilon) then refines the bracket
+# for at most MAX_REFINEMENTS steps. When the walk finds no sign change (a
+# non-monotone profile), a log-spaced grid of GRID_POINTS over the same reach
+# looks for a crossing before giving up.
 MAX_DOUBLINGS = 20
 GRID_POINTS = 64
 MAX_REFINEMENTS = 100
@@ -49,6 +51,11 @@ LANCZOS_MATVECS_PER_N = 0.25
 # coordinate (strided views into n x n buffers ran 1.7x slower at n = 1024)
 ROW_BLOCK = 64
 
+# side of the square tiles the exact-symmetry check compares: a tile and its
+# mirror stay in cache, where vals == vals.T walks the transpose with stride n
+# through memory (n = 4000, 1 thread: 190 ms whole, 51 ms tiled)
+SYMMETRY_TILE = 256
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -77,6 +84,19 @@ class PointCloud:
         return self.points.shape[1]
 
 
+def _exactly_symmetric(vals: np.ndarray) -> bool:
+    """np.array_equal(vals, vals.T) for a square matrix, tile by tile: each
+    SYMMETRY_TILE block (i, j) with j >= i against block (j, i) transposed.
+    A NaN entry compares unequal, as it does there."""
+    n, side = vals.shape[0], SYMMETRY_TILE
+    for i in range(0, n, side):
+        for j in range(i, n, side):
+            block = vals[i : i + side, j : j + side]
+            if not np.array_equal(block, vals[j : j + side, i : i + side].T):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric, strictly positive affinity matrix for one parameter instance."""
@@ -91,7 +111,7 @@ class KernelMatrix:
             raise InputError("kernel must be at least 2x2")
         if not np.all(np.isfinite(vals)):
             raise InputError("kernel entries must be finite")
-        if not np.array_equal(vals, vals.T):
+        if not _exactly_symmetric(vals):
             raise InputError("kernel must be exactly symmetric")
         # strictly positive in exact arithmetic; far pairs at tiny bandwidths
         # underflow to zero in floats, so only signs and the diagonal are checked
@@ -221,6 +241,12 @@ def _second_eigenvalue(kernel_values: np.ndarray) -> float:
     return float(_eigensolve(sym, 2, vectors=False)[-2])
 
 
+def _coincident_points() -> CalibrationError:
+    return CalibrationError(
+        "all points coincide; the second eigenvalue is constant", achieved_range=None
+    )
+
+
 def _median_squared_distance(sq: np.ndarray) -> float:
     """Median of the positive entries in the strict upper triangle of `sq`.
 
@@ -229,10 +255,16 @@ def _median_squared_distance(sq: np.ndarray) -> float:
     upper = np.concatenate([sq[i, i + 1 :] for i in range(sq.shape[0] - 1)])
     pos = upper[upper > 0.0]
     if pos.size == 0:
-        raise CalibrationError(
-            "all points coincide; the second eigenvalue is constant", achieved_range=None
-        )
+        raise _coincident_points()
     return float(np.median(pos))
+
+
+class _Start(NamedTuple):
+    """Where a bandwidth search starts, and what it knows there."""
+
+    log_epsilon: float
+    # d lambda2 / d log(epsilon) near the start, when known
+    slope: float | None
 
 
 def calibrate_epsilon(
@@ -270,14 +302,41 @@ def calibrated_kernel(
     Raises CalibrationError, reporting the range of eigenvalues reached, when
     no bandwidth in the reach crosses the target or the refinement stalls.
     """
+    epsilon, kernel, _ = _calibrate(cloud, target_lambda2, tol)
+    return epsilon, kernel
+
+
+def _calibrate(
+    cloud: PointCloud,
+    target_lambda2: float,
+    tol: float,
+    start: _Start | None = None,
+) -> tuple[float, KernelMatrix, _Start]:
+    """`calibrated_kernel`'s search from `start`, or from the median pairwise
+    distance when `start` is None; also the start for the next member of a
+    family whose calibrated bandwidth moves little from member to member.
+
+    A warm start that misses takes a secant step first: its size is
+    |lambda2 - target| / |slope|, at most log 2, and without a negative slope
+    it is log 2. The factor-2 walk, Illinois and the grid scan, centred on the
+    start, follow unchanged. The returned start is the accepted log(epsilon)
+    and the slope between the last two probes at distinct bandwidths, or the
+    slope received when the first probe was accepted.
+    """
     if not 0.0 < target_lambda2 < 1.0:
         raise InputError(f"target second eigenvalue must lie in (0, 1), got {target_lambda2}")
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol}")
 
     sq = squared_distances(cloud.points)
-    x0 = 0.5 * math.log(_median_squared_distance(sq))  # log of the median distance
-    reached: list[float] = []
+    if start is None:
+        # log of the median distance
+        start = _Start(0.5 * math.log(_median_squared_distance(sq)), None)
+    elif not sq.any():
+        raise _coincident_points()
+    x0 = start.log_epsilon
+    probed: list[float] = []  # log(epsilon) of each probe
+    reached: list[float] = []  # and its lambda2
     probe = None  # kernel values of the latest probe
 
     def gap(x: float) -> float:
@@ -285,12 +344,20 @@ def calibrated_kernel(
         nonlocal probe
         probe = None  # drop the previous probe before building this one
         probe = _gaussian_values(sq, math.exp(x))
+        probed.append(x)
         reached.append(_second_eigenvalue(probe))
         return reached[-1] - target_lambda2
 
-    def accept(x: float) -> tuple[float, KernelMatrix]:
+    def next_start(x: float) -> _Start:
+        last = len(probed) - 1
+        for k in range(last - 1, -1, -1):
+            if probed[k] != probed[last]:
+                return _Start(x, (reached[last] - reached[k]) / (probed[last] - probed[k]))
+        return _Start(x, start.slope)
+
+    def accept(x: float) -> tuple[float, KernelMatrix, _Start]:
         """The latest probe, which was made at epsilon = exp(x)."""
-        return math.exp(x), KernelMatrix(probe)
+        return math.exp(x), KernelMatrix(probe), next_start(x)
 
     def miss(message: str) -> CalibrationError:
         achieved = (min(reached), max(reached))
@@ -300,14 +367,18 @@ def calibrated_kernel(
     b, fb = x0, gap(x0)
     if abs(fb) <= tol:
         return accept(b)
-    step = math.log(2.0) if fb > 0.0 else -math.log(2.0)
+    step = math.log(2.0)
+    if start.slope is not None and start.slope < 0.0:
+        step = min(step, abs(fb / start.slope))  # the secant step
+    sign = 1.0 if fb > 0.0 else -1.0
     for _ in range(MAX_DOUBLINGS):
         a, fa = b, fb
-        b, fb = a + step, gap(a + step)
+        b, fb = a + sign * step, gap(a + sign * step)
         if abs(fb) <= tol:
             return accept(b)
         if fa * fb < 0.0:
             break
+        step = math.log(2.0)
     else:
         # no sign change within the reach: scan it for a non-monotone crossing
         reach = MAX_DOUBLINGS * math.log(2.0)
@@ -318,8 +389,9 @@ def calibrated_kernel(
             # the latest probe is the grid's last point: rebuild the hit's
             # kernel, in the squared distances, which are not needed any more
             probe = None
-            eps = float(np.exp(grid[hits[0]]))
-            return eps, KernelMatrix(_gaussian_values(sq, eps, out=sq))
+            x = float(grid[hits[0]])
+            eps = float(np.exp(x))
+            return eps, KernelMatrix(_gaussian_values(sq, eps, out=sq)), next_start(x)
         crossings = np.flatnonzero(scans[:-1] * scans[1:] < 0.0)
         if crossings.size == 0:
             raise miss(f"second eigenvalue never crosses {target_lambda2}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DegeneracyError, InputError, NumericalError
-from .kernels import KernelMatrix, _degree_normalized, _eigensolve
+from .kernels import KernelMatrix, _degree_normalized, _eigensolve, _exactly_symmetric
 
 EIGENVALUE_SLACK = 1e-10
 ORTHONORMALITY_TOL = 1e-8
@@ -30,7 +30,7 @@ class DiffusionMatrix:
         dens = np.asarray(self.density, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise InputError("diffusion matrix must be square")
-        if not np.array_equal(vals, vals.T):
+        if not _exactly_symmetric(vals):
             raise InputError("diffusion matrix must be exactly symmetric")
         if dens.shape != (vals.shape[0],):
             raise InputError("density must be an n-vector")

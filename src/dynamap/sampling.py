@@ -105,14 +105,18 @@ def convergence_study(
         raise InputError("more tracked points than the smallest subsample size")
     position = {ref_idx: pos for pos, ref_idx in enumerate(tracked)}
 
+    # each reference kernel (128 MB at reference_n = 4000) is dropped as soon
+    # as its diffusion matrix exists, which lowers the study's peak memory
     kern_a, kern_b = kernel_builder(base)
     mat_a = diffusion_matrix(kern_a)
+    del kern_a
     mat_b = diffusion_matrix(kern_b)
+    del kern_b
     ref_pointwise = np.array(
         [direct_diffusion_distance(mat_a, mat_b, i, j, t) for i, j in tracked_pairs]
     )
     ref_global = direct_global_distance(mat_a, mat_b, t)
-    del kern_a, kern_b, mat_a, mat_b
+    del mat_a, mat_b
 
     rest = np.setdiff1d(np.arange(m_ref), np.asarray(tracked, dtype=int))
     streams = np.random.SeedSequence(seed).spawn(int(n_grid.size) * trials)

@@ -469,3 +469,41 @@ def test_metagraph_epsilon_is_the_meta_bandwidth(tmp_path, flag, epsilon):
     np.testing.assert_array_equal(
         read_matrix(out / "meta_kernel.csv"), meta_kernel(dists, epsilon=epsilon).kernel
     )
+
+
+@pytest.mark.parametrize("command", ["embed", "distance", "global"])
+@pytest.mark.parametrize("option", ["--target-lambda2", "--tol"])
+def test_points_input_kind_refuses_calibration_options_with_fixed_epsilon(
+    tmp_path, capsys, command, option
+):
+    # a numeric --epsilon used to drop them without a word and exit 0
+    paths = _write_clouds(tmp_path, [40, 41], n=30)
+    base = [command, *sum((["--input", str(p)] for p in paths), []), "--input-kind", "points",
+            "--epsilon", "1.3"]
+    config = tmp_path / "calibration.cfg"
+    config.write_text(f"{option[2:]} = 0.5\n", encoding="utf-8")
+    for route, setting in (("flag", [option, "0.5"]), ("config", ["--config", str(config)])):
+        out = tmp_path / route
+        assert main([*base, *setting, "--output-dir", str(out)]) == 1, route
+        err = capsys.readouterr().err
+        assert option in err and "--epsilon" in err
+        assert list(out.iterdir()) == []
+    assert main([*base, "--output-dir", str(tmp_path / "unset")]) == 0
+
+
+def test_metagraph_refuses_dims_above_the_family_size(tmp_path, capsys):
+    # a set --dims used to be clamped to the family size with exit 0; unset,
+    # it asks for 3 coordinates, or as many as a smaller family has
+    paths = _write_kernels(tmp_path, 6, [10, 11, 12])
+    inputs = sum((["--input", str(p)] for p in paths), [])
+    config = tmp_path / "dims.cfg"
+    config.write_text("dims = 9\n", encoding="utf-8")
+    for route, setting in (("flag", ["--dims", "9"]), ("config", ["--config", str(config)])):
+        out = tmp_path / route
+        assert main(["metagraph", *inputs, *setting, "--output-dir", str(out)]) == 1, route
+        assert "dims must lie in [1, 3], got 9" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+    for members in (3, 2):
+        out = tmp_path / f"unset_{members}"
+        assert main(["metagraph", *inputs[: 2 * members], "--output-dir", str(out)]) == 0
+        assert read_matrix(out / "meta_coords.csv").shape == (members, min(3, members))

@@ -23,17 +23,22 @@ from dynamap import (
     spectral_decomposition,
 )
 from dynamap.datasets import TorusSpec
+from dynamap.experiments import _calibrated_decompositions
 from dynamap.kernels import (
     GRID_POINTS,
     MAX_DOUBLINGS,
+    SYMMETRY_TILE,
     KernelMatrix,
+    _calibrate,
     _degree_normalized,
     _median_squared_distance,
     _second_eigenvalue,
+    _Start,
     squared_distances,
 )
+from dynamap.operators import DiffusionMatrix
 
-from conftest import counting_eigsh, near_identity_kernel, refuse_dense_solves
+from conftest import counting_eigsh, near_identity_kernel, random_kernel, refuse_dense_solves
 
 
 def test_point_cloud_validation():
@@ -297,6 +302,151 @@ def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     assert 0.1 <= math.log(eps) <= 0.35
     # the kernel is the hit's, not that of the grid's last (widest) probe
     assert rigged(calibrated_kernel(cloud, 0.5)[1].values) == 0.5
+
+
+def _warm_calibrate(monkeypatch, start, cloud, target, tol=1e-3):
+    """_calibrate's output from `start` and the log bandwidth of each lambda2
+    probe; its kernel must be gaussian_kernel's at the bandwidth it returns."""
+    import dynamap.kernels as kernels_mod
+
+    built, probed = [], []
+    gaussian, second = kernels_mod._gaussian_values, kernels_mod._second_eigenvalue
+
+    def recording_build(sq, epsilon, out=None):
+        built.append(math.log(epsilon))
+        return gaussian(sq, epsilon, out=out)
+
+    def recording_probe(values):
+        probed.append(built[-1])
+        return second(values)
+
+    monkeypatch.setattr(kernels_mod, "_gaussian_values", recording_build)
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", recording_probe)
+    eps, kern, next_start = _calibrate(cloud, target, tol, start)
+    probes = list(probed)
+    assert np.array_equal(kern.values, gaussian_kernel(cloud, eps).values)
+    return eps, next_start, probes
+
+
+def test_warm_start_first_probe_hit(monkeypatch):
+    # the start is accepted as it stands and passes on the slope it received
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    x = _walk_start(cloud) + 0.3
+    start = _Start(x, -0.7)
+    eps, next_start, probes = _warm_calibrate(monkeypatch, start, cloud, _probe_lambda2(cloud, x))
+    assert len(probes) == 1 and eps == math.exp(x)
+    assert next_start == start
+
+
+def test_warm_start_secant_step_hit(monkeypatch):
+    # the slope through the start and the root sizes the first step exactly
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    root = _walk_start(cloud)
+    x = root - 0.1
+    target = _probe_lambda2(cloud, root)
+    gap = _probe_lambda2(cloud, x) - target
+    assert gap > 1e-3  # the start misses, on the narrow side
+    eps, next_start, probes = _warm_calibrate(monkeypatch, _Start(x, -gap / 0.1), cloud, target)
+    assert len(probes) == 2 and probes[1] == pytest.approx(root, abs=1e-12)
+    assert math.log(eps) == pytest.approx(root, abs=1e-12)
+    assert eps == math.exp(next_start.log_epsilon)
+    secant = (_probe_lambda2(cloud, probes[1]) - _probe_lambda2(cloud, x)) / (probes[1] - x)
+    assert next_start.slope == pytest.approx(secant, rel=1e-9) and secant < 0.0
+
+
+def test_warm_start_short_secant_step_then_walk_and_illinois(monkeypatch):
+    # a slope 1000 times too steep makes a first step of 1e-3, short of the
+    # root; the factor-2 walk then brackets it and Illinois refines inside
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    root = _walk_start(cloud)
+    x = root - 0.5
+    target = _probe_lambda2(cloud, root)
+    gap = _probe_lambda2(cloud, x) - target
+    eps, _, probes = _warm_calibrate(monkeypatch, _Start(x, -1e3 * gap), cloud, target)
+    assert probes[1] == pytest.approx(x + 1e-3, abs=1e-12)
+    assert probes[2] == pytest.approx(probes[1] + math.log(2.0), abs=1e-12)
+    assert probes[2] > root
+    assert abs(_probe_lambda2(cloud, probes[2]) - target) > 1e-3  # the walk misses
+    assert len(probes) >= 4
+    assert all(probes[1] < p < probes[2] for p in probes[3:])
+    assert math.log(eps) == pytest.approx(probes[-1], abs=1e-12)
+    assert abs(_lambda2_via_full_path(cloud, eps) - target) <= 1e-3
+
+
+@pytest.mark.parametrize("slope", [None, 0.0, 0.4])
+def test_warm_start_without_negative_slope_steps_by_log2(monkeypatch, slope):
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    x = _walk_start(cloud) - 0.3
+    _, _, probes = _warm_calibrate(monkeypatch, _Start(x, slope), cloud, 0.5)
+    assert _probe_lambda2(cloud, x) > 0.5 + 1e-3  # so the first step widens
+    assert probes[1] == pytest.approx(x + math.log(2.0), abs=1e-12)
+
+
+def test_warm_start_grid_scan_is_centred_on_the_start(monkeypatch):
+    # rig a profile below the target everywhere except on a plateau around one
+    # point of the grid centred on the start (x = 3, where the median distance
+    # would put it at 0); the walk heads the other way, so the scan finds it
+    import dynamap.kernels as kernels_mod
+
+    x = 3.0
+    reach = MAX_DOUBLINGS * math.log(2.0)
+    grid = np.linspace(x - reach, x + reach, GRID_POINTS)
+
+    def rigged(values):
+        k12 = values[0, 1]
+        if not 0.0 < k12 < 1.0:
+            return 0.3
+        return 0.5 if abs(math.log(math.sqrt(-1.0 / math.log(k12))) - grid[40]) < 0.05 else 0.3
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    eps, next_start, probes = _warm_calibrate(monkeypatch, _Start(x, None), cloud, 0.5)
+    assert len(probes) == 1 + MAX_DOUBLINGS + GRID_POINTS
+    assert probes[1 + MAX_DOUBLINGS :] == pytest.approx(list(grid), abs=1e-12)
+    assert eps == float(np.exp(grid[40])) and next_start.log_epsilon == grid[40]
+
+
+def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
+    # member 0 starts cold, as calibrated_kernel does; each later member starts
+    # at the bandwidth of the one before, and the family needs at most 4 probes
+    # for member 0 and 2 for each other member, where cold starts need more
+    import dynamap.kernels as kernels_mod
+
+    clouds = pinched_torus_family(7, n=300)[0][:7]
+    probes = []
+    second = kernels_mod._second_eigenvalue
+
+    def counting_probe(values):
+        probes.append(1)
+        return second(values)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
+    epsilons, decs = _calibrated_decompositions(clouds, 0.5, 1e-3, 2)
+    warm = len(probes)
+    probes.clear()
+    cold = [calibrated_kernel(cloud, 0.5, 1e-3)[0] for cloud in clouds]
+    assert epsilons[0] == cold[0] == calibrate_epsilon(clouds[0], 0.5, 1e-3)
+    for cloud, eps, dec in zip(clouds, epsilons, decs):
+        lam2 = np.linalg.eigvalsh(_normalized(gaussian_kernel(cloud, eps).values))[-2]
+        assert abs(lam2 - 0.5) <= 1e-3
+        assert dec.eigenvalues[1] == pytest.approx(lam2, abs=1e-10)
+    assert warm <= 4 + 2 * (len(clouds) - 1) < len(probes) - 1
+
+
+@pytest.mark.parametrize("n", [300, 513])
+def test_symmetry_check_finds_one_asymmetric_entry_at_tile_corners(n):
+    # entries at the corners of the 256 x 256 tiles the check compares
+    assert SYMMETRY_TILE == 256
+    values = random_kernel(n, np.random.default_rng(n)).values
+    KernelMatrix(values)
+    DiffusionMatrix(values, np.ones(n))
+    for i, j in ((0, 255), (255, 256), (256, 0), (n - 1, 0)):
+        bad = values.copy()
+        bad[i, j] = np.nextafter(bad[i, j], 2.0)
+        with pytest.raises(InputError, match="exactly symmetric"):
+            KernelMatrix(bad)
+        with pytest.raises(InputError, match="exactly symmetric"):
+            DiffusionMatrix(bad, np.ones(n))
 
 
 def test_experiments_build_one_kernel_per_member(monkeypatch):
