@@ -9,7 +9,6 @@ second-level (graph-of-graphs and historical) embeddings. A CLI named
 
 from .datasets import (
     CubeFamily,
-    SensorSpec,
     TorusSpec,
     pinched_torus_family,
     sample_torus,
@@ -104,7 +103,6 @@ __all__ = [
     "PointCloud",
     "RateEstimate",
     "RotationOperator",
-    "SensorSpec",
     "SpectralDecomposition",
     "TorusSpec",
     "Trajectory",

@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .datasets import TorusSpec, pinched_torus_family, sample_torus, standard_map_orbits
+from .datasets import (
+    TorusSpec,
+    pinched_torus_family,
+    sample_torus,
+    standard_map_orbits,
+    synthetic_cube_family,
+)
 from .distances import (
     asymptotic_distance_map,
     diffusion_distance_map,
@@ -176,7 +182,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add(("convergence",), "--n-grid", type=_int_list, help="comma-separated sample sizes")
     add(("convergence",), "--trials", type=int)
     add(("convergence",), "--reference-n", type=int)
-    # gen-data too passes these on to experiments.change_scene only when set
+    # gen-data too passes these on to datasets.synthetic_cube_family only when set
     scene = ("change-detect", "gen-data")
     add(scene, "--band-counts", type=_int_list, default=unset,
         help="comma-separated bands per epoch")
@@ -415,8 +421,8 @@ def cmd_gen_data(args: argparse.Namespace, out: OutputTracker) -> None:
             )
         out.matrix("standard_map", np.vstack(rows))
     elif args.dataset == "cube":
-        scene = inspect.signature(experiments.change_scene).parameters
-        family = experiments.change_scene(
+        scene = inspect.signature(synthetic_cube_family).parameters
+        family = synthetic_cube_family(
             args.seed, **{key: value for key, value in vars(args).items() if key in scene}
         )
         for idx, cloud in enumerate(family.clouds):

@@ -17,6 +17,7 @@ PINCH_ANGLES = (math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 PINCH_STRENGTHS = tuple(1.0 + 0.1 * k for k in range(10))
 FULL_SCALE_TORUS_SAMPLES = 7744  # default sample count; reduce at desk scale
 ENDMEMBERS = 4  # smooth background spectra mixed into every cube scene
+SCENE_BANDS = 124  # bands of the cube scene that each sensor subsamples
 
 
 @dataclass(frozen=True)
@@ -38,26 +39,6 @@ class TorusSpec:
             raise InputError("need 0 < pinch radius <= lateral radius < central radius")
         if not 0.0 < self.pinch_half_width < math.pi:
             raise InputError("pinch half-width must lie in (0, pi)")
-
-
-@dataclass(frozen=True)
-class SensorSpec:
-    """One sensor epoch: how many bands it keeps and how it corrupts them.
-
-    seed=None means the identity sensor: the first `band_count` bands in
-    order, unit illumination. A seeded sensor draws a random band subset,
-    a random permutation, and a random global illumination scale.
-    """
-
-    band_count: int
-    seed: int | None = None
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.band_count < 1:
-            raise InputError("band count must be positive")
-        if self.noise_sigma < 0.0:
-            raise InputError("noise standard deviation must be nonnegative")
 
 
 def lateral_radius(spec: TorusSpec, u: np.ndarray) -> np.ndarray:
@@ -150,7 +131,7 @@ class CubeFamily:
 
     clouds: list[PointCloud]
     change_mask: np.ndarray
-    change_epoch: int | None
+    change_epoch: int
     snr_db: list[float]
 
 
@@ -189,76 +170,67 @@ def _smooth_fields(rng: np.random.Generator, count: int, shape: tuple[int, int])
 
 
 def synthetic_cube_family(
-    scene_seed: int,
-    sensors: Sequence[SensorSpec],
-    plant_change: bool,
+    scene_seed: int = 11,
+    band_counts: Sequence[int] = (30, 50, 70),
+    noise_sigma: float = 0.01,
     shape: tuple[int, int] = (32, 32),
-    bands: int = 124,
     block_size: int = 5,
 ) -> CubeFamily:
-    """One scene observed by several sensors, optionally with a planted anomaly.
+    """One scene observed by several sensors, with a planted anomaly in the last epoch.
 
-    The scene mixes a few smooth endmember spectra with smooth spatial
-    abundances. Each epoch applies its sensor's illumination scale, band
-    subset, band permutation, and additive Gaussian noise. With plant_change,
-    a contiguous block of pixels in the last epoch swaps to an anomalous
-    endmember; the boolean mask marks those pixels. Realized SNR is reported
-    per epoch as 10 log10(mean(signal^2) / mean(noise^2)).
+    The scene mixes a few smooth endmember spectra over `SCENE_BANDS` bands
+    with smooth spatial abundances. Epoch k's sensor, seeded with
+    scene_seed * 1000 + 17 * (k + 1), keeps band_counts[k] of those bands:
+    it applies a random illumination scale, band subset and band permutation,
+    and additive Gaussian noise. A contiguous block of pixels in the last
+    epoch swaps to an anomalous endmember; the boolean mask marks those
+    pixels. Realized SNR is reported per epoch as
+    10 log10(mean(signal^2) / mean(noise^2)).
     """
-    if len(sensors) < 2:
+    if len(band_counts) < 2:
         raise InputError("need at least two sensor epochs")
-    for spec in sensors:
-        if spec.band_count > bands:
-            raise InputError(
-                f"sensor keeps {spec.band_count} bands but the scene has only {bands}"
-            )
+    for count in band_counts:
+        if not 1 <= count <= SCENE_BANDS:
+            raise InputError(f"a sensor keeps 1 to {SCENE_BANDS} bands, got {count}")
+    if noise_sigma < 0.0:
+        raise InputError("noise standard deviation must be nonnegative")
     rows, cols = shape
     n = rows * cols
-    if plant_change and (block_size > rows or block_size > cols):
-        raise InputError("change block does not fit the pixel grid")
+    if not 1 <= block_size <= min(rows, cols):
+        raise InputError(f"change block side {block_size} does not fit the {rows} x {cols} grid")
 
     rng = np.random.default_rng(scene_seed)
-    spectra = _smooth_spectra(rng, ENDMEMBERS, bands)
+    spectra = _smooth_spectra(rng, ENDMEMBERS, SCENE_BANDS)
     abundances = _smooth_fields(rng, ENDMEMBERS, shape)
     scene = abundances @ spectra  # n x bands
 
     # anomalous signature: spectrally narrow double spike unlike the smooth backgrounds
-    w = np.linspace(0.0, 1.0, bands)
+    w = np.linspace(0.0, 1.0, SCENE_BANDS)
     anomaly = (
         0.15
         + 1.1 * np.exp(-((w - 0.3) ** 2) / (2.0 * 0.01**2 + 2.0 * 0.03**2))
         + 0.9 * np.exp(-((w - 0.72) ** 2) / (2.0 * 0.03**2))
     )
 
-    mask = np.zeros(n, dtype=bool)
-    epoch_of_change = None
-    if plant_change:
-        epoch_of_change = len(sensors) - 1
-        top = (rows - block_size) // 2
-        left = (cols - block_size) // 2
-        grid = np.zeros((rows, cols), dtype=bool)
-        grid[top : top + block_size, left : left + block_size] = True
-        mask = grid.reshape(-1)
+    change_epoch = len(band_counts) - 1
+    top = (rows - block_size) // 2
+    left = (cols - block_size) // 2
+    grid = np.zeros((rows, cols), dtype=bool)
+    grid[top : top + block_size, left : left + block_size] = True
+    mask = grid.reshape(-1)
 
     clouds = []
     snr_db = []
-    for epoch, spec in enumerate(sensors):
+    for epoch, count in enumerate(band_counts):
         data = scene.copy()
-        if plant_change and epoch == epoch_of_change:
+        if epoch == change_epoch:
             data[mask] = 0.85 * anomaly[None, :] + 0.15 * data[mask]
-        if spec.seed is None:
-            subset = np.arange(spec.band_count)
-            scale = 1.0
-            noise_rng = np.random.default_rng(scene_seed + 7919 * (epoch + 1))
-        else:
-            sensor_rng = np.random.default_rng(spec.seed)
-            scale = sensor_rng.uniform(0.8, 1.2)
-            subset = sensor_rng.choice(bands, size=spec.band_count, replace=False)
-            subset = subset[sensor_rng.permutation(spec.band_count)]
-            noise_rng = sensor_rng
-        signal = scale * data[:, subset]
-        if spec.noise_sigma > 0.0:
-            noise = noise_rng.normal(0.0, spec.noise_sigma, signal.shape)
+        sensor_rng = np.random.default_rng(scene_seed * 1000 + 17 * (epoch + 1))
+        scale = sensor_rng.uniform(0.8, 1.2)
+        subset = sensor_rng.choice(SCENE_BANDS, size=count, replace=False)
+        signal = scale * data[:, subset[sensor_rng.permutation(count)]]
+        if noise_sigma > 0.0:
+            noise = sensor_rng.normal(0.0, noise_sigma, signal.shape)
             snr_db.append(
                 float(10.0 * np.log10(np.mean(signal**2) / np.mean(noise**2)))
             )
@@ -269,6 +241,6 @@ def synthetic_cube_family(
     return CubeFamily(
         clouds=clouds,
         change_mask=mask,
-        change_epoch=epoch_of_change,
+        change_epoch=change_epoch,
         snr_db=snr_db,
     )

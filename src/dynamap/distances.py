@@ -317,6 +317,8 @@ def subgraph_diffusion_distance(
         raise InputError("common vertex set S must be nonempty")
     if idx_a.shape != idx_b.shape or idx_a.ndim != 1:
         raise InputError("the two index lists must be 1-d and of equal length")
+    _check_index("common_indices_a", idx_a, mat_a.n)
+    _check_index("common_indices_b", idx_b, mat_b.n)
     row_a = mat_a.n * kernel_power_row(mat_a, t, i)
     row_b = mat_b.n * kernel_power_row(mat_b, t, j)
     diff = row_a[idx_a] - row_b[idx_b]

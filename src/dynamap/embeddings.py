@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import diffusion_distance_matrix, gram_matrix
+from .distances import _check_index, diffusion_distance_matrix, gram_matrix
 from .exceptions import CorrespondenceError, InputError
 from .operators import SpectralDecomposition, _check_t, apply_sign_convention, truncate
 
@@ -134,6 +134,7 @@ def reference_subgraph_basis(
     idx = np.asarray(s_indices, dtype=int)
     if idx.size == 0:
         raise InputError("common vertex set S must be nonempty")
+    _check_index("s_indices", idx, dec_ref.n)
     if dec_ref.rank < idx.size:
         raise InputError(
             f"reference decomposition must carry at least |S|={idx.size} eigenfunctions"
@@ -157,6 +158,7 @@ def subgraph_rotation(
     idx = np.asarray(s_indices, dtype=int)
     if idx.size == 0:
         raise InputError("common vertex set S must be nonempty")
+    _check_index("s_indices", idx, dec.n)
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (idx.size, idx.size):
         raise InputError(f"basis must be {idx.size} x {idx.size}, got {basis.shape}")

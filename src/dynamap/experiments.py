@@ -9,8 +9,6 @@ import numpy as np
 
 from .datasets import (
     PINCH_ANGLES,
-    CubeFamily,
-    SensorSpec,
     TorusSpec,
     pinched_torus_family,
     synthetic_cube_family,
@@ -150,28 +148,6 @@ class ChangeDetectionResult:
         return int(self.change_mask[order].sum())
 
 
-def change_scene(
-    scene_seed: int = 11,
-    band_counts: Sequence[int] = (30, 50, 70),
-    noise_sigma: float = 0.01,
-    shape: tuple[int, int] = (32, 32),
-    block_size: int = 5,
-) -> CubeFamily:
-    """The change-detection scene: one sensor per band count, each seeded from
-    the scene seed, and a planted block anomaly in the last epoch.
-
-    change_detection_experiment passes its scene options here, so these
-    defaults are its defaults too.
-    """
-    sensors = [
-        SensorSpec(band_count=count, seed=scene_seed * 1000 + 17 * (k + 1), noise_sigma=noise_sigma)
-        for k, count in enumerate(band_counts)
-    ]
-    return synthetic_cube_family(
-        scene_seed, sensors, plant_change=True, shape=shape, block_size=block_size
-    )
-
-
 def change_detection_experiment(
     scene_seed: int = 11,
     target_lambda2: float = 0.97,
@@ -180,13 +156,14 @@ def change_detection_experiment(
 ) -> ChangeDetectionResult:
     """Synthetic multi-sensor change detection via the asymptotic diffusion distance.
 
-    The scene is change_scene(scene_seed, **scene). Each epoch sees it through
-    its own random band subset, permutation, illumination, and noise; one
-    epoch carries a planted block anomaly. Pixels are scored by the mean
-    asymptotic distance between the changed epoch and every other epoch,
-    which needs only the top eigenfunctions.
+    The scene is synthetic_cube_family(scene_seed, **scene), whose defaults
+    are this experiment's defaults too. Each epoch sees it through its own
+    random band subset, permutation, illumination, and noise; the last epoch
+    carries a planted block anomaly. Pixels are scored by the mean asymptotic
+    distance between the changed epoch and every other epoch, which needs
+    only the top eigenfunctions.
     """
-    family = change_scene(scene_seed, **scene)
+    family = synthetic_cube_family(scene_seed, **scene)
     epsilons, decs = _calibrated_decompositions(family.clouds, target_lambda2, tol, 2)
     chg = family.change_epoch
     others = [k for k in range(len(decs)) if k != chg]
@@ -214,17 +191,13 @@ def torus_pair_study(
 
     Samples are angle pairs; the two kernels embed them on the plain torus and
     on the one pinched to radius 1 at angle pi. Bandwidths are calibrated
-    once, on a 500-point subsample, and then held fixed across every sample
-    size.
+    once, on an independent 500-point sample, and then held fixed across
+    every sample size; the reference sample holds reference_n angle pairs.
     """
     plain = TorusSpec()
     pinched = TorusSpec(pinch_angle=math.pi, pinch_radius=1.0)
 
-    def generator(count: int, gen_seed: int) -> np.ndarray:
-        rng = np.random.default_rng(gen_seed)
-        return rng.uniform(0.0, TWO_PI, (count, 2))
-
-    calib = generator(500, seed + 1)
+    calib = np.random.default_rng(seed + 1).uniform(0.0, TWO_PI, (500, 2))
     eps_plain = calibrate_epsilon(
         PointCloud(torus_points(plain, calib[:, 0], calib[:, 1])), target_lambda2
     )
@@ -237,13 +210,7 @@ def torus_pair_study(
         cloud_b = PointCloud(torus_points(pinched, angles[:, 0], angles[:, 1]))
         return gaussian_kernel(cloud_a, eps_plain), gaussian_kernel(cloud_b, eps_pinched)
 
+    reference = np.random.default_rng(seed).uniform(0.0, TWO_PI, (reference_n, 2))
     return convergence_study(
-        generator,
-        kernel_builder,
-        t=t,
-        n_grid=n_grid,
-        trials=trials,
-        reference_n=reference_n,
-        tracked_pairs=((0, 0), (1, 1), (0, 2)),
-        seed=seed,
+        reference, kernel_builder, t=t, n_grid=n_grid, trials=trials, seed=seed
     )

@@ -150,8 +150,9 @@ def historical_kernel(
     """Kernel over all (point, parameter) pairs of a family sharing one sample set.
 
     EXPONENTIAL uses exp(-D / epsilon) with the distance itself (not squared)
-    in the exponent; INNER_PRODUCT uses the empirical inner products of the
-    t-step diffusion rows, (1/n) sum_u (n A_a^t[x,u]) (n A_b^t[y,u]).
+    in the exponent and needs epsilon > 0; INNER_PRODUCT uses the empirical
+    inner products of the t-step diffusion rows,
+    (1/n) sum_u (n A_a^t[x,u]) (n A_b^t[y,u]), and takes no epsilon.
     """
     if not family:
         raise InputError("family must be nonempty")
@@ -160,9 +161,10 @@ def historical_kernel(
         raise CorrespondenceError("family members must share the sample set")
     if variant not in (EXPONENTIAL, INNER_PRODUCT):
         raise InputError(f"unknown variant {variant!r}")
-    if variant == EXPONENTIAL:
-        if epsilon is None or not epsilon > 0.0:
-            raise InputError("the exponential variant needs a positive epsilon")
+    if variant == EXPONENTIAL and (epsilon is None or not epsilon > 0.0):
+        raise InputError("the exponential variant needs a positive epsilon")
+    if variant == INNER_PRODUCT and epsilon is not None:
+        raise InputError(f"the inner-product variant takes no epsilon, got {epsilon}")
     t = _check_t(t)
 
     powers = [np.linalg.matrix_power(mat.values, t) for mat in family]

@@ -1,10 +1,11 @@
 """Monte-Carlo harness verifying the square-root sampling rate of both distances.
 
-A single large reference run stands in for the population values; every
-size-n trial draws a nested subsample of the reference sample so the tracked
-point pairs exist at every n. The kernel bandwidths are fixed across all n
-within a study: the kernels are functions on the underlying space, and
-recalibrating per n would change the kernel family being sampled.
+A single large reference sample stands in for the population; every size-n
+trial draws a nested subsample of it that keeps the reference's first three
+points, so the tracked point pairs exist at every n. The kernel bandwidths
+are fixed across all n within a study: the kernels are functions on the
+underlying space, and recalibrating per n would change the kernel family
+being sampled.
 """
 from __future__ import annotations
 
@@ -14,12 +15,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distances import direct_diffusion_distance, direct_global_distance
-from .exceptions import InputError
+from .exceptions import DegeneracyError, InputError
 from .kernels import KernelMatrix
 from .operators import diffusion_matrix
 
-Generator = Callable[[int, int], np.ndarray]
 KernelBuilder = Callable[[np.ndarray], tuple[KernelMatrix, KernelMatrix]]
+
+# point pairs (i, j) whose distance is tracked, as indices of the reference
+# sample: a point with itself and a pair of distinct points
+TRACKED_PAIRS = ((0, 0), (1, 1), (0, 2))
+TRACKED_POINTS = 3  # reference points 0-2, the ones the pairs name
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,15 @@ class ConvergenceReport:
     t: int
 
 
-def _fit_rate(n_grid: np.ndarray, mean_dev: np.ndarray, spread: np.ndarray) -> RateEstimate:
-    if np.any(mean_dev <= 0.0) or n_grid.size < 2:
-        return RateEstimate(n_grid, mean_dev, spread, float("nan"), (float("nan"), float("nan")))
+def _fit_rate(
+    name: str, n_grid: np.ndarray, mean_dev: np.ndarray, spread: np.ndarray
+) -> RateEstimate:
+    zero = np.nonzero(mean_dev <= 0.0)[0]
+    if zero.size:
+        raise DegeneracyError(
+            f"{name} distance: mean deviation is zero at n={n_grid[zero[0]]}, "
+            "so no decay rate can be fitted"
+        )
     x = np.log(n_grid.astype(float))
     y = np.log(mean_dev)
     slope, intercept = np.polyfit(x, y, 1)
@@ -65,60 +76,51 @@ def _fit_rate(n_grid: np.ndarray, mean_dev: np.ndarray, spread: np.ndarray) -> R
 
 
 def convergence_study(
-    generator: Generator,
+    reference: np.ndarray,
     kernel_builder: KernelBuilder,
     t: int,
     n_grid: Sequence[int],
     trials: int,
-    reference_n: int,
-    tracked_pairs: Sequence[tuple[int, int]],
     seed: int,
 ) -> ConvergenceReport:
     """Estimate how fast the sampled distances approach their reference values.
 
-    generator(n, seed) returns the base sample as an (m, d) array with
-    m == n, or m < n when the underlying space holds fewer points.
-    kernel_builder maps a base-sample subset to the two parameter kernels
-    (with bandwidths already fixed). tracked_pairs index into the reference
-    sample; nesting guarantees they survive into every subsample.
+    reference is the (m, d) reference sample, with m at least 4 x max(n_grid).
+    kernel_builder maps a subset of its rows to the two parameter kernels
+    (with bandwidths already fixed). The pointwise deviation is the mean over
+    TRACKED_PAIRS; the rate fit needs at least two sample sizes.
     """
     n_grid = np.asarray(sorted(set(int(v) for v in n_grid)), dtype=int)
-    if n_grid.size == 0:
-        raise InputError("n_grid must be nonempty")
+    if n_grid.size < 2 or n_grid[0] < TRACKED_POINTS:
+        raise InputError(
+            f"n_grid needs at least two sizes of at least {TRACKED_POINTS} points "
+            f"(the tracked ones), got {n_grid.tolist()}"
+        )
     if trials < 10:
         raise InputError(f"need at least 10 trials, got {trials}")
-    if reference_n < 4 * int(n_grid.max()):
-        raise InputError(
-            f"reference_n={reference_n} must be at least 4 x max(n_grid)={4 * int(n_grid.max())}"
-        )
-    if not tracked_pairs:
-        raise InputError("tracked_pairs must be nonempty")
-
-    base = np.asarray(generator(reference_n, seed), dtype=float)
+    base = np.asarray(reference, dtype=float)
     m_ref = base.shape[0]
-    if int(n_grid.max()) > m_ref:
-        raise InputError("n_grid exceeds the available reference sample")
-    tracked = sorted({idx for pair in tracked_pairs for idx in pair})
-    if tracked and (min(tracked) < 0 or max(tracked) >= m_ref):
-        raise InputError("tracked pair indices outside the reference sample")
-    if len(tracked) > int(n_grid.min()):
-        raise InputError("more tracked points than the smallest subsample size")
-    position = {ref_idx: pos for pos, ref_idx in enumerate(tracked)}
+    if m_ref < 4 * int(n_grid.max()):
+        raise InputError(
+            f"reference sample of {m_ref} points must hold at least "
+            f"4 x max(n_grid)={4 * int(n_grid.max())}"
+        )
 
-    # each reference kernel (128 MB at reference_n = 4000) is dropped as soon
-    # as its diffusion matrix exists, which lowers the study's peak memory
+    # each reference kernel (128 MB at 4000 reference points) is dropped as
+    # soon as its diffusion matrix exists, which lowers the study's peak memory
     kern_a, kern_b = kernel_builder(base)
     mat_a = diffusion_matrix(kern_a)
     del kern_a
     mat_b = diffusion_matrix(kern_b)
     del kern_b
     ref_pointwise = np.array(
-        [direct_diffusion_distance(mat_a, mat_b, i, j, t) for i, j in tracked_pairs]
+        [direct_diffusion_distance(mat_a, mat_b, i, j, t) for i, j in TRACKED_PAIRS]
     )
     ref_global = direct_global_distance(mat_a, mat_b, t)
     del mat_a, mat_b
 
-    rest = np.setdiff1d(np.arange(m_ref), np.asarray(tracked, dtype=int))
+    tracked = np.arange(TRACKED_POINTS)
+    rest = np.arange(TRACKED_POINTS, m_ref)
     streams = np.random.SeedSequence(seed).spawn(int(n_grid.size) * trials)
 
     mean_pt = np.zeros(n_grid.size)
@@ -130,17 +132,13 @@ def convergence_study(
         gl_devs = np.zeros(trials)
         for trial in range(trials):
             rng = np.random.default_rng(streams[gi * trials + trial])
-            fill = rng.choice(rest, size=int(n) - len(tracked), replace=False)
-            subset = np.concatenate([np.asarray(tracked, dtype=int), fill])
-            sub_a, sub_b = kernel_builder(base[subset])
+            fill = rng.choice(rest, size=int(n) - TRACKED_POINTS, replace=False)
+            sub_a, sub_b = kernel_builder(base[np.concatenate([tracked, fill])])
             sm_a = diffusion_matrix(sub_a)
             sm_b = diffusion_matrix(sub_b)
             devs = [
-                abs(
-                    direct_diffusion_distance(sm_a, sm_b, position[i], position[j], t)
-                    - ref_pointwise[k]
-                )
-                for k, (i, j) in enumerate(tracked_pairs)
+                abs(direct_diffusion_distance(sm_a, sm_b, i, j, t) - ref_pointwise[k])
+                for k, (i, j) in enumerate(TRACKED_PAIRS)
             ]
             pt_devs[trial] = float(np.mean(devs))
             gl_devs[trial] = abs(direct_global_distance(sm_a, sm_b, t) - ref_global)
@@ -150,9 +148,9 @@ def convergence_study(
         spread_gl[gi] = gl_devs.std()
 
     return ConvergenceReport(
-        pointwise=_fit_rate(n_grid, mean_pt, spread_pt),
-        global_=_fit_rate(n_grid, mean_gl, spread_gl),
-        reference_n=reference_n,
+        pointwise=_fit_rate("pointwise", n_grid, mean_pt, spread_pt),
+        global_=_fit_rate("global", n_grid, mean_gl, spread_gl),
+        reference_n=m_ref,
         trials=trials,
         t=int(t),
     )

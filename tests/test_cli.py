@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dynamap.cli import build_parser, main
+from dynamap.datasets import synthetic_cube_family
 from dynamap.distances import global_distance_matrix
-from dynamap.experiments import change_detection_experiment, change_scene
+from dynamap.experiments import change_detection_experiment
 from dynamap.kernels import PointCloud, calibrated_kernel
 from dynamap.matio import (
     read_matrix,
@@ -329,7 +330,7 @@ def test_gen_data_cube(tmp_path):
     assert read_matrix(out / "cube_epoch_0.csv").shape == (64, 10)
     assert read_matrix(out / "cube_epoch_1.csv").shape == (64, 12)
     # the same scene change-detect scores, built by the same library function
-    scene = change_scene(2, band_counts=(10, 12), shape=(8, 8), block_size=3)
+    scene = synthetic_cube_family(2, band_counts=(10, 12), shape=(8, 8), block_size=3)
     np.testing.assert_array_equal(read_matrix(out / "cube_epoch_1.csv"), scene.clouds[1].points)
 
 

@@ -5,19 +5,13 @@ import pytest
 
 from dynamap import (
     InputError,
-    SensorSpec,
     TorusSpec,
-    diffusion_matrix,
-    gaussian_kernel,
-    gram_matrix,
     pinched_torus_family,
     sample_torus,
-    spectral_decomposition,
     standard_map_orbits,
     synthetic_cube_family,
 )
 from dynamap.datasets import PINCH_ANGLES, PINCH_STRENGTHS, lateral_radius
-from dynamap.distances import diffusion_distance_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,43 +111,14 @@ def test_standard_map_range_and_validation():
         standard_map_orbits(0.5, grid=0, steps=2)
 
 
-def test_cube_identity_sensors_identical_epochs():
-    sensors = [SensorSpec(band_count=16), SensorSpec(band_count=16)]
-    family = synthetic_cube_family(
-        scene_seed=6, sensors=sensors, plant_change=False, shape=(8, 8), bands=16
-    )
-    np.testing.assert_array_equal(family.clouds[0].points, family.clouds[1].points)
-    assert not family.change_mask.any()
-    assert family.change_epoch is None
-    assert family.snr_db == [float("inf")] * 2
-    # identical epochs embed identically: all cross-epoch distances are zero
-    decs = []
-    for cloud in family.clouds:
-        mat = diffusion_matrix(gaussian_kernel(cloud, 1.0))
-        decs.append(spectral_decomposition(mat, 8))
-    gram = gram_matrix(decs[0], decs[1])
-    np.testing.assert_allclose(
-        diffusion_distance_map(decs[0], decs[1], gram, 2), np.zeros(64), atol=1e-12
-    )
-
-
 def test_cube_mixed_band_counts_are_usable():
-    sensors = [
-        SensorSpec(band_count=c, seed=100 + k, noise_sigma=0.01)
-        for k, (c) in enumerate((30, 40, 60, 70, 50))
-    ]
-    family = synthetic_cube_family(
-        scene_seed=7, sensors=sensors, plant_change=True, shape=(8, 8), bands=124
-    )
+    family = synthetic_cube_family(7, band_counts=(30, 40, 60, 70, 50), shape=(8, 8))
     assert [cloud.d for cloud in family.clouds] == [30, 40, 60, 70, 50]
     assert family.change_epoch == 4
 
 
 def test_cube_mask_size_and_position():
-    sensors = [SensorSpec(band_count=30, seed=1), SensorSpec(band_count=40, seed=2)]
-    family = synthetic_cube_family(
-        scene_seed=8, sensors=sensors, plant_change=True, shape=(32, 32), block_size=5
-    )
+    family = synthetic_cube_family(8, band_counts=(30, 40), shape=(32, 32), block_size=5)
     assert family.change_mask.sum() == 25
     grid = family.change_mask.reshape(32, 32)
     rows, cols = np.nonzero(grid)
@@ -161,19 +126,9 @@ def test_cube_mask_size_and_position():
 
 
 def test_cube_snr_matches_independent_recompute():
-    sensors = [
-        SensorSpec(band_count=20, seed=11, noise_sigma=0.05),
-        SensorSpec(band_count=25, seed=12, noise_sigma=0.05),
-    ]
-    noisy = synthetic_cube_family(
-        scene_seed=9, sensors=sensors, plant_change=False, shape=(8, 8), bands=32
-    )
-    clean_sensors = [
-        SensorSpec(band_count=s.band_count, seed=s.seed, noise_sigma=0.0) for s in sensors
-    ]
-    clean = synthetic_cube_family(
-        scene_seed=9, sensors=clean_sensors, plant_change=False, shape=(8, 8), bands=32
-    )
+    noisy = synthetic_cube_family(9, band_counts=(20, 25), noise_sigma=0.05, shape=(8, 8))
+    clean = synthetic_cube_family(9, band_counts=(20, 25), noise_sigma=0.0, shape=(8, 8))
+    assert clean.snr_db == [float("inf")] * 2
     for k in range(2):
         signal = clean.clouds[k].points
         noise = noisy.clouds[k].points - signal
@@ -182,20 +137,17 @@ def test_cube_snr_matches_independent_recompute():
 
 
 def test_cube_determinism_and_validation():
-    sensors = [SensorSpec(band_count=10, seed=3), SensorSpec(band_count=12, seed=4)]
-    first = synthetic_cube_family(10, sensors, True, shape=(8, 8), bands=16)
-    second = synthetic_cube_family(10, sensors, True, shape=(8, 8), bands=16)
+    first = synthetic_cube_family(10, band_counts=(10, 12), shape=(8, 8))
+    second = synthetic_cube_family(10, band_counts=(10, 12), shape=(8, 8))
     for a, b in zip(first.clouds, second.clouds):
         np.testing.assert_array_equal(a.points, b.points)
     with pytest.raises(InputError):
-        synthetic_cube_family(10, [SensorSpec(band_count=10)], True)
-    with pytest.raises(InputError):
-        synthetic_cube_family(
-            10,
-            [SensorSpec(band_count=40), SensorSpec(band_count=10)],
-            False,
-            bands=32,
-        )
+        synthetic_cube_family(10, band_counts=(10,))
+    with pytest.raises(InputError, match="124"):
+        synthetic_cube_family(10, band_counts=(125, 10))
+    for block_size in (5, 0):  # too large, or an empty change
+        with pytest.raises(InputError, match="grid"):
+            synthetic_cube_family(10, shape=(4, 4), block_size=block_size)
 
 
 def test_torus_spec_validation():
@@ -209,6 +161,6 @@ def test_torus_spec_validation():
 
 def test_sensor_spec_validation():
     with pytest.raises(InputError):
-        SensorSpec(band_count=0)
+        synthetic_cube_family(band_counts=(0, 5))
     with pytest.raises(InputError):
-        SensorSpec(band_count=5, noise_sigma=-0.1)
+        synthetic_cube_family(band_counts=(5, 5), noise_sigma=-0.1)

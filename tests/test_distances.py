@@ -329,6 +329,17 @@ def test_subgraph_validation():
         subgraph_diffusion_distance(mat_a, mat_b, [0, 1], [0], 0, 0, 1)
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_subgraph_refuses_out_of_range_indices(bad):
+    # -1 would wrap to the last point and 5 would overrun the 5-point graphs
+    mat_a, _ = random_instance(5, seed=26)
+    mat_b, _ = random_instance(5, seed=27)
+    with pytest.raises(InputError, match=rf"common_indices_a={bad} out of range for n=5"):
+        subgraph_diffusion_distance(mat_a, mat_b, [0, 1, bad], [0, 1, 2], 0, 0, 1)
+    with pytest.raises(InputError, match=rf"common_indices_b={bad} out of range for n=5"):
+        subgraph_diffusion_distance(mat_a, mat_b, [0, 1, 2], [0, bad, 2], 0, 0, 1)
+
+
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000))
 def test_metric_properties(seed):

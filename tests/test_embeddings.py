@@ -148,6 +148,16 @@ def test_subgraph_rotation_rejects_skewed_basis():
         subgraph_rotation(dec, list(range(5)), basis)
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_subgraph_bases_refuse_out_of_range_indices(bad):
+    # -1 would wrap to the last point and 5 would overrun the 5-point graph
+    _, dec = random_instance(5, seed=67)
+    with pytest.raises(InputError, match=rf"s_indices={bad} out of range for n=5"):
+        reference_subgraph_basis(dec, [0, 1, bad])
+    with pytest.raises(InputError, match=rf"s_indices={bad} out of range for n=5"):
+        subgraph_rotation(dec, [0, bad, 2], canonical_subgraph_basis(3))
+
+
 @pytest.mark.parametrize("basis_kind", ["canonical", "reference"])
 def test_subgraph_identity_partial_overlap(basis_kind):
     mat_a, dec_a = random_instance(6, seed=68)

@@ -215,6 +215,13 @@ def test_historical_kernel_validation():
         historical_kernel([mats[0], small], t=1, epsilon=1.0)
 
 
+def test_historical_kernel_inner_product_refuses_epsilon():
+    # the inner-product kernel has no bandwidth, so a set epsilon would be ignored
+    mats, _ = _family(4, [115, 116])
+    with pytest.raises(InputError, match="epsilon"):
+        historical_kernel(mats, t=2, epsilon=-5.0, variant=INNER_PRODUCT)
+
+
 def _historical_reference(mats, t, epsilon, variant):
     """The kernel assembled whole and then mirrored with np.triu."""
     n = mats[0].n

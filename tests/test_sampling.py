@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from dynamap import InputError, convergence_study, gaussian_kernel
+from dynamap import DegeneracyError, InputError, convergence_study, gaussian_kernel
 from dynamap.kernels import PointCloud
 from dynamap.sampling import report_rows, report_summary
-
-
-def _fixed_set_generator(points):
-    def generator(n, seed):
-        # finite underlying space: every request yields the whole support
-        return points
-
-    return generator
 
 
 def _gaussian_pair_builder(eps_a, eps_b, shift):
@@ -23,57 +15,50 @@ def _gaussian_pair_builder(eps_a, eps_b, shift):
     return builder
 
 
-def test_fixed_finite_set_has_zero_deviation():
-    rng = np.random.default_rng(0)
-    points = rng.normal(size=(40, 2))
-    report = convergence_study(
-        _fixed_set_generator(points),
-        _gaussian_pair_builder(1.0, 1.3, 0.2),
-        t=2,
-        n_grid=[40],
-        trials=10,
-        reference_n=160,
-        tracked_pairs=[(0, 0), (1, 3)],
-        seed=7,
-    )
-    assert report.pointwise.mean_deviation[0] <= 1e-10
-    assert report.global_.mean_deviation[0] <= 1e-10
-    assert np.isnan(report.pointwise.slope)  # no decay to fit from zeros
-
-
-def test_validation_errors():
-    rng = np.random.default_rng(1)
-    points = rng.normal(size=(64, 2))
-    gen = _fixed_set_generator(points)
-    build = _gaussian_pair_builder(1.0, 1.0, 0.1)
-    with pytest.raises(InputError):
-        convergence_study(gen, build, 1, [16], trials=5, reference_n=64,
-                          tracked_pairs=[(0, 0)], seed=0)
-    with pytest.raises(InputError):
-        convergence_study(gen, build, 1, [32], trials=10, reference_n=64,
-                          tracked_pairs=[(0, 0)], seed=0)
-    with pytest.raises(InputError):
-        convergence_study(gen, build, 1, [16], trials=10, reference_n=64,
-                          tracked_pairs=[], seed=0)
-    with pytest.raises(InputError):
-        convergence_study(gen, build, 1, [16], trials=10, reference_n=64,
-                          tracked_pairs=[(0, 99)], seed=0)
-
-
-def _plane_generator(n, seed):
+def _plane_sample(n, seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, (n, 2))
 
 
+def test_identical_kernels_refuse_a_zero_deviation():
+    # both kernels are one kernel, so every sampled global distance equals
+    # the reference's zero exactly and no decay rate exists
+    with pytest.raises(DegeneracyError, match=r"global distance.*n=8"):
+        convergence_study(
+            _plane_sample(64, 0),
+            _gaussian_pair_builder(1.0, 1.0, 0.0),
+            t=1,
+            n_grid=[8, 16],
+            trials=10,
+            seed=7,
+        )
+
+
+def test_validation_errors():
+    reference = _plane_sample(64, 1)
+    build = _gaussian_pair_builder(1.0, 1.0, 0.1)
+    with pytest.raises(InputError, match="trials"):
+        convergence_study(reference, build, 1, [8, 16], trials=5, seed=0)
+    with pytest.raises(InputError, match="4 x max"):
+        convergence_study(reference, build, 1, [16, 32], trials=10, seed=0)
+
+
+@pytest.mark.parametrize("n_grid", [[16], [16, 16], [], [2, 16]])
+def test_n_grid_needs_two_sizes_above_the_tracked_points(n_grid):
+    with pytest.raises(InputError, match="n_grid"):
+        convergence_study(
+            _plane_sample(64, 1), _gaussian_pair_builder(1.0, 1.0, 0.1), 1, n_grid,
+            trials=10, seed=0,
+        )
+
+
 def test_deviations_decay_with_sample_size():
     report = convergence_study(
-        _plane_generator,
+        _plane_sample(512, 3),
         _gaussian_pair_builder(0.8, 0.8, 0.3),
         t=1,
         n_grid=[32, 64, 128],
         trials=12,
-        reference_n=512,
-        tracked_pairs=[(0, 0), (1, 2)],
         seed=3,
     )
     assert np.all(report.pointwise.mean_deviation > 0.0)
@@ -87,13 +72,11 @@ def test_deviations_decay_with_sample_size():
 
 def test_report_serialization_helpers():
     report = convergence_study(
-        _plane_generator,
+        _plane_sample(256, 4),
         _gaussian_pair_builder(0.8, 0.8, 0.3),
         t=1,
         n_grid=[32, 64],
         trials=10,
-        reference_n=256,
-        tracked_pairs=[(0, 1)],
         seed=4,
     )
     rows = report_rows(report)
