@@ -53,8 +53,7 @@ from .exceptions import (
 from .kernels import (
     KernelMatrix,
     PointCloud,
-    calibrate_epsilon,
-    calibrated_kernel,
+    calibrated_diffusion_matrix,
     gaussian_kernel,
 )
 from .metagraph import (
@@ -109,8 +108,7 @@ __all__ = [
     "asymptotic_diffusion_distance",
     "asymptotic_distance_map",
     "asymptotic_global_distance",
-    "calibrate_epsilon",
-    "calibrated_kernel",
+    "calibrated_diffusion_matrix",
     "canonical_subgraph_basis",
     "common_embedding",
     "convergence_study",

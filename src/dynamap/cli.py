@@ -35,7 +35,7 @@ from .distances import (
 )
 from .embeddings import common_embedding, diffusion_map
 from .exceptions import DynamapError, InputError
-from .kernels import KernelMatrix, PointCloud, calibrated_kernel, gaussian_kernel
+from .kernels import KernelMatrix, PointCloud, calibrated_diffusion_matrix, gaussian_kernel
 from .matio import FORMATS, read_matrix, write_matrix
 from .metagraph import MEDIAN, meta_embedding, meta_kernel
 from .operators import diffusion_matrix, spectral_decomposition
@@ -253,9 +253,9 @@ def _load_decompositions(
     args: argparse.Namespace, minimum: int, bandwidth=("epsilon", "target_lambda2", "tol")
 ):
     """Read the inputs as kernels and decompose each one. Point clouds take a
-    fixed --epsilon, or else calibrated_kernel's --target-lambda2 and --tol:
-    the `bandwidth` options that a flag or the config file set, which kernel
-    inputs refuse, and of which --epsilon refuses the other two."""
+    fixed --epsilon, or else calibrated_diffusion_matrix's --target-lambda2
+    and --tol: the `bandwidth` options that a flag or the config file set,
+    which kernel inputs refuse, and of which --epsilon refuses the other two."""
     inputs = args.input or []
     if len(inputs) < minimum:
         raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
@@ -277,19 +277,19 @@ def _load_decompositions(
     for path in inputs:
         values = read_matrix(path)
         if args.input_kind == "kernel":
-            kernel = KernelMatrix(values)
+            mat = diffusion_matrix(KernelMatrix(values))
         elif epsilon is None:
-            kernel = calibrated_kernel(PointCloud(values), **options)[1]
+            mat = calibrated_diffusion_matrix(PointCloud(values), **options)[1]
         else:
-            kernel = gaussian_kernel(PointCloud(values), epsilon)
+            mat = diffusion_matrix(gaussian_kernel(PointCloud(values), epsilon))
+        del values  # a kernel input is not alive during the eigensolve
         if size is None:
-            size = kernel.n
-        elif kernel.n != size:
-            raise InputError(f"{path}: size {kernel.n} does not match {size}")
-        rank = args.rank if args.rank is not None else kernel.n
-        mat = diffusion_matrix(kernel)
-        del kernel, values  # the kernel is not alive during the eigensolve
+            size = mat.n
+        elif mat.n != size:
+            raise InputError(f"{path}: size {mat.n} does not match {size}")
+        rank = args.rank if args.rank is not None else mat.n
         decs.append(spectral_decomposition(mat, rank))
+        del mat  # nor is this member's matrix during the next one's build
     return decs
 
 

@@ -25,7 +25,9 @@ from .exceptions import (
     InputError,
     NumericalError,
 )
-from .operators import DiffusionMatrix, SpectralDecomposition, _check_t, kernel_power_row
+from .operators import (
+    DiffusionMatrix, SpectralDecomposition, _check_index, _check_t, kernel_power_row
+)
 
 GRAM_ENTRY_SLACK = 1e-8
 NEGATIVE_SQ_TOL = 1e-12
@@ -84,14 +86,6 @@ def _check_connected(dec: SpectralDecomposition) -> None:
             f"second eigenvalue {dec.eigenvalues[1]:.12g} too close to 1; "
             "graph is disconnected or nearly so"
         )
-
-
-def _check_index(name: str, idx, n: int) -> np.ndarray:
-    idx = np.asarray(idx)
-    bad = idx[(idx < 0) | (idx >= n)]
-    if bad.size:
-        raise InputError(f"point index {name}={bad[0]} out of range for n={n}")
-    return idx
 
 
 def _squared_distances(dec_a, dec_b, gram, t, pairs=None) -> np.ndarray:
@@ -188,9 +182,8 @@ def direct_diffusion_distance(
     """Oracle route: D^2 = n * sum_k (A_a^t[i,k] - A_b^t[j,k])^2 via matrix powers only."""
     t = _check_t(t)
     _check_sizes(mat_a.n, mat_b.n)
-    row_a = kernel_power_row(mat_a, t, i)
-    row_b = kernel_power_row(mat_b, t, j)
-    diff = row_a - row_b
+    _check_index("j", j, mat_b.n)  # kernel_power_row would name it i
+    diff = kernel_power_row(mat_a, t, i) - kernel_power_row(mat_b, t, j)
     return float(np.sqrt(_clamp_sq(mat_a.n * float(diff @ diff))))
 
 
@@ -311,14 +304,15 @@ def subgraph_diffusion_distance(
     recovers the standard distance.
     """
     t = _check_t(t)
-    idx_a = np.asarray(common_indices_a, dtype=int)
-    idx_b = np.asarray(common_indices_b, dtype=int)
+    idx_a = np.asarray(common_indices_a)
+    idx_b = np.asarray(common_indices_b)
     if idx_a.size == 0:
         raise InputError("common vertex set S must be nonempty")
     if idx_a.shape != idx_b.shape or idx_a.ndim != 1:
         raise InputError("the two index lists must be 1-d and of equal length")
     _check_index("common_indices_a", idx_a, mat_a.n)
     _check_index("common_indices_b", idx_b, mat_b.n)
+    _check_index("j", j, mat_b.n)  # kernel_power_row would name it i
     row_a = mat_a.n * kernel_power_row(mat_a, t, i)
     row_b = mat_b.n * kernel_power_row(mat_b, t, j)
     diff = row_a[idx_a] - row_b[idx_b]

@@ -6,9 +6,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import _check_index, diffusion_distance_matrix, gram_matrix
+from .distances import diffusion_distance_matrix, gram_matrix
 from .exceptions import CorrespondenceError, InputError
-from .operators import SpectralDecomposition, _check_t, apply_sign_convention, truncate
+from .operators import (
+    SpectralDecomposition, _check_index, _check_t, apply_sign_convention, truncate
+)
 
 BASIS_ORTHONORMALITY_TOL = 1e-8
 
@@ -131,7 +133,7 @@ def reference_subgraph_basis(
     (QR) under the renormalized empirical measure on S and sign-fixed for
     reproducibility.
     """
-    idx = np.asarray(s_indices, dtype=int)
+    idx = np.asarray(s_indices)
     if idx.size == 0:
         raise InputError("common vertex set S must be nonempty")
     _check_index("s_indices", idx, dec_ref.n)
@@ -155,7 +157,7 @@ def subgraph_rotation(
     e_i evaluated on S. Rotated embeddings of two graphs then realize the
     subgraph diffusion distance at full available rank.
     """
-    idx = np.asarray(s_indices, dtype=int)
+    idx = np.asarray(s_indices)
     if idx.size == 0:
         raise InputError("common vertex set S must be nonempty")
     _check_index("s_indices", idx, dec.n)

@@ -15,9 +15,11 @@ from .datasets import (
     torus_points,
 )
 from .distances import asymptotic_distance_map, global_distance_matrix
-from .kernels import KernelMatrix, PointCloud, _calibrate, calibrate_epsilon, gaussian_kernel
+from .kernels import (
+    KernelMatrix, PointCloud, _calibrate, calibrated_diffusion_matrix, gaussian_kernel
+)
 from .metagraph import MEDIAN, MetaGraph, meta_decomposition, meta_embedding, meta_kernel
-from .operators import SpectralDecomposition, diffusion_matrix, spectral_decomposition
+from .operators import SpectralDecomposition, spectral_decomposition
 from .sampling import ConvergenceReport, convergence_study
 
 TWO_PI = 2.0 * math.pi
@@ -30,21 +32,21 @@ def _calibrated_decompositions(
     the rank-`rank` decomposition of its diffusion matrix.
 
     Member 0's search starts at its median pairwise distance, as
-    `calibrated_kernel`'s does; each later member's starts at the bandwidth
-    accepted for the member before it, with the slope of lambda2 found there
-    (a continuation along the family: the calibrated bandwidth of a smoothly
-    changing family moves little from member to member).
+    `calibrated_diffusion_matrix`'s does; each later member's starts at the
+    bandwidth accepted for the member before it, with the slope of lambda2
+    found there (a continuation along the family: the calibrated bandwidth of
+    a smoothly changing family moves little from member to member).
 
-    Only one member's n x n arrays are alive at a time: its kernel is dropped
+    Only one member's n x n arrays are alive at a time: its matrix is dropped
     before the next member's calibration starts.
     """
     epsilons = np.zeros(len(clouds))
     decs = []
     start = None
     for k, cloud in enumerate(clouds):
-        epsilons[k], kern, start = _calibrate(cloud, target_lambda2, tol, start)
-        decs.append(spectral_decomposition(diffusion_matrix(kern), rank))
-        del kern
+        epsilons[k], mat, start = _calibrate(cloud, target_lambda2, tol, start)
+        decs.append(spectral_decomposition(mat, rank))
+        del mat
     return epsilons, decs
 
 
@@ -198,11 +200,9 @@ def torus_pair_study(
     pinched = TorusSpec(pinch_angle=math.pi, pinch_radius=1.0)
 
     calib = np.random.default_rng(seed + 1).uniform(0.0, TWO_PI, (500, 2))
-    eps_plain = calibrate_epsilon(
-        PointCloud(torus_points(plain, calib[:, 0], calib[:, 1])), target_lambda2
-    )
-    eps_pinched = calibrate_epsilon(
-        PointCloud(torus_points(pinched, calib[:, 0], calib[:, 1])), target_lambda2
+    eps_plain, eps_pinched = (
+        calibrated_diffusion_matrix(PointCloud(torus_points(spec, *calib.T)), target_lambda2)[0]
+        for spec in (plain, pinched)
     )
 
     def kernel_builder(angles: np.ndarray) -> tuple[KernelMatrix, KernelMatrix]:

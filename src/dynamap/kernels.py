@@ -126,6 +126,32 @@ class KernelMatrix:
         return self.values.shape[0]
 
 
+@dataclass(frozen=True)
+class DiffusionMatrix:
+    """Degree-symmetrized kernel K[i,j] / sqrt(d_i d_j) plus the sampled density d/n."""
+
+    values: np.ndarray
+    density: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        dens = np.asarray(self.density, dtype=float)
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise InputError("diffusion matrix must be square")
+        if not _exactly_symmetric(vals):
+            raise InputError("diffusion matrix must be exactly symmetric")
+        if dens.shape != (vals.shape[0],):
+            raise InputError("density must be an n-vector")
+        if not np.all(dens > 0.0):
+            raise DegeneracyError("density must be strictly positive")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "density", dens)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """All-pairs squared Euclidean distances, exactly symmetric and exactly zero
     for duplicated points (accumulated per coordinate, no dot-product shortcut).
@@ -178,17 +204,17 @@ def gaussian_kernel(cloud: PointCloud, epsilon: float) -> KernelMatrix:
     return KernelMatrix(_gaussian_values(sq, epsilon, out=sq))
 
 
-def _degree_normalized(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D^{-1/2} K D^{-1/2} for a kernel K, and its degrees d (the row sums)."""
+def _degree_normalized(values: np.ndarray) -> np.ndarray:
+    """Scale a kernel K that the caller owns into D^{-1/2} K D^{-1/2} in place;
+    return its degrees d (the row sums). Row blocks of outer(d^{-1/2}, d^{-1/2})
+    give the whole outer product's IEEE products without its n x n temporary."""
     deg = values.sum(axis=1)
     if not np.all(deg > 0.0):
         raise DegeneracyError("kernel has a zero row degree; input is corrupt")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    # outer(inv_sqrt, inv_sqrt) * values, scaled in place: the same products
-    # as values * outer(...) without a second n x n temporary
-    out = np.multiply.outer(inv_sqrt, inv_sqrt)
-    out *= values
-    return out, deg
+    for r0 in range(0, values.shape[0], ROW_BLOCK):
+        values[r0 : r0 + ROW_BLOCK] *= np.multiply.outer(inv_sqrt[r0 : r0 + ROW_BLOCK], inv_sqrt)
+    return deg
 
 
 def _eigensolve(values: np.ndarray, k: int, vectors: bool):
@@ -230,14 +256,13 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool):
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
-def _second_eigenvalue(kernel_values: np.ndarray) -> float:
-    """Second-largest eigenvalue of D^{-1/2} K D^{-1/2} for a positive kernel.
+def _second_eigenvalue(sym: np.ndarray) -> float:
+    """Second-largest eigenvalue of a diffusion matrix D^{-1/2} K D^{-1/2}.
 
     The top eigenpair is known (eigenvalue 1, eigenvector sqrt(d)), so the two
     largest eigenvalues suffice: Lanczos with k = 2 from n = LANCZOS_MIN_N on,
     the dense spectrum below it or when Lanczos stalls (`_eigensolve`).
     """
-    sym, _ = _degree_normalized(kernel_values)
     return float(_eigensolve(sym, 2, vectors=False)[-2])
 
 
@@ -248,15 +273,13 @@ def _coincident_points() -> CalibrationError:
 
 
 def _median_squared_distance(sq: np.ndarray) -> float:
-    """Median of the positive entries in the strict upper triangle of `sq`.
-
-    The triangle is gathered row by row, which needs no n(n-1)/2 index arrays.
-    """
-    upper = np.concatenate([sq[i, i + 1 :] for i in range(sq.shape[0] - 1)])
-    pos = upper[upper > 0.0]
+    """Median of the positive entries in the strict upper triangle of `sq`,
+    gathered row by row: no n(n-1)/2 index arrays, no copy of the triangle."""
+    rows = (sq[i, i + 1 :] for i in range(sq.shape[0] - 1))
+    pos = np.concatenate([row[row > 0.0] for row in rows])
     if pos.size == 0:
         raise _coincident_points()
-    return float(np.median(pos))
+    return float(np.median(pos, overwrite_input=True))  # partitions `pos`, no copy
 
 
 class _Start(NamedTuple):
@@ -267,22 +290,13 @@ class _Start(NamedTuple):
     slope: float | None
 
 
-def calibrate_epsilon(
+def calibrated_diffusion_matrix(
     cloud: PointCloud,
     target_lambda2: float = 0.5,
     tol: float = 1e-3,
-) -> float:
-    """The bandwidth `calibrated_kernel` finds, without its kernel."""
-    return calibrated_kernel(cloud, target_lambda2, tol)[0]
-
-
-def calibrated_kernel(
-    cloud: PointCloud,
-    target_lambda2: float = 0.5,
-    tol: float = 1e-3,
-) -> tuple[float, KernelMatrix]:
+) -> tuple[float, DiffusionMatrix]:
     """A Gaussian bandwidth whose diffusion matrix has the requested second
-    eigenvalue, and the kernel at that bandwidth.
+    eigenvalue, and the diffusion matrix at that bandwidth.
 
     The second eigenvalue runs from 1 (epsilon -> 0, kernel collapses to the
     identity) down to 0 (epsilon -> infinity, kernel collapses to all-ones),
@@ -294,16 +308,19 @@ def calibrated_kernel(
     log-spaced grid over that whole reach looks for a crossing of a
     non-monotone profile.
 
-    The squared distances are computed once and every probe kernel is built
-    from them; the accepted probe's kernel is returned, bit-identical to
-    `gaussian_kernel(cloud, epsilon)`. Each probe's kernel is dropped before
-    the next one is built.
+    The squared distances are computed once. Each probe's kernel is built from
+    them and normalized in place; that one normalization serves its lambda2
+    and, for the accepted probe, the returned matrix, bit-identical to
+    `diffusion_matrix(gaussian_kernel(cloud, epsilon))`. Each probe is dropped
+    before the next is built. No KernelMatrix check is lost: a probe is
+    exp(-sq / epsilon^2) of a validated PointCloud with a unit diagonal, in
+    [0, 1]; a NaN makes its row's degree NaN, which the normalization refuses
+    with DegeneracyError; DiffusionMatrix checks exact symmetry and density.
 
     Raises CalibrationError, reporting the range of eigenvalues reached, when
     no bandwidth in the reach crosses the target or the refinement stalls.
     """
-    epsilon, kernel, _ = _calibrate(cloud, target_lambda2, tol)
-    return epsilon, kernel
+    return _calibrate(cloud, target_lambda2, tol)[:2]
 
 
 def _calibrate(
@@ -311,10 +328,10 @@ def _calibrate(
     target_lambda2: float,
     tol: float,
     start: _Start | None = None,
-) -> tuple[float, KernelMatrix, _Start]:
-    """`calibrated_kernel`'s search from `start`, or from the median pairwise
-    distance when `start` is None; also the start for the next member of a
-    family whose calibrated bandwidth moves little from member to member.
+) -> tuple[float, DiffusionMatrix, _Start]:
+    """`calibrated_diffusion_matrix`'s search from `start`, or from the median
+    pairwise distance when `start` is None; also the start for the next member
+    of a family whose calibrated bandwidth moves little from member to member.
 
     A warm start that misses takes a secant step first: its size is
     |lambda2 - target| / |slope|, at most log 2, and without a negative slope
@@ -337,15 +354,19 @@ def _calibrate(
     x0 = start.log_epsilon
     probed: list[float] = []  # log(epsilon) of each probe
     reached: list[float] = []  # and its lambda2
-    probe = None  # kernel values of the latest probe
+    probe = None  # the latest probe: (epsilon, normalized values, degrees)
+
+    def build(epsilon: float, out: np.ndarray | None = None) -> None:
+        nonlocal probe
+        probe = None  # drop the previous probe before building this one
+        values = _gaussian_values(sq, epsilon, out=out)
+        probe = (epsilon, values, _degree_normalized(values))
 
     def gap(x: float) -> float:
         """lambda2 - target at epsilon = exp(x)."""
-        nonlocal probe
-        probe = None  # drop the previous probe before building this one
-        probe = _gaussian_values(sq, math.exp(x))
+        build(math.exp(x))
         probed.append(x)
-        reached.append(_second_eigenvalue(probe))
+        reached.append(_second_eigenvalue(probe[1]))
         return reached[-1] - target_lambda2
 
     def next_start(x: float) -> _Start:
@@ -355,9 +376,9 @@ def _calibrate(
                 return _Start(x, (reached[last] - reached[k]) / (probed[last] - probed[k]))
         return _Start(x, start.slope)
 
-    def accept(x: float) -> tuple[float, KernelMatrix, _Start]:
-        """The latest probe, which was made at epsilon = exp(x)."""
-        return math.exp(x), KernelMatrix(probe), next_start(x)
+    def accept(x: float) -> tuple[float, DiffusionMatrix, _Start]:
+        epsilon, values, degrees = probe
+        return epsilon, DiffusionMatrix(values, degrees / cloud.n), next_start(x)
 
     def miss(message: str) -> CalibrationError:
         achieved = (min(reached), max(reached))
@@ -386,12 +407,11 @@ def _calibrate(
         scans = np.array([gap(x) for x in grid])
         hits = np.flatnonzero(np.abs(scans) <= tol)
         if hits.size:
-            # the latest probe is the grid's last point: rebuild the hit's
-            # kernel, in the squared distances, which are not needed any more
-            probe = None
+            # the latest probe is the grid's last point: rebuild the hit's, in
+            # the squared distances, which are not needed any more
             x = float(grid[hits[0]])
-            eps = float(np.exp(x))
-            return eps, KernelMatrix(_gaussian_values(sq, eps, out=sq)), next_start(x)
+            build(float(np.exp(x)), out=sq)
+            return accept(x)
         crossings = np.flatnonzero(scans[:-1] * scans[1:] < 0.0)
         if crossings.size == 0:
             raise miss(f"second eigenvalue never crosses {target_lambda2}")

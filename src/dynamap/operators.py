@@ -10,38 +10,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DegeneracyError, InputError, NumericalError
-from .kernels import KernelMatrix, _degree_normalized, _eigensolve, _exactly_symmetric
+from .exceptions import InputError, NumericalError
+from .kernels import DiffusionMatrix, KernelMatrix, _degree_normalized, _eigensolve
 
 EIGENVALUE_SLACK = 1e-10
 ORTHONORMALITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """Degree-symmetrized kernel K[i,j] / sqrt(d_i d_j) plus the sampled density d/n."""
-
-    values: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        dens = np.asarray(self.density, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise InputError("diffusion matrix must be square")
-        if not _exactly_symmetric(vals):
-            raise InputError("diffusion matrix must be exactly symmetric")
-        if dens.shape != (vals.shape[0],):
-            raise InputError("density must be an n-vector")
-        if not np.all(dens > 0.0):
-            raise DegeneracyError("density must be strictly positive")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "density", dens)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -87,7 +61,8 @@ def diffusion_matrix(kernel: KernelMatrix) -> DiffusionMatrix:
     The per-sample 1/n factors of the empirical kernel and degree matrices
     cancel, so A is scale-free in n; its spectral radius is 1.
     """
-    vals, deg = _degree_normalized(kernel.values)
+    vals = kernel.values.copy()  # the caller's kernel is left as it is
+    deg = _degree_normalized(vals)
     return DiffusionMatrix(values=vals, density=deg / kernel.n)
 
 
@@ -118,9 +93,9 @@ def spectral_decomposition(matrix: DiffusionMatrix, rank: int) -> SpectralDecomp
     The eigenvalues the route computed are verified to lie within roundoff of
     (-1, 1] (the whole spectrum on the dense route, the top `rank` on the
     Lanczos route) and clipped to [-1, 1]. The bottom of the spectrum needs no
-    check for a diffusion matrix built from a KernelMatrix: the kernel is
-    nonnegative with a positive diagonal, so by Perron-Frobenius the spectrum
-    of D^{-1/2} K D^{-1/2} lies in (-1, 1]. Every kept eigenpair must also pass
+    check: the kernel (a KernelMatrix, or a calibration probe) is nonnegative
+    with a positive diagonal, so by Perron-Frobenius the spectrum of
+    D^{-1/2} K D^{-1/2} lies in (-1, 1]. Every kept eigenpair must also pass
     the RESIDUAL_TOL residual check, and the eigenfunctions the
     ORTHONORMALITY_TOL check and the sign convention.
     """
@@ -161,12 +136,21 @@ def _check_t(t) -> int:
     return int(t)
 
 
+def _check_index(name: str, idx, n: int) -> np.ndarray:
+    """Point indices: integers (a float such as 1.0, or a bool, is refused) in [0, n)."""
+    idx = np.asarray(idx)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InputError(f"point index {name}={idx} is not an integer ({idx.dtype})")
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise InputError(f"point index {name}={bad[0]} out of range for n={n}")
+    return idx
+
+
 def kernel_power_row(matrix: DiffusionMatrix, t: int, i: int) -> np.ndarray:
     """Row i of A^t by repeated multiplication; the oracle path, no eigensolve."""
     t = _check_t(t)
-    if not 0 <= i < matrix.n:
-        raise InputError(f"row index {i} out of range for n={matrix.n}")
-    row = matrix.values[i].copy()
+    row = matrix.values[_check_index("i", i, matrix.n)].copy()
     for _ in range(t - 1):
         row = row @ matrix.values
     return row

@@ -5,7 +5,7 @@ from dynamap.cli import build_parser, main
 from dynamap.datasets import synthetic_cube_family
 from dynamap.distances import global_distance_matrix
 from dynamap.experiments import change_detection_experiment
-from dynamap.kernels import PointCloud, calibrated_kernel
+from dynamap.kernels import PointCloud, calibrated_diffusion_matrix
 from dynamap.matio import (
     read_matrix,
     read_matrix_bin,
@@ -14,7 +14,7 @@ from dynamap.matio import (
     write_matrix_csv,
 )
 from dynamap.metagraph import MEDIAN, meta_kernel
-from dynamap.operators import diffusion_matrix, spectral_decomposition
+from dynamap.operators import spectral_decomposition
 
 from conftest import random_kernel
 
@@ -448,8 +448,8 @@ def _write_clouds(tmp_path, seeds, n=40):
 def _calibrated_family_distances(paths, t):
     decs = []
     for path in paths:
-        _, kern = calibrated_kernel(PointCloud(read_matrix(path)), 0.5, 1e-3)
-        decs.append(spectral_decomposition(diffusion_matrix(kern), kern.n))
+        _, mat = calibrated_diffusion_matrix(PointCloud(read_matrix(path)), 0.5, 1e-3)
+        decs.append(spectral_decomposition(mat, mat.n))
     return global_distance_matrix(decs, t)
 
 

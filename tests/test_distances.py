@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from dynamap.operators import (
     spectral_decomposition,
 )
 
-from conftest import gaussian_instance, random_instance
+from conftest import gaussian_instance, random_instance, random_kernel
 
 
 def test_gram_identity_and_orthogonality():
@@ -338,6 +339,68 @@ def test_subgraph_refuses_out_of_range_indices(bad):
         subgraph_diffusion_distance(mat_a, mat_b, [0, 1, bad], [0, 1, 2], 0, 0, 1)
     with pytest.raises(InputError, match=rf"common_indices_b={bad} out of range for n=5"):
         subgraph_diffusion_distance(mat_a, mat_b, [0, 1, 2], [0, bad, 2], 0, 0, 1)
+
+
+# a float index was truncated (1.9 -> 1) or raised a bare IndexError, and a
+# bool was taken as 0 or 1; a boolean mask stands in for a list of bools
+NON_INTEGER_INDICES = [(1.5, [0, 1.5, 2]), (1.9, [0, 1.9, 2]), (True, [True, False, True])]
+
+
+@pytest.mark.parametrize("bad, shared", NON_INTEGER_INDICES)
+def test_pointwise_distances_refuse_non_integer_indices(bad, shared):
+    mat, dec = random_instance(5, seed=26)
+    gram = gram_matrix(dec, dec)
+    calls = {
+        "i": [
+            lambda: diffusion_distance(dec, dec, gram, bad, 0, 1),
+            lambda: asymptotic_diffusion_distance(dec, dec, bad, 0),
+            lambda: direct_diffusion_distance(mat, mat, bad, 0, 1),
+            lambda: subgraph_diffusion_distance(mat, mat, [0, 1, 2], [0, 1, 2], bad, 0, 1),
+        ],
+        "j": [
+            lambda: diffusion_distance(dec, dec, gram, 0, bad, 1),
+            lambda: asymptotic_diffusion_distance(dec, dec, 0, bad),
+            lambda: direct_diffusion_distance(mat, mat, 0, bad, 1),
+            lambda: subgraph_diffusion_distance(mat, mat, [0, 1, 2], [0, 1, 2], 0, bad, 1),
+        ],
+        "common_indices_a": [
+            lambda: subgraph_diffusion_distance(mat, mat, shared, [0, 1, 2], 0, 0, 1),
+        ],
+        "common_indices_b": [
+            lambda: subgraph_diffusion_distance(mat, mat, [0, 1, 2], shared, 0, 0, 1),
+        ],
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(InputError, match=rf"point index {name}=.* is not an integer"):
+                call()
+
+
+def test_subgraph_distance_empty_set_is_named_before_its_dtype():
+    # [] has a float dtype; the empty set is still what the error names
+    mat, _ = random_instance(5, seed=26)
+    with pytest.raises(InputError, match="S must be nonempty"):
+        subgraph_diffusion_distance(mat, mat, [], [], 0, 0, 1)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.integers(3, 4), st.integers(2, 8), st.data())
+def test_global_distance_matrix_metric_axioms(seed, members, n, data):
+    # at any rank the Bessel-defect form is ||A_k - B_k||_F of the truncated
+    # operators, and the t = inf form is sqrt(2) sin of the angle between the
+    # top eigenfunctions, so both are metrics; t = inf needs lambda2 (rank 2)
+    t = data.draw(st.sampled_from([1, 2, 3, math.inf]))
+    rank = data.draw(st.integers(2 if t == math.inf else 1, n))
+    rng = np.random.default_rng(seed)
+    decs = [
+        spectral_decomposition(diffusion_matrix(random_kernel(n, rng)), rank)
+        for _ in range(members)
+    ]
+    dist = global_distance_matrix(decs, t)
+    assert np.array_equal(dist, dist.T)
+    assert np.all(np.diag(dist) == 0.0)
+    for a, b, c in itertools.permutations(range(members), 3):
+        assert dist[a, c] <= dist[a, b] + dist[b, c] + 1e-10
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -158,6 +158,24 @@ def test_subgraph_bases_refuse_out_of_range_indices(bad):
         subgraph_rotation(dec, [0, bad, 2], canonical_subgraph_basis(3))
 
 
+@pytest.mark.parametrize("shared", [[0, 1.5, 2], [0, 1.9, 2], [True, False, True]])
+def test_subgraph_bases_refuse_non_integer_indices(shared):
+    # [0.2, 1.7] used to select points 0 and 1 without a word
+    _, dec = random_instance(5, seed=67)
+    with pytest.raises(InputError, match=r"point index s_indices=.* is not an integer"):
+        reference_subgraph_basis(dec, shared)
+    with pytest.raises(InputError, match=r"point index s_indices=.* is not an integer"):
+        subgraph_rotation(dec, shared, canonical_subgraph_basis(3))
+
+
+def test_subgraph_bases_empty_set_is_named_before_its_dtype():
+    _, dec = random_instance(5, seed=67)
+    with pytest.raises(InputError, match="S must be nonempty"):
+        reference_subgraph_basis(dec, [])
+    with pytest.raises(InputError, match="S must be nonempty"):
+        subgraph_rotation(dec, [], canonical_subgraph_basis(1))
+
+
 @pytest.mark.parametrize("basis_kind", ["canonical", "reference"])
 def test_subgraph_identity_partial_overlap(basis_kind):
     mat_a, dec_a = random_instance(6, seed=68)

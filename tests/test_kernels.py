@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,10 @@ from hypothesis.extra import numpy as hnp
 
 from dynamap import (
     CalibrationError,
+    DegeneracyError,
     InputError,
     PointCloud,
-    calibrate_epsilon,
-    calibrated_kernel,
+    calibrated_diffusion_matrix,
     diffusion_matrix,
     gaussian_kernel,
     pinched_torus_family,
@@ -121,36 +122,36 @@ def _lambda2_via_full_path(cloud, eps):
 
 def test_calibrate_three_point_line():
     cloud = PointCloud(np.array([[0.0], [1.0], [2.0]]))
-    eps = calibrate_epsilon(cloud, 0.5, tol=1e-3)
+    eps = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)[0]
     # independent recheck through the full decomposition path
     assert abs(_lambda2_via_full_path(cloud, eps) - 0.5) <= 1e-3
 
 
 def test_calibrate_torus_sample():
     cloud = sample_torus(TorusSpec(), 300, seed=4)
-    eps = calibrate_epsilon(cloud, 0.5, tol=1e-3)
+    eps = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)[0]
     assert abs(_lambda2_via_full_path(cloud, eps) - 0.5) <= 1e-3
 
 
 def test_calibrate_high_target():
     rng = np.random.default_rng(9)
     cloud = PointCloud(rng.uniform(size=(120, 8)))
-    eps = calibrate_epsilon(cloud, 0.97, tol=1e-3)
+    eps = calibrated_diffusion_matrix(cloud, 0.97, tol=1e-3)[0]
     assert abs(_lambda2_via_full_path(cloud, eps) - 0.97) <= 1e-3
 
 
 def test_calibrate_rejects_bad_target():
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     with pytest.raises(InputError):
-        calibrate_epsilon(cloud, 1.5)
+        calibrated_diffusion_matrix(cloud, 1.5)
     with pytest.raises(InputError):
-        calibrate_epsilon(cloud, 0.5, tol=0.0)
+        calibrated_diffusion_matrix(cloud, 0.5, tol=0.0)
 
 
 def test_calibrate_coincident_points_fails_with_range():
     cloud = PointCloud(np.zeros((4, 2)))
     with pytest.raises(CalibrationError):
-        calibrate_epsilon(cloud, 0.5)
+        calibrated_diffusion_matrix(cloud, 0.5)
 
 
 def test_calibrate_grid_scan_fallback(monkeypatch):
@@ -159,18 +160,18 @@ def test_calibrate_grid_scan_fallback(monkeypatch):
     import dynamap.kernels as kernels_mod
 
     def rigged(values):
-        k12 = values[0, 1]
+        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
         eps = math.sqrt(-1.0 / math.log(k12)) if 0.0 < k12 < 1.0 else 1e6
         return 0.8 * math.exp(-((math.log(eps)) ** 2))  # peak 0.8 at eps = 1
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
-    eps = calibrate_epsilon(cloud, 0.5, tol=1e-3)
+    eps = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)[0]
     assert abs(rigged(gaussian_kernel(cloud, eps).values) - 0.5) <= 1e-3
 
     # a target above the bump's peak is unreachable: error reports the range
     with pytest.raises(CalibrationError) as info:
-        calibrate_epsilon(cloud, 0.9, tol=1e-3)
+        calibrated_diffusion_matrix(cloud, 0.9, tol=1e-3)
     assert info.value.achieved_range is not None
     assert info.value.achieved_range[1] <= 0.8 + 1e-12
 
@@ -228,9 +229,16 @@ def test_squared_distances_across_row_blocks(n, d):
     assert sq[0, n // 2] == 0.0 and sq[n // 3, n - 1] == 0.0
 
 
+def _same_diffusion_matrix(mat, cloud, eps):
+    """`mat` is diffusion_matrix(gaussian_kernel(cloud, eps)), bit for bit."""
+    ref = diffusion_matrix(gaussian_kernel(cloud, eps))
+    return np.array_equal(mat.values, ref.values) and np.array_equal(mat.density, ref.density)
+
+
 def _calibrate_counting(monkeypatch, cloud, target, tol=1e-3):
-    """calibrated_kernel's output and the number of lambda2 probes it made;
-    its bandwidth must be calibrate_epsilon's and its kernel gaussian_kernel's."""
+    """calibrated_diffusion_matrix's bandwidth and the number of lambda2 probes
+    it made; its matrix must be diffusion_matrix's of gaussian_kernel's, and a
+    second call must find the same bandwidth."""
     import dynamap.kernels as kernels_mod
 
     probes = []
@@ -241,10 +249,10 @@ def _calibrate_counting(monkeypatch, cloud, target, tol=1e-3):
         return second(values)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
-    eps, kern = calibrated_kernel(cloud, target, tol)
-    assert np.array_equal(kern.values, gaussian_kernel(cloud, eps).values)
+    eps, mat = calibrated_diffusion_matrix(cloud, target, tol)
+    assert _same_diffusion_matrix(mat, cloud, eps)
     count = len(probes)
-    assert calibrate_epsilon(cloud, target, tol) == eps
+    assert calibrated_diffusion_matrix(cloud, target, tol)[0] == eps
     return eps, count
 
 
@@ -254,7 +262,7 @@ def _walk_start(cloud):
 
 
 def _probe_lambda2(cloud, x):
-    return _second_eigenvalue(gaussian_kernel(cloud, math.exp(x)).values)
+    return _second_eigenvalue(diffusion_matrix(gaussian_kernel(cloud, math.exp(x))).values)
 
 
 def test_calibrated_kernel_first_probe_hit(monkeypatch):
@@ -289,7 +297,7 @@ def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     import dynamap.kernels as kernels_mod
 
     def rigged(values):
-        k12 = values[0, 1]
+        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
         if not 0.0 < k12 < 1.0:
             return 0.3
         x = math.log(math.sqrt(-1.0 / math.log(k12)))
@@ -301,12 +309,13 @@ def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     assert probes == 1 + MAX_DOUBLINGS + GRID_POINTS
     assert 0.1 <= math.log(eps) <= 0.35
     # the kernel is the hit's, not that of the grid's last (widest) probe
-    assert rigged(calibrated_kernel(cloud, 0.5)[1].values) == 0.5
+    assert rigged(calibrated_diffusion_matrix(cloud, 0.5)[1].values) == 0.5
 
 
 def _warm_calibrate(monkeypatch, start, cloud, target, tol=1e-3):
     """_calibrate's output from `start` and the log bandwidth of each lambda2
-    probe; its kernel must be gaussian_kernel's at the bandwidth it returns."""
+    probe; its matrix must be diffusion_matrix's of gaussian_kernel's at the
+    bandwidth it returns."""
     import dynamap.kernels as kernels_mod
 
     built, probed = [], []
@@ -322,9 +331,9 @@ def _warm_calibrate(monkeypatch, start, cloud, target, tol=1e-3):
 
     monkeypatch.setattr(kernels_mod, "_gaussian_values", recording_build)
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", recording_probe)
-    eps, kern, next_start = _calibrate(cloud, target, tol, start)
+    eps, mat, next_start = _calibrate(cloud, target, tol, start)
     probes = list(probed)
-    assert np.array_equal(kern.values, gaussian_kernel(cloud, eps).values)
+    assert _same_diffusion_matrix(mat, cloud, eps)
     return eps, next_start, probes
 
 
@@ -393,7 +402,7 @@ def test_warm_start_grid_scan_is_centred_on_the_start(monkeypatch):
     grid = np.linspace(x - reach, x + reach, GRID_POINTS)
 
     def rigged(values):
-        k12 = values[0, 1]
+        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
         if not 0.0 < k12 < 1.0:
             return 0.3
         return 0.5 if abs(math.log(math.sqrt(-1.0 / math.log(k12))) - grid[40]) < 0.05 else 0.3
@@ -407,9 +416,10 @@ def test_warm_start_grid_scan_is_centred_on_the_start(monkeypatch):
 
 
 def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
-    # member 0 starts cold, as calibrated_kernel does; each later member starts
-    # at the bandwidth of the one before, and the family needs at most 4 probes
-    # for member 0 and 2 for each other member, where cold starts need more
+    # member 0 starts cold, as calibrated_diffusion_matrix does; each later
+    # member starts at the bandwidth of the one before, and the family needs at
+    # most 4 probes for member 0 and 2 for each other member, where cold starts
+    # need more
     import dynamap.kernels as kernels_mod
 
     clouds = pinched_torus_family(7, n=300)[0][:7]
@@ -424,8 +434,8 @@ def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
     epsilons, decs = _calibrated_decompositions(clouds, 0.5, 1e-3, 2)
     warm = len(probes)
     probes.clear()
-    cold = [calibrated_kernel(cloud, 0.5, 1e-3)[0] for cloud in clouds]
-    assert epsilons[0] == cold[0] == calibrate_epsilon(clouds[0], 0.5, 1e-3)
+    cold = [calibrated_diffusion_matrix(cloud, 0.5, 1e-3)[0] for cloud in clouds]
+    assert epsilons[0] == cold[0]
     for cloud, eps, dec in zip(clouds, epsilons, decs):
         lam2 = np.linalg.eigvalsh(_normalized(gaussian_kernel(cloud, eps).values))[-2]
         assert abs(lam2 - 0.5) <= 1e-3
@@ -447,6 +457,42 @@ def test_symmetry_check_finds_one_asymmetric_entry_at_tile_corners(n):
             KernelMatrix(bad)
         with pytest.raises(InputError, match="exactly symmetric"):
             DiffusionMatrix(bad, np.ones(n))
+
+
+def test_calibration_refuses_a_nan_probe(monkeypatch):
+    # the accepted probe skips KernelMatrix's finiteness check: a NaN makes its
+    # row's degree NaN, and the in-place normalization refuses that
+    import dynamap.kernels as kernels_mod
+
+    gaussian = kernels_mod._gaussian_values
+
+    def corrupt(sq, epsilon, out=None):
+        vals = gaussian(sq, epsilon, out=out)
+        vals[0, 1] = vals[1, 0] = np.nan
+        return vals
+
+    monkeypatch.setattr(kernels_mod, "_gaussian_values", corrupt)
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    with pytest.raises(DegeneracyError):
+        calibrated_diffusion_matrix(cloud)
+
+
+def test_family_loop_peak_memory():
+    # one member's n x n arrays at a time: its squared distances, and either
+    # its probe, normalized where it was built, or the median's gathered
+    # positive upper triangle (the row pieces and their concatenation); a
+    # second n x n normalized copy of the probe would cross the bound
+    import scipy.sparse.linalg  # noqa: F401  its first import allocates ~2 n x n
+
+    n = 1000
+    clouds = pinched_torus_family(7, n=n)[0][:3]
+    tracemalloc.start()
+    try:
+        _calibrated_decompositions(clouds, 0.5, 1e-3, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
 
 
 def test_experiments_build_one_kernel_per_member(monkeypatch):
@@ -497,7 +543,7 @@ def test_calibrate_torus_solve_count(monkeypatch):
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
     monkeypatch.setattr(kernels_mod, "eigvalsh", counting_dense)
     cloud = sample_torus(TorusSpec(), 300, seed=4)
-    calibrate_epsilon(cloud, 0.5, tol=1e-3)
+    calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)
     assert not dense  # so Lanczos never stalled
     assert 1 <= len(probes) <= 8
 
@@ -511,7 +557,8 @@ def test_degree_normalized_matches_outer_product():
     # the in-place scaling forms the outer product's products, entry for entry
     cloud = PointCloud(np.random.default_rng(200).normal(size=(200, 3)))
     values = gaussian_kernel(cloud, 1.0).values
-    sym, deg = _degree_normalized(values)
+    sym = values.copy()
+    deg = _degree_normalized(sym)
     assert np.array_equal(sym, _normalized(values))
     assert np.array_equal(deg, values.sum(axis=1))
 
@@ -551,8 +598,9 @@ def test_median_squared_distance_torus_members():
 
 def test_second_eigenvalue_lanczos_matches_dense(monkeypatch):
     cloud = sample_torus(TorusSpec(), 300, seed=4)
-    values = gaussian_kernel(cloud, calibrate_epsilon(cloud, 0.5)).values
-    dense = np.linalg.eigvalsh(_normalized(values))[-2]
+    eps = calibrated_diffusion_matrix(cloud, 0.5)[0]
+    values = _normalized(gaussian_kernel(cloud, eps).values)
+    dense = np.linalg.eigvalsh(values)[-2]
     refuse_dense_solves(monkeypatch)
     first = _second_eigenvalue(values)
     assert abs(first - dense) <= 1e-12
@@ -565,9 +613,9 @@ def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
     # solve of the whole spectrum answers
     from dynamap.kernels import LANCZOS_MATVECS_PER_N, LANCZOS_NCV
 
-    values = near_identity_kernel().values
+    values = _normalized(near_identity_kernel().values)
     n = values.shape[0]
-    dense = float(np.linalg.eigvalsh(_normalized(values))[-2])
+    dense = float(np.linalg.eigvalsh(values)[-2])
     stats = counting_eigsh(monkeypatch)
     assert _second_eigenvalue(values) == dense
     assert dense > 0.9999

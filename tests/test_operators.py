@@ -10,7 +10,7 @@ from dynamap import (
     InputError,
     NumericalError,
     PointCloud,
-    calibrate_epsilon,
+    calibrated_diffusion_matrix,
     diffusion_matrix,
     gaussian_kernel,
     kernel_power_row,
@@ -186,6 +186,24 @@ def test_power_row_validation():
         kernel_power_row(mat, 2, 7)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.9, True])
+def test_power_row_refuses_non_integer_rows(bad):
+    # a float raised a bare IndexError, and True selected a 1 x n block
+    mat = diffusion_matrix(random_kernel(4, np.random.default_rng(2)))
+    with pytest.raises(InputError, match=rf"point index i={bad} is not an integer"):
+        kernel_power_row(mat, 2, bad)
+
+
+def test_diffusion_matrix_leaves_the_kernel_unchanged():
+    # the normalization runs in place, in a copy of the caller's kernel
+    kern = random_kernel(70, np.random.default_rng(3))
+    before = kern.values.copy()
+    mat = diffusion_matrix(kern)
+    assert np.array_equal(kern.values, before)
+    inv_sqrt = 1.0 / np.sqrt(before.sum(axis=1))
+    assert np.array_equal(mat.values, np.outer(inv_sqrt, inv_sqrt) * before)
+
+
 def _dense_top(mat, rank):
     """Reference: full dense solve, truncated, under the same normalization."""
     lam, vec = np.linalg.eigh(mat.values)
@@ -195,7 +213,7 @@ def _dense_top(mat, rank):
 
 def test_lanczos_decomposition_matches_dense_on_torus(monkeypatch):
     cloud = sample_torus(TorusSpec(), 300, seed=4)
-    mat = diffusion_matrix(gaussian_kernel(cloud, calibrate_epsilon(cloud, 0.5)))
+    mat = diffusion_matrix(gaussian_kernel(cloud, calibrated_diffusion_matrix(cloud, 0.5)[0]))
     lam, psi = _dense_top(mat, 10)
     refuse_dense_solves(monkeypatch)
     dec = spectral_decomposition(mat, 10)
