@@ -1,6 +1,8 @@
 """Gaussian affinity kernels and bandwidth calibration to a target second eigenvalue."""
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,14 +27,15 @@ MAX_REFINEMENTS = 100
 # Eigensolver routes. The pipelines need only a few top eigenpairs: lambda2 for
 # calibration, rank 2-10 for the decompositions. Implicitly restarted Lanczos
 # (ARPACK through scipy's eigsh) finds k of them in O(k n^2) per restart, where
-# a dense LAPACK solve costs O(n^3). Measured on calibrated torus kernels on a
-# 2-core x86 VM (OpenBLAS, 1 and 2 threads), Lanczos lambda2 breaks even with
-# a dense solve at n ~ 128-150 and is 5-10x faster at n = 1000; a rank-k
-# Lanczos decomposition beats a full dense eigh up to k ~ n/12 (n = 1000) to
-# n/7 (n = 200). So Lanczos runs when n >= LANCZOS_MIN_N and
-# k <= LANCZOS_MAX_RANK_FRACTION * n, and a dense solve of the whole spectrum
-# runs otherwise (below n = 150 it costs no more than LAPACK's subset driver
-# for the top two: 0.62 against 0.65 ms at n = 120, 1 thread).
+# a dense LAPACK solve costs O(n^3). ARPACK runs on scipy's bundled OpenBLAS and
+# its matrix-vector products on numpy's; a thread per core in both pools made a
+# torus family twice as slow, so scipy's pool runs one thread during each eigsh
+# call and numpy's keeps its count. Then, on calibrated torus kernels on a
+# 2-core x86 VM, Lanczos lambda2 takes 0.72, 0.81, 1.02, 1.26 and 7.5 ms at
+# n = 120, 150, 200, 300 and 1000 against 0.68, 1.01, 2.16, 4.70 and 76 ms
+# dense; a rank-k Lanczos decomposition beats a full dense eigh up to k ~ n/12
+# (n = 1000) to n/7 (n = 200). So Lanczos runs when n >= LANCZOS_MIN_N and
+# k <= LANCZOS_MAX_RANK_FRACTION * n, and a dense whole-spectrum solve otherwise.
 # Each Lanczos run keeps LANCZOS_NCV basis vectors (the default 2k + 1 is
 # 3-10x slower on clustered spectra), starts from a fixed seeded vector, so
 # repeated calls give bit-identical results, and stops after about
@@ -217,15 +220,47 @@ def _degree_normalized(values: np.ndarray) -> np.ndarray:
     return deg
 
 
+@functools.cache
+def _scipy_openblas():
+    """scipy's OpenBLAS (get_num_threads, set_num_threads), or None without one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "scipy_openblas" in line})
+    except OSError:  # no /proc
+        return None
+    for lib in map(ctypes.CDLL, paths):  # numpy's copy suffixes its symbols with 64_
+        get = getattr(lib, "scipy_openblas_get_num_threads", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _on_one_scipy_blas_thread(solve, *args, **kwargs):
+    """solve(*args, **kwargs) with scipy's OpenBLAS pool on one thread, then back."""
+    blas = _scipy_openblas()
+    previous = blas[0]() if blas is not None else 1
+    if previous == 1:
+        return solve(*args, **kwargs)
+    blas[1](1)
+    try:
+        return solve(*args, **kwargs)
+    finally:
+        blas[1](previous)
+
+
 def _eigensolve(values: np.ndarray, k: int, vectors: bool):
     """Top-k eigenvalues of a dense symmetric matrix, or its whole spectrum.
 
-    Implicitly restarted Lanczos computes only the top k; below the measured
-    crossovers in n and k, or when ARPACK does not converge within its restart
-    cap, a dense LAPACK solve (`eigvalsh`, or numpy's `eigh` for vectors)
-    returns the whole spectrum instead. Either way the eigenvalues come in
-    ascending order, plus the matching unit eigenvectors as columns when
-    `vectors` is set. The settings are explained with the LANCZOS_* constants.
+    Implicitly restarted Lanczos computes only the top k, with scipy's OpenBLAS
+    pool on one thread (process-wide) until eigsh returns or raises. Below the
+    measured crossovers in n and k, or when ARPACK does not converge within its
+    restart cap, a dense LAPACK solve (`eigvalsh`, or numpy's `eigh` for
+    vectors) returns the whole spectrum instead, on numpy's threads as set.
+    Either way the eigenvalues come in ascending order, plus the matching unit
+    eigenvectors as columns when `vectors` is set. The settings are explained
+    with the LANCZOS_* constants.
 
     Raises NumericalError when the dense solve does not converge.
     """
@@ -238,8 +273,8 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool):
         maxiter = int(LANCZOS_MATVECS_PER_N * n) // (ncv - k)
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:
-            out = eigsh(
-                values, k=k, which="LA", ncv=ncv, v0=v0, maxiter=maxiter,
+            out = _on_one_scipy_blas_thread(
+                eigsh, values, k=k, which="LA", ncv=ncv, v0=v0, maxiter=maxiter,
                 return_eigenvectors=vectors,
             )
         except ArpackNoConvergence:

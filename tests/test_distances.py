@@ -230,6 +230,15 @@ def test_global_self_and_identical_spectra():
     assert global_diffusion_distance(dec, dec, gram, 2) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_global_self_distance_at_full_rank_n60():
+    # complete Gram rows miss 1 by a few 1e-15 either way; weighted by la^2t
+    # those defects alone would read about 5e-8 at seeds 0, 3, 4, 5 and 7, so
+    # the distance is 0 only because defects below 1e-12 count as complete
+    for seed in range(8):
+        _, dec = gaussian_instance(60, seed)
+        assert global_diffusion_distance(dec, dec, gram_matrix(dec, dec), 2) <= 1e-12
+
+
 @pytest.mark.parametrize("t", [1, 2, 5])
 def test_global_oracle_equivalence(t):
     for seed in range(8):

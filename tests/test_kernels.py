@@ -32,7 +32,9 @@ from dynamap.kernels import (
     KernelMatrix,
     _calibrate,
     _degree_normalized,
+    _eigensolve,
     _median_squared_distance,
+    _scipy_openblas,
     _second_eigenvalue,
     _Start,
     squared_distances,
@@ -627,9 +629,64 @@ def test_import_leaves_scipy_sparse_unloaded():
     # eigsh is imported on first use; loading scipy.sparse with the package
     # would add 20-30 ms to every import
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, dynamap; print('scipy.sparse' in sys.modules)"
+    # and the BLAS lookup waits for the first Lanczos solve: no /proc scan
+    code = (
+        "import sys, dynamap; from dynamap.kernels import _scipy_openblas; "
+        "print('scipy.sparse' in sys.modules, _scipy_openblas.cache_info().currsize)"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False 0"
+
+
+def _torus_operator():
+    """A calibrated diffusion matrix on 300 torus points: Lanczos converges."""
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    return calibrated_diffusion_matrix(cloud, 0.5)[1].values
+
+
+def test_lanczos_runs_scipy_blas_on_one_thread_and_restores_it(monkeypatch):
+    import scipy.sparse.linalg as ssl
+
+    values, stalling = _torus_operator(), _normalized(near_identity_kernel().values)
+    blas = _scipy_openblas()
+    if blas is None:
+        pytest.skip("no scipy OpenBLAS in this process")
+    get_threads, set_threads = blas
+    real, inside = ssl.eigsh, []
+
+    def recording(*args, **kwargs):
+        inside.append(get_threads())
+        return real(*args, **kwargs)
+
+    def rigged(*args, **kwargs):
+        inside.append(get_threads())
+        raise RuntimeError("rigged eigsh")
+
+    previous = get_threads()
+    try:
+        set_threads(2)
+        assert get_threads() == 2
+        monkeypatch.setattr(ssl, "eigsh", recording)
+        _second_eigenvalue(values)  # converges
+        assert (inside, get_threads()) == ([1], 2)
+        _second_eigenvalue(stalling)  # ArpackNoConvergence, then the dense solve
+        assert (inside, get_threads()) == ([1, 1], 2)
+        monkeypatch.setattr(ssl, "eigsh", rigged)
+        with pytest.raises(RuntimeError, match="rigged"):
+            _second_eigenvalue(values)
+        assert (inside, get_threads()) == ([1, 1, 1], 2)
+    finally:
+        set_threads(previous)
+
+
+def test_one_thread_lanczos_is_bit_identical(monkeypatch):
+    # the thread count changes how long ARPACK takes, never what it returns
+    values = _torus_operator()
+    refuse_dense_solves(monkeypatch)
+    pinned = [_eigensolve(values, 2, vectors=False), *_eigensolve(values, 10, vectors=True)]
+    monkeypatch.setattr("dynamap.kernels._scipy_openblas", lambda: None)
+    free = [_eigensolve(values, 2, vectors=False), *_eigensolve(values, 10, vectors=True)]
+    assert all(np.array_equal(a, b) for a, b in zip(pinned, free, strict=True))
