@@ -31,13 +31,10 @@ from .distances import (
     subgraph_diffusion_distance,
 )
 from .embeddings import (
-    DiffusionEmbedding,
-    RotationOperator,
     canonical_subgraph_basis,
     common_embedding,
     diffusion_map,
     reference_subgraph_basis,
-    rotation,
     subgraph_rotation,
     truncation_residuals,
 )
@@ -62,7 +59,6 @@ from .metagraph import (
     MEDIAN,
     HistoricalGraph,
     MetaGraph,
-    Trajectory,
     historical_embedding,
     historical_kernel,
     meta_embedding,
@@ -87,7 +83,6 @@ __all__ = [
     "CorrespondenceError",
     "CubeFamily",
     "DegeneracyError",
-    "DiffusionEmbedding",
     "DiffusionMatrix",
     "DynamapError",
     "EXPONENTIAL",
@@ -101,10 +96,8 @@ __all__ = [
     "NumericalError",
     "PointCloud",
     "RateEstimate",
-    "RotationOperator",
     "SpectralDecomposition",
     "TorusSpec",
-    "Trajectory",
     "asymptotic_diffusion_distance",
     "asymptotic_distance_map",
     "asymptotic_global_distance",
@@ -130,7 +123,6 @@ __all__ = [
     "meta_kernel",
     "pinched_torus_family",
     "reference_subgraph_basis",
-    "rotation",
     "sample_torus",
     "spectral_decomposition",
     "standard_map_orbits",

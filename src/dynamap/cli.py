@@ -40,7 +40,7 @@ from .matio import FORMATS, read_matrix, write_matrix
 from .metagraph import MEDIAN, meta_embedding, meta_kernel
 from .operators import diffusion_matrix, spectral_decomposition
 from .sampling import report_rows, report_summary
-from .svgplot import write_scatter_svg
+from .svgplot import scatter_svg
 
 # the commands that read --input files
 FILE_COMMANDS = ("embed", "distance", "global", "metagraph")
@@ -296,11 +296,10 @@ def _load_decompositions(
 def cmd_embed(args: argparse.Namespace, out: OutputTracker) -> None:
     decs = _load_decompositions(args, 1)
     for idx, dec in enumerate(decs):
-        out.matrix(f"embedding_{idx}", diffusion_map(dec, args.t).coords)
+        out.matrix(f"embedding_{idx}", diffusion_map(dec, args.t))
     if args.common_base is not None:
-        rotated = common_embedding(decs, args.common_base, args.t)
-        for idx, emb in enumerate(rotated):
-            out.matrix(f"common_{idx}", emb.coords)
+        for idx, emb in enumerate(common_embedding(decs, args.common_base, args.t)):
+            out.matrix(f"common_{idx}", emb)
 
 
 def cmd_distance(args: argparse.Namespace, out: OutputTracker) -> None:
@@ -356,9 +355,7 @@ def cmd_torus_experiment(args: argparse.Namespace, out: OutputTracker) -> None:
         x, y = result.coords[:, 1], result.coords[:, 2]
     else:
         x, y = result.coords[:, 0], result.coords[:, -1]
-    svg_path = out.path("torus_meta", ".svg")
-    write_scatter_svg(svg_path, x, y, groups=groups, title="graph of graphs")
-    out.written.append(svg_path)
+    out.text("torus_meta", scatter_svg(x, y, groups=groups, title="graph of graphs"), ".svg")
     inversions = experiments.monotonicity_inversions(result)
     accuracy = experiments.angle_classification_accuracy(result)
     out.text(

@@ -1,7 +1,6 @@
-"""Diffusion maps, Gram-matrix rotations between embeddings, and common embeddings."""
+"""Diffusion maps, common embeddings, and rotations onto a shared vertex set."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,73 +14,30 @@ from .operators import (
 BASIS_ORTHONORMALITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DiffusionEmbedding:
-    """Per-point diffusion coordinates coords[x, i] = lambda_i^t psi_i(x)."""
-
-    coords: np.ndarray
-
-
-@dataclass(frozen=True)
-class RotationOperator:
-    """Change-of-basis matrix taking a source embedding into a target basis.
-
-    At full rank the operator is an isometry; truncated operators expose the
-    defect instead of silently renormalizing.
-    """
-
-    values: np.ndarray
-
-    @property
-    def isometry_defect(self) -> float:
-        k = self.values.shape[1]
-        return float(np.max(np.abs(self.values.T @ self.values - np.eye(k))))
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        return self.values @ np.asarray(vector, dtype=float)
-
-    def rotate(self, embedding: DiffusionEmbedding) -> DiffusionEmbedding:
-        return DiffusionEmbedding(coords=embedding.coords @ self.values.T)
-
-
-def diffusion_map(dec: SpectralDecomposition, t: int) -> DiffusionEmbedding:
-    """Embed every sample as (lambda_i^t psi_i(x))_i."""
-    coords = dec.eigenfunctions * dec.eigenvalues[None, :] ** _check_t(t)
-    return DiffusionEmbedding(coords=coords)
-
-
-def rotation(
-    dec_target: SpectralDecomposition, dec_source: SpectralDecomposition
-) -> RotationOperator:
-    """Rotation from the source eigenbasis into the target eigenbasis.
-
-    The matrix is the cross Gram matrix with roles fixed: row i holds the
-    inner products of target eigenfunction i against every source
-    eigenfunction, so applying it expresses a source-coordinates vector in
-    target coordinates.
-    """
-    return RotationOperator(values=gram_matrix(dec_target, dec_source).values)
+def diffusion_map(dec: SpectralDecomposition, t: int) -> np.ndarray:
+    """Embed every sample as (lambda_i^t psi_i(x))_i: row x holds its diffusion coordinates."""
+    return dec.eigenfunctions * dec.eigenvalues[None, :] ** _check_t(t)
 
 
 def common_embedding(
     family: Sequence[SpectralDecomposition],
     gamma: int,
     t: int,
-) -> list[DiffusionEmbedding]:
+) -> list[np.ndarray]:
     """Rotate every member's diffusion map into the base member's coordinates.
 
-    After rotation, Euclidean distances between any two members' rows realize
-    the cross-parameter diffusion distance (exactly at full rank).
+    The rotation is the cross Gram matrix gram_matrix(base, member): row i
+    holds the inner products of base eigenfunction i against every member
+    eigenfunction. After rotation, Euclidean distances between any two
+    members' rows realize the cross-parameter diffusion distance (exactly at
+    full rank).
     """
     if not 0 <= gamma < len(family):
         raise InputError(f"base index {gamma} out of range for family of {len(family)}")
     base = family[gamma]
-    out = []
-    for dec in family:
-        if dec.n != base.n:
-            raise CorrespondenceError("family members must share the sample set")
-        out.append(rotation(base, dec).rotate(diffusion_map(dec, t)))
-    return out
+    if any(dec.n != base.n for dec in family):
+        raise CorrespondenceError("family members must share the sample set")
+    return [diffusion_map(dec, t) @ gram_matrix(base, dec).values.T for dec in family]
 
 
 def truncation_residuals(
@@ -104,13 +60,12 @@ def truncation_residuals(
     take = min(16, n)
     rows = rng.choice(n, size=take, replace=False)
     cols = rng.choice(n, size=take, replace=False)
-    base_rot = rotated[gamma]
     residuals = np.zeros(len(family))
     for idx, dec in enumerate(family):
         exact = diffusion_distance_matrix(
             dec, family[gamma], gram_matrix(dec, family[gamma]), t
         )[np.ix_(rows, cols)]
-        diff = rotated[idx].coords[rows, None, :] - base_rot.coords[None, cols, :]
+        diff = rotated[idx][rows, None, :] - rotated[gamma][None, cols, :]
         approx = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         residuals[idx] = float(np.max(np.abs(approx - exact)))
     return residuals
@@ -150,7 +105,7 @@ def subgraph_rotation(
     dec: SpectralDecomposition,
     s_indices: Sequence[int],
     basis: np.ndarray,
-) -> RotationOperator:
+) -> np.ndarray:
     """Rotation of a member's embedding onto an orthonormal basis of the shared set S.
 
     R[i, j] = (1/|S|) sum_{s in S} e_i(s) psi_j(s), with basis column i holding
@@ -169,5 +124,4 @@ def subgraph_rotation(
         raise InputError(
             f"basis not orthonormal under the empirical measure on S (defect {defect:.3e})"
         )
-    vals = basis.T @ dec.eigenfunctions[idx, :] / idx.size
-    return RotationOperator(values=vals)
+    return basis.T @ dec.eigenfunctions[idx, :] / idx.size

@@ -6,6 +6,7 @@ u64 rows, u64 cols, then row-major float64 data.
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -28,23 +29,23 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
 
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
     arr = _as_matrix(values)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"# {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            handle.write(",".join(format(v, ".17g") for v in row))
-            handle.write("\n")
+    header = f"{arr.shape[0]} {arr.shape[1]}"
+    np.savetxt(path, arr, fmt="%.17g", delimiter=",", header=header, encoding="ascii")
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as handle:
-        header = handle.readline()
-        if not header.startswith("#"):
-            raise InputError(f"{path}: missing '# rows cols' header")
-        try:
-            rows, cols = (int(tok) for tok in header[1:].split())
-        except ValueError as exc:
-            raise InputError(f"{path}: malformed header {header!r}") from exc
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            header = handle.readline()
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a non-ASCII byte, a ragged row or a non-numeric cell
+        raise InputError(f"{path}: malformed CSV matrix: {exc}") from exc
+    if not header.startswith("#"):
+        raise InputError(f"{path}: missing '# rows cols' header")
+    try:
+        rows, cols = (int(tok) for tok in header[1:].split())
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed header {header!r}") from exc
     if data.shape != (rows, cols):
         raise InputError(
             f"{path}: header promises {rows}x{cols} but file holds {data.shape}"
@@ -65,11 +66,21 @@ def read_matrix_bin(path: str | Path) -> np.ndarray:
         magic = handle.read(len(MAGIC))
         if magic != MAGIC:
             raise InputError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", handle.read(16))
-        payload = handle.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
-        raise InputError(f"{path}: truncated payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        header = handle.read(16)
+        if len(header) != 16:
+            raise InputError(f"{path}: truncated header")
+        rows, cols = struct.unpack("<QQ", header)
+        # the size is checked before the read: a forged header must not
+        # ask for more bytes than the file holds
+        size = rows * cols * 8
+        held = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != held:
+            raise InputError(f"{path}: {held}-byte payload does not fit a {rows}x{cols} header")
+        payload = handle.read(size)
+    try:
+        return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    except ValueError as exc:  # an empty matrix with a dimension numpy cannot index
+        raise InputError(f"{path}: unreadable {rows}x{cols} header: {exc}") from exc
 
 
 def write_matrix(path: str | Path, values: np.ndarray, fmt: str = "csv") -> None:

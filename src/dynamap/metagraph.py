@@ -46,16 +46,6 @@ class HistoricalGraph:
     n_params: int
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One point's sequence of embedded coordinates across the parameter family."""
-
-    coords: np.ndarray
-
-    def __len__(self) -> int:
-        return self.coords.shape[0]
-
-
 def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN) -> MetaGraph:
     """Gaussian weights exp(-dist^2 / epsilon^2) over a family's global distances.
 
@@ -64,6 +54,10 @@ def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN) -> 
     dist = np.asarray(family_distances, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise InputError("family distance matrix must be square")
+    # NaN slips past the comparisons below into a NaN kernel, and inf makes
+    # the median bandwidth inf
+    if not np.all(np.isfinite(dist)):
+        raise InputError("family distance matrix must be finite")
     if np.max(np.abs(dist - dist.T)) > 1e-10:
         raise InputError("family distance matrix must be symmetric")
     if np.max(np.abs(np.diag(dist))) > 1e-12:
@@ -77,7 +71,7 @@ def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN) -> 
             raise DegeneracyError("median bandwidth degenerate: all family distances are zero")
     else:
         eps = float(epsilon)
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise InputError(f"epsilon must be positive, got {epsilon}")
     kern = np.exp(-(dist * dist) / (eps * eps))
     # mirror the upper triangle: roundoff asymmetry in the input distances
@@ -193,19 +187,16 @@ def historical_embedding(
     hist: HistoricalGraph,
     s: float,
     dims: int,
-) -> tuple[np.ndarray, list[Trajectory]]:
-    """Diffusion map of the historical graph plus one trajectory per point.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diffusion map of the historical graph plus every point's trajectory.
 
-    Trajectory coordinates are ordered by parameter; row alpha of a trajectory
-    is the embedded image of the point at the family's alpha-th parameter.
+    coords has one row per (point, parameter) pair, index parameter * n +
+    point. trajectories[x, alpha] is the embedded image of point x at the
+    family's alpha-th parameter: an (n, n_params, dims) view of coords.
     """
     total = hist.n * hist.n_params
     if not 1 <= dims <= total:
         raise InputError(f"dims must lie in [1, {total}], got {dims}")
     dec = spectral_decomposition(diffusion_matrix(KernelMatrix(hist.kernel)), dims)
     coords = _timescaled_coords(dec, s)
-    trajectories = [
-        Trajectory(coords=coords[x :: hist.n, :].copy())
-        for x in range(hist.n)
-    ]
-    return coords, trajectories
+    return coords, coords.reshape(hist.n_params, hist.n, dims).swapaxes(0, 1)

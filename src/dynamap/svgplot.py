@@ -1,7 +1,6 @@
-"""Minimal static SVG scatter writer: points inside an axis box, nothing else."""
+"""Minimal static SVG scatter plot: points inside an axis box, nothing else."""
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -11,14 +10,13 @@ SIZE = 480  # square canvas side, in pixels
 RADIUS = 4.0  # marker radius, in pixels
 
 
-def write_scatter_svg(
-    path: str | Path,
+def scatter_svg(
     x: np.ndarray,
     y: np.ndarray,
     groups: Sequence[int] | None = None,
     title: str | None = None,
-) -> None:
-    """Scatter the (x, y) points into an SVG file, colored by integer group."""
+) -> str:
+    """SVG document scattering the (x, y) points, colored by integer group."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if groups is None:
@@ -50,4 +48,4 @@ def write_scatter_svg(
         color = PALETTE[int(gi) % len(PALETTE)]
         parts.append(f'<circle cx="{xi:.2f}" cy="{yi:.2f}" r="{RADIUS}" fill="{color}"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts), encoding="ascii")
+    return "\n".join(parts)

@@ -225,6 +225,20 @@ def test_failed_command_removes_partial_outputs(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_embed_refuses_a_ragged_csv(tmp_path, capsys):
+    (good,) = _write_kernels(tmp_path, 5, [13])
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("# 2 2\n1.0,0.5\n0.5\n", encoding="ascii")
+    out = tmp_path / "out"
+    code = main([
+        "embed", "--input", str(good), "--input", str(ragged),
+        "--output-dir", str(out), "--t", "1", "--common-base", "0",
+    ])
+    assert code == 1
+    assert "ragged.csv" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_distance_usage_errors(tmp_path):
     paths = _write_kernels(tmp_path, 5, [14])
     out = tmp_path / "out"

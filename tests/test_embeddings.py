@@ -10,7 +10,6 @@ from dynamap import (
     direct_diffusion_distance,
     gram_matrix,
     reference_subgraph_basis,
-    rotation,
     subgraph_diffusion_distance,
     subgraph_rotation,
     truncate,
@@ -25,15 +24,15 @@ from conftest import random_instance
 def test_diffusion_map_all_ones_kernel():
     dec = spectral_decomposition(diffusion_matrix(KernelMatrix(np.ones((2, 2)))), 2)
     emb = diffusion_map(dec, 1)
-    np.testing.assert_allclose(emb.coords[:, 0], [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(emb.coords[:, 1], [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(emb[:, 0], [1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(emb[:, 1], [0.0, 0.0], atol=1e-12)
 
 
 def test_diffusion_map_second_moments():
     _, dec = random_instance(6, seed=41)
     for t in (1, 3):
         emb = diffusion_map(dec, t)
-        moments = np.mean(emb.coords**2, axis=0)
+        moments = np.mean(emb**2, axis=0)
         np.testing.assert_allclose(moments, dec.eigenvalues ** (2 * t), atol=1e-10)
 
 
@@ -42,22 +41,27 @@ def test_diffusion_map_realizes_within_graph_distance():
     emb = diffusion_map(dec, 2)
     for x in range(5):
         for y in range(5):
-            norm = float(np.linalg.norm(emb.coords[x] - emb.coords[y]))
+            norm = float(np.linalg.norm(emb[x] - emb[y]))
             oracle = direct_diffusion_distance(mat, mat, x, y, 2)
             assert norm == pytest.approx(oracle, abs=1e-8)
 
 
+def _isometry_defect(rot: np.ndarray) -> float:
+    """max |R^T R - I|: zero when the rotation R preserves lengths."""
+    return float(np.max(np.abs(rot.T @ rot - np.eye(rot.shape[1]))))
+
+
 def test_rotation_identity_and_isometry():
     _, dec = random_instance(6, seed=43)
-    rot = rotation(dec, dec)
-    np.testing.assert_allclose(rot.values, np.eye(6), atol=1e-12)
+    rot = gram_matrix(dec, dec).values
+    np.testing.assert_allclose(rot, np.eye(6), atol=1e-12)
     _, other = random_instance(6, seed=44)
-    cross = rotation(dec, other)
-    assert cross.isometry_defect <= 1e-6
+    cross = gram_matrix(dec, other).values
+    assert _isometry_defect(cross) <= 1e-6
     rng = np.random.default_rng(45)
     for _ in range(100):
         vec = rng.normal(size=6)
-        assert np.linalg.norm(cross.apply(vec)) == pytest.approx(
+        assert np.linalg.norm(cross @ vec) == pytest.approx(
             np.linalg.norm(vec), abs=1e-8
         )
 
@@ -65,22 +69,22 @@ def test_rotation_identity_and_isometry():
 def test_truncated_rotation_reports_defect():
     _, dec = random_instance(6, seed=46)
     _, other = random_instance(6, seed=47)
-    cross = rotation(truncate(dec, 3), truncate(other, 3))
-    assert np.isfinite(cross.isometry_defect)
-    assert cross.isometry_defect > 1e-6  # truncation genuinely loses isometry here
+    cross = gram_matrix(truncate(dec, 3), truncate(other, 3)).values
+    assert np.isfinite(_isometry_defect(cross))
+    assert _isometry_defect(cross) > 1e-6  # truncation genuinely loses isometry here
 
 
 def test_common_embedding_single_member():
     _, dec = random_instance(5, seed=48)
     (only,) = common_embedding([dec], 0, t=2)
-    np.testing.assert_allclose(only.coords, diffusion_map(dec, 2).coords, atol=1e-12)
+    np.testing.assert_allclose(only, diffusion_map(dec, 2), atol=1e-12)
 
 
 def test_common_embedding_identical_members():
     _, dec = random_instance(5, seed=49)
     rotated = common_embedding([dec, dec], 0, t=1)
-    within = np.linalg.norm(rotated[0].coords[:, None, :] - rotated[0].coords[None, :, :], axis=2)
-    cross = np.linalg.norm(rotated[0].coords[:, None, :] - rotated[1].coords[None, :, :], axis=2)
+    within = np.linalg.norm(rotated[0][:, None, :] - rotated[0][None, :, :], axis=2)
+    cross = np.linalg.norm(rotated[0][:, None, :] - rotated[1][None, :, :], axis=2)
     np.testing.assert_allclose(cross, within, atol=1e-10)
 
 
@@ -94,7 +98,7 @@ def test_common_embedding_realizes_cross_distances():
             for x in range(6):
                 for y in range(6):
                     expected = diffusion_distance(family[a], family[b], gram, x, y, 1)
-                    got = float(np.linalg.norm(rotated[a].coords[x] - rotated[b].coords[y]))
+                    got = float(np.linalg.norm(rotated[a][x] - rotated[b][y]))
                     worst = max(worst, abs(got - expected))
     assert worst <= 1e-8
 
@@ -105,8 +109,8 @@ def test_rotation_preserves_within_graph_distances():
     raw = diffusion_map(family[1], 2)
     for x in range(6):
         for y in range(6):
-            before = float(np.linalg.norm(raw.coords[x] - raw.coords[y]))
-            after = float(np.linalg.norm(rotated[1].coords[x] - rotated[1].coords[y]))
+            before = float(np.linalg.norm(raw[x] - raw[y]))
+            after = float(np.linalg.norm(rotated[1][x] - rotated[1][y]))
             assert after == pytest.approx(before, abs=1e-8)
 
 
@@ -129,14 +133,14 @@ def test_subgraph_rotation_full_set_reduces_to_rotation():
     _, dec_ref = random_instance(5, seed=64)
     _, dec = random_instance(5, seed=65)
     rot = subgraph_rotation(dec, list(range(5)), dec_ref.eigenfunctions)
-    np.testing.assert_allclose(rot.values, rotation(dec_ref, dec).values, atol=1e-12)
+    np.testing.assert_allclose(rot, gram_matrix(dec_ref, dec).values, atol=1e-12)
 
 
 def test_subgraph_rotation_canonical_basis_entries():
     _, dec = random_instance(5, seed=66)
     rot = subgraph_rotation(dec, list(range(5)), canonical_subgraph_basis(5))
     np.testing.assert_allclose(
-        rot.values, dec.eigenfunctions / np.sqrt(5.0), atol=1e-12
+        rot, dec.eigenfunctions / np.sqrt(5.0), atol=1e-12
     )
 
 
@@ -187,13 +191,13 @@ def test_subgraph_identity_partial_overlap(basis_kind):
         basis = reference_subgraph_basis(dec_a, idx_a)
     rot_a = subgraph_rotation(dec_a, idx_a, basis)
     rot_b = subgraph_rotation(dec_b, idx_b, basis)
-    emb_a = rot_a.rotate(diffusion_map(dec_a, 2))
-    emb_b = rot_b.rotate(diffusion_map(dec_b, 2))
+    emb_a = diffusion_map(dec_a, 2) @ rot_a.T
+    emb_b = diffusion_map(dec_b, 2) @ rot_b.T
     worst = 0.0
     for i in range(6):
         for j in range(5):
             direct = subgraph_diffusion_distance(mat_a, mat_b, idx_a, idx_b, i, j, 2)
-            ident = float(np.linalg.norm(emb_a.coords[i] - emb_b.coords[j]))
+            ident = float(np.linalg.norm(emb_a[i] - emb_b[j]))
             worst = max(worst, abs(direct - ident))
     assert worst <= 1e-6
 

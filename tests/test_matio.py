@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,6 @@ def test_bin_errors(tmp_path):
     path.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(InputError):
         read_matrix_bin(path)
-    import struct
-
     path.write_bytes(b"DMAP1" + struct.pack("<QQ", 2, 2) + b"\x00" * 8)
     with pytest.raises(InputError):
         read_matrix_bin(path)  # payload truncated
@@ -55,3 +55,36 @@ def test_seventeen_digit_roundtrip(tmp_path):
     path = tmp_path / "precise.csv"
     write_matrix_csv(path, values)
     np.testing.assert_array_equal(read_matrix(path), values)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"# 2 2\n1.0,2.0\n3.0\n",  # ragged row
+        b"# 2 2\n1.0,2.0\n3.0,four\n",  # non-numeric cell
+        b"# 2 2\n1.0,2.0\n3.0,4.\xe9\n",  # non-ASCII byte
+        b"# 2 \xe9\n1.0,2.0\n3.0,4.0\n",  # non-ASCII byte in the header
+    ],
+)
+def test_malformed_csv_body_is_an_input_error(tmp_path, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match="bad.csv"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"DMAP1" + struct.pack("<Q", 2),  # header shorter than 21 bytes
+        b"DMAP1" + struct.pack("<QQ", 2**62, 2**62),  # rows * cols * 8 overflows
+        b"DMAP1" + struct.pack("<QQ", 2**40, 2**20),  # payload larger than the file
+        b"DMAP1" + struct.pack("<QQ", 0, 2**64 - 1),  # empty, with a dimension beyond intp
+        b"DMAP1" + struct.pack("<QQ", 1, 1) + b"\x00" * 16,  # bytes after the payload
+    ],
+)
+def test_malformed_bin_header_is_an_input_error(tmp_path, content):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match="bad.bin"):
+        read_matrix(path)

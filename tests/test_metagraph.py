@@ -76,6 +76,21 @@ def test_meta_kernel_validation():
         meta_kernel(np.zeros((3, 3)), epsilon=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("epsilon", [1.0, MEDIAN])
+def test_meta_kernel_refuses_non_finite_distances(bad, epsilon):
+    # NaN passed the symmetry check into a NaN kernel, and inf made the
+    # median bandwidth inf
+    dists = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
+    with pytest.raises(InputError, match="finite"):
+        meta_kernel(dists, epsilon=epsilon)
+
+
+def test_meta_kernel_refuses_nan_bandwidth():
+    with pytest.raises(InputError, match="epsilon must be positive"):
+        meta_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), epsilon=np.nan)
+
+
 def test_meta_embedding_identical_graphs_collapse():
     decs = [random_instance(5, seed=90)[1]] * 2 + [random_instance(5, seed=91)[1]]
     dists = global_distance_matrix(decs, 2)
@@ -267,8 +282,8 @@ def test_historical_embedding_identical_graphs_constant_trajectories():
     assert len(trajectories) == 5
     for traj in trajectories:
         assert len(traj) == 3
-        np.testing.assert_allclose(traj.coords[0], traj.coords[1], atol=1e-8)
-        np.testing.assert_allclose(traj.coords[0], traj.coords[2], atol=1e-8)
+        np.testing.assert_allclose(traj[0], traj[1], atol=1e-8)
+        np.testing.assert_allclose(traj[0], traj[2], atol=1e-8)
 
 
 def test_historical_embedding_matches_big_graph_distances():
@@ -286,4 +301,4 @@ def test_historical_embedding_matches_big_graph_distances():
     # trajectory bookkeeping: row alpha of point x sits at alpha * n + x
     for x in (0, 3):
         for alpha in (0, 1):
-            np.testing.assert_array_equal(trajectories[x].coords[alpha], coords[alpha * 4 + x])
+            np.testing.assert_array_equal(trajectories[x, alpha], coords[alpha * 4 + x])
