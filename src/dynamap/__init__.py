@@ -16,10 +16,6 @@ from .datasets import (
     synthetic_cube_family,
 )
 from .distances import (
-    GramMatrix,
-    asymptotic_diffusion_distance,
-    asymptotic_distance_map,
-    asymptotic_global_distance,
     diffusion_distance,
     diffusion_distance_map,
     diffusion_distance_matrix,
@@ -86,7 +82,6 @@ __all__ = [
     "DiffusionMatrix",
     "DynamapError",
     "EXPONENTIAL",
-    "GramMatrix",
     "HistoricalGraph",
     "INNER_PRODUCT",
     "InputError",
@@ -98,9 +93,6 @@ __all__ = [
     "RateEstimate",
     "SpectralDecomposition",
     "TorusSpec",
-    "asymptotic_diffusion_distance",
-    "asymptotic_distance_map",
-    "asymptotic_global_distance",
     "calibrated_diffusion_matrix",
     "canonical_subgraph_basis",
     "common_embedding",

@@ -27,11 +27,9 @@ from .datasets import (
     synthetic_cube_family,
 )
 from .distances import (
-    asymptotic_distance_map,
     diffusion_distance_map,
     diffusion_distance_matrix,
     global_distance_matrix,
-    gram_matrix,
 )
 from .embeddings import common_embedding, diffusion_map
 from .exceptions import DynamapError, InputError
@@ -306,17 +304,10 @@ def cmd_distance(args: argparse.Namespace, out: OutputTracker) -> None:
     decs = _load_decompositions(args, 2)
     if len(decs) != 2:
         raise InputError("distance compares exactly two inputs")
-    dec_a, dec_b = decs
-    if args.t == math.inf:
-        if args.full_matrix:
-            raise InputError("asymptotic distances are emitted per corresponding point")
-        out.matrix("distance_map", asymptotic_distance_map(dec_a, dec_b))
-        return
-    gram = gram_matrix(dec_a, dec_b)
     if args.full_matrix:
-        out.matrix("distance_matrix", diffusion_distance_matrix(dec_a, dec_b, gram, args.t))
+        out.matrix("distance_matrix", diffusion_distance_matrix(*decs, args.t))
     else:
-        out.matrix("distance_map", diffusion_distance_map(dec_a, dec_b, gram, args.t))
+        out.matrix("distance_map", diffusion_distance_map(*decs, args.t))
 
 
 def cmd_global(args: argparse.Namespace, out: OutputTracker) -> None:

@@ -1,8 +1,8 @@
-"""Cross-parameter diffusion distances: pointwise, asymptotic, global, and subgraph.
+"""Cross-parameter diffusion distances: pointwise, global, and subgraph.
 
 Spectral routes work on :class:`~dynamap.operators.SpectralDecomposition` pairs
-plus their Gram matrix; direct routes work on matrix powers alone and serve as
-independent oracles for the spectral formulas.
+at a diffusion time t (math.inf gives the large-t limit); direct routes work on
+matrix powers alone and serve as independent oracles for the spectral formulas.
 
 Empirical scaling: with the empirical measure (weight 1/n per sample) the
 t-step kernel evaluated at sample points equals n * A^t, so the quadrature of
@@ -14,7 +14,6 @@ integral cancels the n^2 from the kernel evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,28 +38,21 @@ STABLE_REL = 1e-9
 REFINE_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Empirical inner products G[i,j] = (1/n) sum_x psi_a^(i)(x) psi_b^(j)(x).
+def gram_matrix(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition) -> np.ndarray:
+    """Cross-parameter Gram matrix G[i,j] = (1/n) sum_x psi_a^(i)(x) psi_b^(j)(x).
 
     Entries lie in [-1, 1] up to roundoff; at full rank G is orthogonal.
     """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise InputError("gram matrix must be 2-d")
-        if np.max(np.abs(vals)) > 1.0 + GRAM_ENTRY_SLACK:
-            raise NumericalError("gram entries exceed [-1, 1] beyond roundoff")
-        object.__setattr__(self, "values", vals)
-
-
-def gram_matrix(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition) -> GramMatrix:
-    """Cross-parameter Gram matrix of two decompositions over the same sample set."""
     _check_sizes(dec_a.n, dec_b.n)
-    return GramMatrix(values=dec_a.eigenfunctions.T @ dec_b.eigenfunctions / dec_a.n)
+    gram = dec_a.eigenfunctions.T @ dec_b.eigenfunctions / dec_a.n
+    if np.max(np.abs(gram)) > 1.0 + GRAM_ENTRY_SLACK:
+        raise NumericalError("gram entries exceed [-1, 1] beyond roundoff")
+    return gram
+
+
+def _check_time(t) -> int | float:
+    """A diffusion time: a positive integer, or math.inf for the large-t limit."""
+    return t if t == math.inf else _check_t(t)
 
 
 def _clamp_sq(d2: float) -> float:
@@ -78,38 +70,37 @@ def _check_sizes(n_a: int, n_b: int) -> None:
         raise CorrespondenceError(f"size mismatch: n={n_a} vs n={n_b}")
 
 
-def _check_connected(dec: SpectralDecomposition) -> None:
-    if dec.rank < 2:
-        raise InputError("connectivity check needs at least two eigenpairs")
-    if dec.eigenvalues[1] > 1.0 - CONNECTIVITY_GAP:
-        raise ConnectivityError(
-            f"second eigenvalue {dec.eigenvalues[1]:.12g} too close to 1; "
-            "graph is disconnected or nearly so"
-        )
+def _check_connected(*decs: SpectralDecomposition) -> None:
+    for dec in decs:
+        if dec.rank < 2:
+            raise InputError("connectivity check needs at least two eigenpairs")
+        if dec.eigenvalues[1] > 1.0 - CONNECTIVITY_GAP:
+            raise ConnectivityError(
+                f"second eigenvalue {dec.eigenvalues[1]:.12g} too close to 1; "
+                "graph is disconnected or nearly so"
+            )
 
 
-def _squared_distances(dec_a, dec_b, gram, t, pairs=None) -> np.ndarray:
+def _squared_distances(dec_a, dec_b, t, pairs=None) -> np.ndarray:
     """Three-term squared diffusion distances |u|^2 + |v|^2 - 2 u G v, where
     u = la^t psi_a[i] and v = lb^t psi_b[j] are diffusion coordinates.
 
     pairs = (i, j) pairs point i[k] under a with point j[k] under b; None
     takes every i against every j (n x n). t is a checked positive integer,
-    or math.inf, which only the asymptotic views pass: then only the top
-    eigenfunctions survive, with weight 1, and G is their inner product g;
-    for unit-norm tops that is the formula of asymptotic_diffusion_distance.
+    or math.inf: then only the top eigenfunctions survive, with weight 1, and
+    G is their inner product g, the closed form in diffusion_distance.
     Entries below STABLE_REL of their scale |u|^2 + |v|^2 are recomputed as
     the empirical norm of psi_a u - psi_b v, REFINE_BLOCK per matrix product,
     so every entry is nonnegative and accurate in absolute terms.
     """
     _check_sizes(dec_a.n, dec_b.n)
     if t == math.inf:
-        _check_connected(dec_a)
-        _check_connected(dec_b)
+        _check_connected(dec_a, dec_b)
         psi_a = wa = dec_a.eigenfunctions[:, :1]
         psi_b = wb = dec_b.eigenfunctions[:, :1]
         gram = psi_a.T @ psi_b / dec_a.n
     else:
-        psi_a, psi_b, gram = dec_a.eigenfunctions, dec_b.eigenfunctions, gram.values
+        psi_a, psi_b, gram = dec_a.eigenfunctions, dec_b.eigenfunctions, gram_matrix(dec_a, dec_b)
         wa = psi_a * dec_a.eigenvalues**t
         wb = psi_b * dec_b.eigenvalues**t
     n = dec_a.n
@@ -135,10 +126,9 @@ def _squared_distances(dec_a, dec_b, gram, t, pairs=None) -> np.ndarray:
 def diffusion_distance(
     dec_a: SpectralDecomposition,
     dec_b: SpectralDecomposition,
-    gram: GramMatrix,
     i: int,
     j: int,
-    t: int,
+    t: int | float,
 ) -> float:
     """Diffusion distance at time t between point i under kernel a and point j under kernel b.
 
@@ -147,29 +137,33 @@ def diffusion_distance(
     - 2 sum_{k,l} la_k^t lb_l^t pa_k(i) pb_l(j) G[k,l].
     Near-zero values, where the three terms cancel, are recomputed
     difference-first so the result is accurate in absolute terms.
+
+    t = math.inf gives the large-t limit of connected graphs. Only the top
+    eigenfunctions (normalized square roots of the densities) enter, so the
+    limit needs no further diagonalization:
+    D^2 = (pa(i) - pb(j))^2 + pa(i) pb(j) * mean_x (pa(x) - pb(x))^2,
+    the pointwise density gap plus a term carrying the global density change.
     """
-    return float(np.sqrt(_squared_distances(dec_a, dec_b, gram, _check_t(t), pairs=([i], [j]))[0]))
+    return float(np.sqrt(_squared_distances(dec_a, dec_b, _check_time(t), pairs=([i], [j]))[0]))
 
 
 def diffusion_distance_map(
     dec_a: SpectralDecomposition,
     dec_b: SpectralDecomposition,
-    gram: GramMatrix,
-    t: int,
+    t: int | float,
 ) -> np.ndarray:
     """Corresponding-point distances D(x_i under a, x_i under b) for every sample i."""
     every = np.arange(dec_a.n)
-    return np.sqrt(_squared_distances(dec_a, dec_b, gram, _check_t(t), pairs=(every, every)))
+    return np.sqrt(_squared_distances(dec_a, dec_b, _check_time(t), pairs=(every, every)))
 
 
 def diffusion_distance_matrix(
     dec_a: SpectralDecomposition,
     dec_b: SpectralDecomposition,
-    gram: GramMatrix,
-    t: int,
+    t: int | float,
 ) -> np.ndarray:
     """All-pairs distances D(x_i under a, y_j under b) as an n x n array."""
-    return np.sqrt(_squared_distances(dec_a, dec_b, gram, _check_t(t)))
+    return np.sqrt(_squared_distances(dec_a, dec_b, _check_time(t)))
 
 
 def direct_diffusion_distance(
@@ -187,36 +181,10 @@ def direct_diffusion_distance(
     return float(np.sqrt(_clamp_sq(mat_a.n * float(diff @ diff))))
 
 
-def asymptotic_diffusion_distance(
-    dec_a: SpectralDecomposition,
-    dec_b: SpectralDecomposition,
-    i: int,
-    j: int,
-) -> float:
-    """Large-t limit of the diffusion distance for connected graphs.
-
-    Only the top eigenfunctions (normalized square roots of the densities)
-    enter, so the limit needs no further diagonalization:
-    D^2 = (pa(i) - pb(j))^2 + pa(i) pb(j) * mean_x (pa(x) - pb(x))^2,
-    the pointwise density gap plus a term carrying the global density change.
-    """
-    return float(np.sqrt(_squared_distances(dec_a, dec_b, None, math.inf, pairs=([i], [j]))[0]))
-
-
-def asymptotic_distance_map(
-    dec_a: SpectralDecomposition,
-    dec_b: SpectralDecomposition,
-) -> np.ndarray:
-    """Corresponding-point large-t distances for every sample."""
-    every = np.arange(dec_a.n)
-    return np.sqrt(_squared_distances(dec_a, dec_b, None, math.inf, pairs=(every, every)))
-
-
 def global_diffusion_distance(
     dec_a: SpectralDecomposition,
     dec_b: SpectralDecomposition,
-    gram: GramMatrix,
-    t: int,
+    t: int | float,
 ) -> float:
     """Whole-graph distance from the spectra and the cross Gram matrix.
 
@@ -225,12 +193,19 @@ def global_diffusion_distance(
     and columns, which reproduces the equivalent three-term form
     sum la^2t + sum lb^2t - 2 sum la^t lb^t G^2 without cancellation; the
     value degrades gracefully as the discarded tail only shrinks the sums.
+
+    t = math.inf gives the large-t limit of connected graphs,
+    sqrt(2 (1 - g^2)) with g the inner product of the top eigenfunctions.
     """
-    t = _check_t(t)
-    _check_sizes(dec_a.n, dec_b.n)
+    t = _check_time(t)
+    if t == math.inf:
+        _check_connected(dec_a, dec_b)
+        _check_sizes(dec_a.n, dec_b.n)
+        g = float(dec_a.eigenfunctions[:, 0] @ dec_b.eigenfunctions[:, 0]) / dec_a.n
+        return float(np.sqrt(_clamp_sq(2.0 * (1.0 - g * g))))
     la = dec_a.eigenvalues**t
     lb = dec_b.eigenvalues**t
-    gsq = gram.values**2
+    gsq = gram_matrix(dec_a, dec_b) ** 2
     d2 = float(((la[:, None] - lb[None, :]) ** 2 * gsq).sum())
     # Bessel defects below roundoff are complete rows, not truncation
     row_defect = 1.0 - gsq.sum(axis=1)
@@ -254,34 +229,17 @@ def direct_global_distance(mat_a: DiffusionMatrix, mat_b: DiffusionMatrix, t: in
     return float(np.linalg.norm(pow_a - pow_b, ord="fro"))
 
 
-def asymptotic_global_distance(
-    dec_a: SpectralDecomposition,
-    dec_b: SpectralDecomposition,
-) -> float:
-    """Large-t limit sqrt(2 (1 - g^2)) with g the inner product of the top eigenfunctions."""
-    _check_connected(dec_a)
-    _check_connected(dec_b)
-    _check_sizes(dec_a.n, dec_b.n)
-    g = float(dec_a.eigenfunctions[:, 0] @ dec_b.eigenfunctions[:, 0]) / dec_a.n
-    return float(np.sqrt(_clamp_sq(2.0 * (1.0 - g * g))))
-
-
 def global_distance_matrix(decs: Sequence[SpectralDecomposition], t: int | float) -> np.ndarray:
     """Pairwise global distances for a family, symmetric with an exactly zero diagonal.
 
-    t = math.inf gives the large-t limits (asymptotic_global_distance), which
-    need no Gram matrix.
+    t = math.inf gives the large-t limits, which need no Gram matrix.
     """
-    if t != math.inf:
-        t = _check_t(t)
+    t = _check_time(t)
     count = len(decs)
     out = np.zeros((count, count))
     for a in range(count):
         for b in range(a + 1, count):
-            if t == math.inf:
-                dist = asymptotic_global_distance(decs[a], decs[b])
-            else:
-                dist = global_diffusion_distance(decs[a], decs[b], gram_matrix(decs[a], decs[b]), t)
+            dist = global_diffusion_distance(decs[a], decs[b], t)
             out[a, b] = dist
             out[b, a] = dist
     return out

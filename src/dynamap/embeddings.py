@@ -37,7 +37,7 @@ def common_embedding(
     base = family[gamma]
     if any(dec.n != base.n for dec in family):
         raise CorrespondenceError("family members must share the sample set")
-    return [diffusion_map(dec, t) @ gram_matrix(base, dec).values.T for dec in family]
+    return [diffusion_map(dec, t) @ gram_matrix(base, dec).T for dec in family]
 
 
 def truncation_residuals(
@@ -62,9 +62,7 @@ def truncation_residuals(
     cols = rng.choice(n, size=take, replace=False)
     residuals = np.zeros(len(family))
     for idx, dec in enumerate(family):
-        exact = diffusion_distance_matrix(
-            dec, family[gamma], gram_matrix(dec, family[gamma]), t
-        )[np.ix_(rows, cols)]
+        exact = diffusion_distance_matrix(dec, family[gamma], t)[np.ix_(rows, cols)]
         diff = rotated[idx][rows, None, :] - rotated[gamma][None, cols, :]
         approx = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         residuals[idx] = float(np.max(np.abs(approx - exact)))

@@ -14,7 +14,7 @@ from .datasets import (
     synthetic_cube_family,
     torus_points,
 )
-from .distances import asymptotic_distance_map, global_distance_matrix
+from .distances import diffusion_distance_map, global_distance_matrix
 from .kernels import (
     KernelMatrix, PointCloud, _calibrate, calibrated_diffusion_matrix, gaussian_kernel
 )
@@ -156,21 +156,21 @@ def change_detection_experiment(
     tol: float = 1e-3,
     **scene,
 ) -> ChangeDetectionResult:
-    """Synthetic multi-sensor change detection via the asymptotic diffusion distance.
+    """Synthetic multi-sensor change detection via the large-t diffusion distance.
 
     The scene is synthetic_cube_family(scene_seed, **scene), whose defaults
     are this experiment's defaults too. Each epoch sees it through its own
     random band subset, permutation, illumination, and noise; the last epoch
-    carries a planted block anomaly. Pixels are scored by the mean asymptotic
-    distance between the changed epoch and every other epoch, which needs
-    only the top eigenfunctions.
+    carries a planted block anomaly. Pixels are scored by the mean large-t
+    (t = math.inf) distance between the changed epoch and every other epoch,
+    which needs only the top eigenfunctions.
     """
     family = synthetic_cube_family(scene_seed, **scene)
     epsilons, decs = _calibrated_decompositions(family.clouds, target_lambda2, tol, 2)
     chg = family.change_epoch
     others = [k for k in range(len(decs)) if k != chg]
     scores = np.mean(
-        [asymptotic_distance_map(decs[chg], decs[k]) for k in others], axis=0
+        [diffusion_distance_map(decs[chg], decs[k], math.inf) for k in others], axis=0
     )
     return ChangeDetectionResult(
         scores=scores,

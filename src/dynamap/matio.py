@@ -36,21 +36,27 @@ def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     try:
         with open(path, "r", encoding="ascii") as handle:
-            header = handle.readline()
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            rows, cols = _csv_header(path, handle.readline())
+            # an empty matrix leaves at most blank lines, and np.loadtxt warns on those
+            body = handle if rows and cols else [line for line in handle if line.strip()]
+            data = np.loadtxt(body, delimiter=",", ndmin=2) if body else np.empty((rows, cols))
+    except InputError:
+        raise
     except ValueError as exc:  # a non-ASCII byte, a ragged row or a non-numeric cell
         raise InputError(f"{path}: malformed CSV matrix: {exc}") from exc
+    if data.shape != (rows, cols):
+        raise InputError(f"{path}: header promises {rows}x{cols} but file holds {data.shape}")
+    return data
+
+
+def _csv_header(path: str | Path, header: str) -> tuple[int, int]:
     if not header.startswith("#"):
         raise InputError(f"{path}: missing '# rows cols' header")
     try:
         rows, cols = (int(tok) for tok in header[1:].split())
     except ValueError as exc:
         raise InputError(f"{path}: malformed header {header!r}") from exc
-    if data.shape != (rows, cols):
-        raise InputError(
-            f"{path}: header promises {rows}x{cols} but file holds {data.shape}"
-        )
-    return data
+    return rows, cols
 
 
 def write_matrix_bin(path: str | Path, values: np.ndarray) -> None:

@@ -130,8 +130,8 @@ def truncate(dec: SpectralDecomposition, rank: int) -> SpectralDecomposition:
 
 
 def _check_t(t) -> int:
-    """A diffusion time: a positive integer (a float such as 2.0 is refused)."""
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
+    """A diffusion time: a positive integer (a float such as 2.0, or a bool, is refused)."""
+    if not (isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 1):
         raise InputError(f"diffusion time must be a positive integer, got {t}")
     return int(t)
 

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from dynamap import (
-    asymptotic_diffusion_distance,
-    asymptotic_global_distance,
     canonical_subgraph_basis,
     common_embedding,
     diffusion_distance,
@@ -69,12 +67,11 @@ def test_criterion_1_pointwise_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for n, mat_a, dec_a, mat_b, dec_b in _random_pairs(100):
-        gram = gram_matrix(dec_a, dec_b)
         rng = np.random.default_rng(n)
         pairs = {(0, 0), (n - 1, n - 1), tuple(rng.integers(0, n, 2))}
         for t in (1, 2, 5):
             for i, j in pairs:
-                spec = diffusion_distance(dec_a, dec_b, gram, int(i), int(j), t)
+                spec = diffusion_distance(dec_a, dec_b, int(i), int(j), t)
                 direct = direct_diffusion_distance(mat_a, mat_b, int(i), int(j), t)
                 worst = max(worst, abs(spec - direct))
     elapsed = time.perf_counter() - start
@@ -89,9 +86,8 @@ def test_criterion_1_pointwise_oracle_equivalence():
 def test_criterion_2_global_oracle_equivalence():
     worst = 0.0
     for n, mat_a, dec_a, mat_b, dec_b in _random_pairs(100):
-        gram = gram_matrix(dec_a, dec_b)
         for t in (1, 2, 5):
-            spec = global_diffusion_distance(dec_a, dec_b, gram, t)
+            spec = global_diffusion_distance(dec_a, dec_b, t)
             direct = direct_global_distance(mat_a, mat_b, t)
             worst = max(worst, abs(spec - direct))
     _verdict(
@@ -114,16 +110,15 @@ def test_criterion_3_common_embedding_identity():
         t = int(rng.integers(1, 4))
         rotated = common_embedding(family, gamma, t)
         for a in range(size):
-            rot = gram_matrix(family[gamma], family[a]).values
+            rot = gram_matrix(family[gamma], family[a])
             worst_defect = max(
                 worst_defect,
                 float(np.max(np.abs(rot.T @ rot - np.eye(rot.shape[1])))),
             )
             for b in range(size):
-                gram = gram_matrix(family[a], family[b])
                 for x in range(n):
                     for y in range(n):
-                        expected = diffusion_distance(family[a], family[b], gram, x, y, t)
+                        expected = diffusion_distance(family[a], family[b], x, y, t)
                         got = float(
                             np.linalg.norm(rotated[a][x] - rotated[b][y])
                         )
@@ -142,18 +137,17 @@ def test_criterion_4_asymptotic_formulas():
     for seed in range(20):
         _, dec_a = random_instance(7, seed=60_000 + seed)
         _, dec_b = random_instance(7, seed=70_000 + seed)
-        gram = gram_matrix(dec_a, dec_b)
         for i, j in ((0, 0), (2, 5), (6, 1)):
-            limit = diffusion_distance(dec_a, dec_b, gram, i, j, 400)
+            limit = diffusion_distance(dec_a, dec_b, i, j, 400)
             worst_pt = max(
-                worst_pt, abs(limit - asymptotic_diffusion_distance(dec_a, dec_b, i, j))
+                worst_pt, abs(limit - diffusion_distance(dec_a, dec_b, i, j, math.inf))
             )
         g = float(dec_a.eigenfunctions[:, 0] @ dec_b.eigenfunctions[:, 0]) / 7.0
         closed_form = math.sqrt(2.0 * (1.0 - g * g))
-        limit_gl = global_diffusion_distance(dec_a, dec_b, gram, 400)
+        limit_gl = global_diffusion_distance(dec_a, dec_b, 400)
         worst_gl = max(worst_gl, abs(limit_gl - closed_form))
         worst_gl = max(
-            worst_gl, abs(asymptotic_global_distance(dec_a, dec_b) - closed_form)
+            worst_gl, abs(global_diffusion_distance(dec_a, dec_b, math.inf) - closed_form)
         )
     _verdict(
         4,
@@ -275,15 +269,14 @@ def test_criterion_9_invariance_suite():
     _, dec_b = random_instance(6, seed=95_000)
 
     def distances(da, db):
-        gram = gram_matrix(da, db)
         vals = [
-            diffusion_distance(da, db, gram, i, j, 2)
+            diffusion_distance(da, db, i, j, 2)
             for i in range(6)
             for j in range(6)
         ]
-        vals.append(global_diffusion_distance(da, db, gram, 2))
-        vals.append(asymptotic_diffusion_distance(da, db, 1, 4))
-        vals.append(asymptotic_global_distance(da, db))
+        vals.append(global_diffusion_distance(da, db, 2))
+        vals.append(diffusion_distance(da, db, 1, 4, math.inf))
+        vals.append(global_diffusion_distance(da, db, math.inf))
         return np.array(vals)
 
     baseline = distances(dec_a, dec_b)
@@ -316,8 +309,7 @@ def test_criterion_9_invariance_suite():
 
     def dist(p, q):
         (x, a), (y, b) = p, q
-        gram = gram_matrix(instances[a], instances[b])
-        return diffusion_distance(instances[a], instances[b], gram, x, y, 2)
+        return diffusion_distance(instances[a], instances[b], x, y, 2)
 
     for p in samples:
         metric_ok &= dist(p, p) == 0.0

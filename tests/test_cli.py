@@ -140,11 +140,13 @@ def test_distance_asymptotic_matches_large_t(tmp_path):
     out_inf = tmp_path / "inf"
     out_400 = tmp_path / "t400"
     common = ["--input", str(paths[0]), "--input", str(paths[1])]
-    assert main(["distance", *common, "--output-dir", str(out_inf), "--t", "inf"]) == 0
-    assert main(["distance", *common, "--output-dir", str(out_400), "--t", "400"]) == 0
-    inf_map = read_matrix(out_inf / "distance_map.csv")
-    t400_map = read_matrix(out_400 / "distance_map.csv")
-    assert np.max(np.abs(inf_map - t400_map)) <= 1e-4
+    # --full-matrix --t inf writes the all-pairs limit
+    for flags, stem in (([], "distance_map"), (["--full-matrix"], "distance_matrix")):
+        assert main(["distance", *common, *flags, "--output-dir", str(out_inf), "--t", "inf"]) == 0
+        assert main(["distance", *common, *flags, "--output-dir", str(out_400), "--t", "400"]) == 0
+        inf_map = read_matrix(out_inf / f"{stem}.csv")
+        t400_map = read_matrix(out_400 / f"{stem}.csv")
+        assert np.max(np.abs(inf_map - t400_map)) <= 1e-4
 
 
 def test_global_identical_inputs(tmp_path):

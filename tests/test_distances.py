@@ -10,9 +10,6 @@ from dynamap import (
     ConnectivityError,
     CorrespondenceError,
     InputError,
-    asymptotic_diffusion_distance,
-    asymptotic_distance_map,
-    asymptotic_global_distance,
     diffusion_distance,
     diffusion_distance_map,
     diffusion_distance_matrix,
@@ -39,12 +36,12 @@ from conftest import gaussian_instance, random_instance, random_kernel
 def test_gram_identity_and_orthogonality():
     _, dec = random_instance(5, seed=1)
     gram = gram_matrix(dec, dec)
-    np.testing.assert_allclose(gram.values, np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(gram, np.eye(5), atol=1e-12)
     _, other = random_instance(5, seed=2)
     cross = gram_matrix(dec, other)
-    prod = cross.values.T @ cross.values
+    prod = cross.T @ cross
     assert np.max(np.abs(prod - np.eye(5))) <= 1e-8
-    assert np.max(np.abs(cross.values)) <= 1.0 + 1e-8
+    assert np.max(np.abs(cross)) <= 1.0 + 1e-8
 
 
 def test_gram_sign_flip_is_absorbed_by_convention():
@@ -65,14 +62,12 @@ def test_gram_size_mismatch():
 
 def test_self_distance_is_zero():
     _, dec = random_instance(6, seed=7)
-    gram = gram_matrix(dec, dec)
     for t in (1, 2, 5):
-        assert diffusion_distance(dec, dec, gram, 3, 3, t) == 0.0
+        assert diffusion_distance(dec, dec, 3, 3, t) == 0.0
 
 
 def test_reduces_to_single_graph_formula():
     _, dec = random_instance(6, seed=8)
-    gram = gram_matrix(dec, dec)
     for t in (1, 2):
         for x, y in ((0, 1), (2, 5)):
             classic = math.sqrt(
@@ -83,7 +78,7 @@ def test_reduces_to_single_graph_formula():
                     )
                 )
             )
-            assert diffusion_distance(dec, dec, gram, x, y, t) == pytest.approx(
+            assert diffusion_distance(dec, dec, x, y, t) == pytest.approx(
                 classic, abs=1e-10
             )
 
@@ -93,9 +88,8 @@ def test_pointwise_oracle_equivalence(t):
     for seed in range(8):
         mat_a, dec_a = random_instance(6, seed=100 + seed)
         mat_b, dec_b = random_instance(6, seed=200 + seed)
-        gram = gram_matrix(dec_a, dec_b)
         for i, j in ((0, 0), (1, 4), (5, 2)):
-            spec = diffusion_distance(dec_a, dec_b, gram, i, j, t)
+            spec = diffusion_distance(dec_a, dec_b, i, j, t)
             direct = direct_diffusion_distance(mat_a, mat_b, i, j, t)
             assert abs(spec - direct) <= 1e-8
 
@@ -128,26 +122,28 @@ def test_direct_distance_elementwise_reference():
 def test_maps_and_matrix_agree_with_scalar():
     _, dec_a = random_instance(6, seed=12)
     _, dec_b = random_instance(6, seed=13)
-    gram = gram_matrix(dec_a, dec_b)
-    t = 2
-    full = diffusion_distance_matrix(dec_a, dec_b, gram, t)
-    corr = diffusion_distance_map(dec_a, dec_b, gram, t)
-    for i in range(6):
-        assert corr[i] == pytest.approx(full[i, i], abs=1e-12)
-        for j in range(6):
-            assert full[i, j] == pytest.approx(
-                diffusion_distance(dec_a, dec_b, gram, i, j, t), abs=1e-12
-            )
+    for t in (2, math.inf):
+        full = diffusion_distance_matrix(dec_a, dec_b, t)
+        corr = diffusion_distance_map(dec_a, dec_b, t)
+        for i in range(6):
+            assert corr[i] == pytest.approx(full[i, i], abs=1e-12)
+            for j in range(6):
+                assert full[i, j] == pytest.approx(
+                    diffusion_distance(dec_a, dec_b, i, j, t), abs=1e-12
+                )
+    # swapping the parameters transposes the all-pairs limit
+    np.testing.assert_allclose(
+        diffusion_distance_matrix(dec_b, dec_a, math.inf), full.T, rtol=0.0, atol=1e-12
+    )
 
 
 def test_identical_inputs_give_zero_map():
     # every corresponding-point entry cancels, so at n = 300 the recomputation
     # runs over more than one block
     for _, dec in (random_instance(6, seed=14), gaussian_instance(300, seed=14)):
-        gram = gram_matrix(dec, dec)
         zeros = np.zeros(dec.n)
-        np.testing.assert_array_equal(diffusion_distance_map(dec, dec, gram, 2), zeros)
-        np.testing.assert_array_equal(np.diag(diffusion_distance_matrix(dec, dec, gram, 2)), zeros)
+        np.testing.assert_array_equal(diffusion_distance_map(dec, dec, 2), zeros)
+        np.testing.assert_array_equal(np.diag(diffusion_distance_matrix(dec, dec, 2)), zeros)
 
 
 def test_recomputed_entries_match_oracle_on_torus_pair():
@@ -161,11 +157,11 @@ def test_recomputed_entries_match_oracle_on_torus_pair():
     wa = dec_a.eigenfunctions * dec_a.eigenvalues
     wb = dec_b.eigenfunctions * dec_b.eigenvalues
     scale = np.sum(wa * wa, axis=1) + np.sum(wb * wb, axis=1)
-    three_term = scale - 2.0 * np.sum((wa @ gram.values) * wb, axis=1)
+    three_term = scale - 2.0 * np.sum((wa @ gram) * wb, axis=1)
     recomputed = np.flatnonzero(three_term < 1e-9 * scale)
     assert recomputed.size > 100
-    dmap = diffusion_distance_map(dec_a, dec_b, gram, 1)
-    full = diffusion_distance_matrix(dec_a, dec_b, gram, 1)
+    dmap = diffusion_distance_map(dec_a, dec_b, 1)
+    full = diffusion_distance_matrix(dec_a, dec_b, 1)
     for i in (*recomputed, *range(0, 300, 30)):
         direct = direct_diffusion_distance(*mats, i, i, 1)
         assert abs(dmap[i] - direct) <= 1e-8
@@ -177,10 +173,9 @@ def test_recomputed_entries_match_oracle_on_torus_pair():
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_point_index_out_of_range(bad):
     mat, dec = random_instance(6, seed=36)
-    gram = gram_matrix(dec, dec)
     routes = (
-        lambda i, j: diffusion_distance(dec, dec, gram, i, j, 2),
-        lambda i, j: asymptotic_diffusion_distance(dec, dec, i, j),
+        lambda i, j: diffusion_distance(dec, dec, i, j, 2),
+        lambda i, j: diffusion_distance(dec, dec, i, j, math.inf),
         lambda i, j: direct_diffusion_distance(mat, mat, i, j, 2),
     )
     for route in routes:
@@ -193,22 +188,21 @@ def test_asymptotic_pointwise_against_large_t():
     for seed in range(5):
         _, dec_a = random_instance(6, seed=300 + seed)
         _, dec_b = random_instance(6, seed=400 + seed)
-        gram = gram_matrix(dec_a, dec_b)
         for i, j in ((0, 0), (2, 4)):
-            limit = diffusion_distance(dec_a, dec_b, gram, i, j, 400)
-            assert abs(limit - asymptotic_diffusion_distance(dec_a, dec_b, i, j)) <= 1e-6
+            limit = diffusion_distance(dec_a, dec_b, i, j, 400)
+            assert abs(limit - diffusion_distance(dec_a, dec_b, i, j, math.inf)) <= 1e-6
 
 
 def test_asymptotic_pointwise_trivia():
     _, dec = random_instance(6, seed=15)
-    assert asymptotic_diffusion_distance(dec, dec, 2, 2) == 0.0
+    assert diffusion_distance(dec, dec, 2, 2, math.inf) == 0.0
     # same parameter, different points: only the pointwise gap survives
     for i, j in ((0, 1), (3, 5)):
         expected = abs(dec.eigenfunctions[i, 0] - dec.eigenfunctions[j, 0])
-        assert asymptotic_diffusion_distance(dec, dec, i, j) == pytest.approx(
+        assert diffusion_distance(dec, dec, i, j, math.inf) == pytest.approx(
             expected, abs=1e-12
         )
-    mapped = asymptotic_distance_map(dec, dec)
+    mapped = diffusion_distance_map(dec, dec, math.inf)
     np.testing.assert_array_equal(mapped, np.zeros(6))
 
 
@@ -219,15 +213,14 @@ def test_asymptotic_requires_connectivity():
     mat = DiffusionMatrix(values=values, density=np.ones(4))
     dec = spectral_decomposition(mat, 4)
     with pytest.raises(ConnectivityError):
-        asymptotic_diffusion_distance(dec, dec, 0, 1)
+        diffusion_distance(dec, dec, 0, 1, math.inf)
     with pytest.raises(ConnectivityError):
-        asymptotic_global_distance(dec, dec)
+        global_diffusion_distance(dec, dec, math.inf)
 
 
 def test_global_self_and_identical_spectra():
     _, dec = random_instance(5, seed=16)
-    gram = gram_matrix(dec, dec)
-    assert global_diffusion_distance(dec, dec, gram, 2) == pytest.approx(0.0, abs=1e-12)
+    assert global_diffusion_distance(dec, dec, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_global_self_distance_at_full_rank_n60():
@@ -236,7 +229,7 @@ def test_global_self_distance_at_full_rank_n60():
     # the distance is 0 only because defects below 1e-12 count as complete
     for seed in range(8):
         _, dec = gaussian_instance(60, seed)
-        assert global_diffusion_distance(dec, dec, gram_matrix(dec, dec), 2) <= 1e-12
+        assert global_diffusion_distance(dec, dec, 2) <= 1e-12
 
 
 @pytest.mark.parametrize("t", [1, 2, 5])
@@ -244,8 +237,7 @@ def test_global_oracle_equivalence(t):
     for seed in range(8):
         mat_a, dec_a = random_instance(5, seed=500 + seed)
         mat_b, dec_b = random_instance(5, seed=600 + seed)
-        gram = gram_matrix(dec_a, dec_b)
-        spec = global_diffusion_distance(dec_a, dec_b, gram, t)
+        spec = global_diffusion_distance(dec_a, dec_b, t)
         direct = direct_global_distance(mat_a, mat_b, t)
         assert abs(spec - direct) <= 1e-8
 
@@ -263,13 +255,12 @@ def test_asymptotic_global_orthogonal_tops_and_large_t():
     psi_b = psi_a[:, [1, 0, 2, 3]]
     dec_a = SpectralDecomposition(eigenvalues=lam, eigenfunctions=psi_a)
     dec_b = SpectralDecomposition(eigenvalues=lam, eigenfunctions=psi_b)
-    assert asymptotic_global_distance(dec_a, dec_b) == pytest.approx(math.sqrt(2.0))
+    assert global_diffusion_distance(dec_a, dec_b, math.inf) == pytest.approx(math.sqrt(2.0))
     for seed in range(5):
         _, dec_x = random_instance(6, seed=700 + seed)
         _, dec_y = random_instance(6, seed=800 + seed)
-        gram = gram_matrix(dec_x, dec_y)
-        limit = global_diffusion_distance(dec_x, dec_y, gram, 400)
-        assert abs(limit - asymptotic_global_distance(dec_x, dec_y)) <= 1e-6
+        limit = global_diffusion_distance(dec_x, dec_y, 400)
+        assert abs(limit - global_diffusion_distance(dec_x, dec_y, math.inf)) <= 1e-6
 
 
 def test_global_monotone_decay_shared_eigenvectors():
@@ -300,7 +291,7 @@ def test_global_distance_matrix_layout():
         np.testing.assert_array_equal(mat, mat.T)
         assert np.all(mat[~np.eye(3, dtype=bool)] > 0.0)
     # t = inf pairs the members through the large-t limit
-    assert mat[0, 2] == asymptotic_global_distance(decs[0], decs[2])
+    assert mat[0, 2] == global_diffusion_distance(decs[0], decs[2], math.inf)
 
 
 def test_subgraph_full_overlap_recovers_standard():
@@ -358,17 +349,16 @@ NON_INTEGER_INDICES = [(1.5, [0, 1.5, 2]), (1.9, [0, 1.9, 2]), (True, [True, Fal
 @pytest.mark.parametrize("bad, shared", NON_INTEGER_INDICES)
 def test_pointwise_distances_refuse_non_integer_indices(bad, shared):
     mat, dec = random_instance(5, seed=26)
-    gram = gram_matrix(dec, dec)
     calls = {
         "i": [
-            lambda: diffusion_distance(dec, dec, gram, bad, 0, 1),
-            lambda: asymptotic_diffusion_distance(dec, dec, bad, 0),
+            lambda: diffusion_distance(dec, dec, bad, 0, 1),
+            lambda: diffusion_distance(dec, dec, bad, 0, math.inf),
             lambda: direct_diffusion_distance(mat, mat, bad, 0, 1),
             lambda: subgraph_diffusion_distance(mat, mat, [0, 1, 2], [0, 1, 2], bad, 0, 1),
         ],
         "j": [
-            lambda: diffusion_distance(dec, dec, gram, 0, bad, 1),
-            lambda: asymptotic_diffusion_distance(dec, dec, 0, bad),
+            lambda: diffusion_distance(dec, dec, 0, bad, 1),
+            lambda: diffusion_distance(dec, dec, 0, bad, math.inf),
             lambda: direct_diffusion_distance(mat, mat, 0, bad, 1),
             lambda: subgraph_diffusion_distance(mat, mat, [0, 1, 2], [0, 1, 2], 0, bad, 1),
         ],
@@ -413,18 +403,19 @@ def test_global_distance_matrix_metric_axioms(seed, members, n, data):
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.integers(0, 10_000))
-def test_metric_properties(seed):
+@given(st.integers(0, 10_000), st.data())
+def test_metric_properties(seed, data):
+    # at t = inf the distance is ||pa(x) psi_a - pb(y) psi_b|| over the top
+    # eigenfunctions, a pseudo-metric on (point, parameter) pairs
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 8))
-    t = int(rng.integers(1, 4))
+    t = data.draw(st.sampled_from([1, 2, 3, math.inf]))
     instances = [random_instance(n, seed=seed + k)[1] for k in range(3)]
     points = [(int(rng.integers(n)), int(rng.integers(3))) for _ in range(4)]
 
     def dist(p, q):
         (x, a), (y, b) = p, q
-        gram = gram_matrix(instances[a], instances[b])
-        return diffusion_distance(instances[a], instances[b], gram, x, y, t)
+        return diffusion_distance(instances[a], instances[b], x, y, t)
 
     for p in points:
         assert dist(p, p) == 0.0
@@ -456,25 +447,19 @@ def test_permutation_equivariance(seed):
     perm = rng.permutation(n)
     dec_a, dec_b = _gaussian_pair(points)
     pdec_a, pdec_b = _gaussian_pair(points[perm])
-    gram = gram_matrix(dec_a, dec_b)
-    pgram = gram_matrix(pdec_a, pdec_b)
-    np.testing.assert_allclose(
-        diffusion_distance_matrix(pdec_a, pdec_b, pgram, t),
-        diffusion_distance_matrix(dec_a, dec_b, gram, t)[np.ix_(perm, perm)],
-        rtol=0.0, atol=1e-10,
-    )
-    np.testing.assert_allclose(
-        diffusion_distance_map(pdec_a, pdec_b, pgram, t),
-        diffusion_distance_map(dec_a, dec_b, gram, t)[perm],
-        rtol=0.0, atol=1e-10,
-    )
-    np.testing.assert_allclose(
-        asymptotic_distance_map(pdec_a, pdec_b),
-        asymptotic_distance_map(dec_a, dec_b)[perm],
-        rtol=0.0, atol=1e-10,
-    )
-    assert global_diffusion_distance(pdec_a, pdec_b, pgram, t) == pytest.approx(
-        global_diffusion_distance(dec_a, dec_b, gram, t), abs=1e-10
+    for time in (t, math.inf):
+        np.testing.assert_allclose(
+            diffusion_distance_matrix(pdec_a, pdec_b, time),
+            diffusion_distance_matrix(dec_a, dec_b, time)[np.ix_(perm, perm)],
+            rtol=0.0, atol=1e-10,
+        )
+        np.testing.assert_allclose(
+            diffusion_distance_map(pdec_a, pdec_b, time),
+            diffusion_distance_map(dec_a, dec_b, time)[perm],
+            rtol=0.0, atol=1e-10,
+        )
+    assert global_diffusion_distance(pdec_a, pdec_b, t) == pytest.approx(
+        global_diffusion_distance(dec_a, dec_b, t), abs=1e-10
     )
 
 
@@ -508,11 +493,10 @@ def test_invariance_under_signs_and_degenerate_rotations():
     mat_b, dec_b = random_instance(6, seed=32)
 
     def all_distances(da, db):
-        gram = gram_matrix(da, db)
-        out = [diffusion_distance(da, db, gram, i, j, 2) for i in range(6) for j in range(6)]
-        out.append(global_diffusion_distance(da, db, gram, 2))
-        out.append(asymptotic_diffusion_distance(da, db, 1, 4))
-        out.append(asymptotic_global_distance(da, db))
+        out = [diffusion_distance(da, db, i, j, 2) for i in range(6) for j in range(6)]
+        out.append(global_diffusion_distance(da, db, 2))
+        out.append(diffusion_distance(da, db, 1, 4, math.inf))
+        out.append(global_diffusion_distance(da, db, math.inf))
         return np.array(out)
 
     baseline = all_distances(dec_a, dec_b)
@@ -531,13 +515,11 @@ def test_truncation_error_within_spectral_tail_bound():
     _, dec_a = gaussian_instance(10, seed=33)
     _, dec_b = gaussian_instance(10, seed=34)
     t = 2
-    gram_full = gram_matrix(dec_a, dec_b)
     for rank in (4, 7):
         cut_a, cut_b = truncate(dec_a, rank), truncate(dec_b, rank)
-        gram_cut = gram_matrix(cut_a, cut_b)
         for i, j in ((0, 0), (3, 7)):
-            d_full = diffusion_distance(dec_a, dec_b, gram_full, i, j, t) ** 2
-            d_cut = diffusion_distance(cut_a, cut_b, gram_cut, i, j, t) ** 2
+            d_full = diffusion_distance(dec_a, dec_b, i, j, t) ** 2
+            d_cut = diffusion_distance(cut_a, cut_b, i, j, t) ** 2
             tail_a = float(np.sum(dec_a.eigenvalues[rank:] ** (2 * t)))
             tail_b = float(np.sum(dec_b.eigenvalues[rank:] ** (2 * t)))
             sup_sq = max(
@@ -553,15 +535,19 @@ def test_truncation_error_within_spectral_tail_bound():
 
 def test_distance_rejects_bad_time():
     _, dec = random_instance(4, seed=35)
-    gram = gram_matrix(dec, dec)
     with pytest.raises(InputError):
-        diffusion_distance(dec, dec, gram, 0, 1, 0)
+        diffusion_distance(dec, dec, 0, 1, 0)
     with pytest.raises(InputError):
-        diffusion_distance(dec, dec, gram, 0, 1, 1.5)
-    # the large-t limit is reached through the asymptotic routes only
-    with pytest.raises(InputError):
-        diffusion_distance(dec, dec, gram, 0, 1, math.inf)
-    with pytest.raises(InputError):
-        diffusion_distance_map(dec, dec, gram, math.inf)
-    with pytest.raises(InputError):
-        diffusion_distance_matrix(dec, dec, gram, math.inf)
+        diffusion_distance(dec, dec, 0, 1, 1.5)
+    # math.inf is the large-t limit; no other non-integer time is taken
+    for bad in (True, 2.0, -math.inf, math.nan):
+        with pytest.raises(InputError):
+            diffusion_distance(dec, dec, 0, 1, bad)
+        with pytest.raises(InputError):
+            diffusion_distance_map(dec, dec, bad)
+        with pytest.raises(InputError):
+            diffusion_distance_matrix(dec, dec, bad)
+        with pytest.raises(InputError):
+            global_diffusion_distance(dec, dec, bad)
+        with pytest.raises(InputError):
+            global_distance_matrix([dec, dec], bad)

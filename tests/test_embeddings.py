@@ -53,10 +53,10 @@ def _isometry_defect(rot: np.ndarray) -> float:
 
 def test_rotation_identity_and_isometry():
     _, dec = random_instance(6, seed=43)
-    rot = gram_matrix(dec, dec).values
+    rot = gram_matrix(dec, dec)
     np.testing.assert_allclose(rot, np.eye(6), atol=1e-12)
     _, other = random_instance(6, seed=44)
-    cross = gram_matrix(dec, other).values
+    cross = gram_matrix(dec, other)
     assert _isometry_defect(cross) <= 1e-6
     rng = np.random.default_rng(45)
     for _ in range(100):
@@ -69,7 +69,7 @@ def test_rotation_identity_and_isometry():
 def test_truncated_rotation_reports_defect():
     _, dec = random_instance(6, seed=46)
     _, other = random_instance(6, seed=47)
-    cross = gram_matrix(truncate(dec, 3), truncate(other, 3)).values
+    cross = gram_matrix(truncate(dec, 3), truncate(other, 3))
     assert np.isfinite(_isometry_defect(cross))
     assert _isometry_defect(cross) > 1e-6  # truncation genuinely loses isometry here
 
@@ -94,10 +94,9 @@ def test_common_embedding_realizes_cross_distances():
     worst = 0.0
     for a in range(3):
         for b in range(3):
-            gram = gram_matrix(family[a], family[b])
             for x in range(6):
                 for y in range(6):
-                    expected = diffusion_distance(family[a], family[b], gram, x, y, 1)
+                    expected = diffusion_distance(family[a], family[b], x, y, 1)
                     got = float(np.linalg.norm(rotated[a][x] - rotated[b][y]))
                     worst = max(worst, abs(got - expected))
     assert worst <= 1e-8
@@ -133,7 +132,7 @@ def test_subgraph_rotation_full_set_reduces_to_rotation():
     _, dec_ref = random_instance(5, seed=64)
     _, dec = random_instance(5, seed=65)
     rot = subgraph_rotation(dec, list(range(5)), dec_ref.eigenfunctions)
-    np.testing.assert_allclose(rot, gram_matrix(dec_ref, dec).values, atol=1e-12)
+    np.testing.assert_allclose(rot, gram_matrix(dec_ref, dec), atol=1e-12)
 
 
 def test_subgraph_rotation_canonical_basis_entries():

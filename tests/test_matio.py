@@ -55,6 +55,14 @@ def test_seventeen_digit_roundtrip(tmp_path):
     path = tmp_path / "precise.csv"
     write_matrix_csv(path, values)
     np.testing.assert_array_equal(read_matrix(path), values)
+    # a CSV file of an empty matrix holds its header and no data rows
+    for fmt in ("csv", "bin"):
+        for empty in (np.zeros((0, 3)), np.zeros((3, 0))):
+            path = tmp_path / f"empty.{fmt}"
+            write_matrix(path, empty, fmt=fmt)
+            got = read_matrix(path)
+            assert got.shape == empty.shape
+            np.testing.assert_array_equal(got, empty)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from dynamap import (
     diffusion_distance,
     direct_diffusion_distance,
     global_distance_matrix,
-    gram_matrix,
     historical_embedding,
     historical_kernel,
     meta_embedding,
@@ -106,10 +105,9 @@ def test_meta_embedding_matches_single_graph_distances():
     s = 2
     coords = meta_embedding(meta, s=s, dims=3)
     dec_meta = meta_decomposition(meta, 3)
-    gram = gram_matrix(dec_meta, dec_meta)
     for a in range(3):
         for b in range(3):
-            expected = diffusion_distance(dec_meta, dec_meta, gram, a, b, s)
+            expected = diffusion_distance(dec_meta, dec_meta, a, b, s)
             got = float(np.linalg.norm(coords[a] - coords[b]))
             assert got == pytest.approx(expected, abs=1e-10)
 
@@ -292,10 +290,9 @@ def test_historical_embedding_matches_big_graph_distances():
     s = 2
     coords, trajectories = historical_embedding(hist, s=s, dims=8)
     dec = spectral_decomposition(diffusion_matrix(KernelMatrix(hist.kernel)), 8)
-    gram = gram_matrix(dec, dec)
     for p in range(8):
         for q in range(8):
-            expected = diffusion_distance(dec, dec, gram, p, q, s)
+            expected = diffusion_distance(dec, dec, p, q, s)
             got = float(np.linalg.norm(coords[p] - coords[q]))
             assert got == pytest.approx(expected, abs=1e-8)
     # trajectory bookkeeping: row alpha of point x sits at alpha * n + x

@@ -180,8 +180,10 @@ def test_rank_validation_and_truncate():
 def test_power_row_validation():
     rng = np.random.default_rng(2)
     mat = diffusion_matrix(random_kernel(4, rng))
-    with pytest.raises(InputError):
-        kernel_power_row(mat, 0, 1)
+    # True was taken as t = 1, and a float time is refused even when integral
+    for bad_t in (0, True, 2.0):
+        with pytest.raises(InputError, match="diffusion time"):
+            kernel_power_row(mat, bad_t, 1)
     with pytest.raises(InputError):
         kernel_power_row(mat, 2, 7)
 
