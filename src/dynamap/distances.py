@@ -25,7 +25,8 @@ from .exceptions import (
     NumericalError,
 )
 from .operators import (
-    DiffusionMatrix, SpectralDecomposition, _check_index, _check_t, kernel_power_row
+    DiffusionMatrix, SpectralDecomposition, _check_index, _check_shared_set, _check_t,
+    kernel_power_row,
 )
 
 GRAM_ENTRY_SLACK = 1e-8
@@ -262,14 +263,10 @@ def subgraph_diffusion_distance(
     recovers the standard distance.
     """
     t = _check_t(t)
-    idx_a = np.asarray(common_indices_a)
-    idx_b = np.asarray(common_indices_b)
-    if idx_a.size == 0:
-        raise InputError("common vertex set S must be nonempty")
-    if idx_a.shape != idx_b.shape or idx_a.ndim != 1:
-        raise InputError("the two index lists must be 1-d and of equal length")
-    _check_index("common_indices_a", idx_a, mat_a.n)
-    _check_index("common_indices_b", idx_b, mat_b.n)
+    idx_a = _check_shared_set("common_indices_a", common_indices_a, mat_a.n)
+    idx_b = _check_shared_set("common_indices_b", common_indices_b, mat_b.n)
+    if idx_a.size != idx_b.size:
+        raise InputError("the two index lists must be of equal length")
     _check_index("j", j, mat_b.n)  # kernel_power_row would name it i
     row_a = mat_a.n * kernel_power_row(mat_a, t, i)
     row_b = mat_b.n * kernel_power_row(mat_b, t, j)

@@ -8,7 +8,7 @@ import numpy as np
 from .distances import diffusion_distance_matrix, gram_matrix
 from .exceptions import CorrespondenceError, InputError
 from .operators import (
-    SpectralDecomposition, _check_index, _check_t, apply_sign_convention, truncate
+    SpectralDecomposition, _check_shared_set, _check_t, apply_sign_convention, truncate
 )
 
 BASIS_ORTHONORMALITY_TOL = 1e-8
@@ -86,10 +86,7 @@ def reference_subgraph_basis(
     (QR) under the renormalized empirical measure on S and sign-fixed for
     reproducibility.
     """
-    idx = np.asarray(s_indices)
-    if idx.size == 0:
-        raise InputError("common vertex set S must be nonempty")
-    _check_index("s_indices", idx, dec_ref.n)
+    idx = _check_shared_set("s_indices", s_indices, dec_ref.n)
     if dec_ref.rank < idx.size:
         raise InputError(
             f"reference decomposition must carry at least |S|={idx.size} eigenfunctions"
@@ -110,10 +107,7 @@ def subgraph_rotation(
     e_i evaluated on S. Rotated embeddings of two graphs then realize the
     subgraph diffusion distance at full available rank.
     """
-    idx = np.asarray(s_indices)
-    if idx.size == 0:
-        raise InputError("common vertex set S must be nonempty")
-    _check_index("s_indices", idx, dec.n)
+    idx = _check_shared_set("s_indices", s_indices, dec.n)
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (idx.size, idx.size):
         raise InputError(f"basis must be {idx.size} x {idx.size}, got {basis.shape}")

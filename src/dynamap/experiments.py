@@ -9,6 +9,7 @@ import numpy as np
 
 from .datasets import (
     PINCH_ANGLES,
+    TWO_PI,
     TorusSpec,
     pinched_torus_family,
     synthetic_cube_family,
@@ -21,8 +22,6 @@ from .kernels import (
 from .metagraph import MEDIAN, MetaGraph, meta_decomposition, meta_embedding, meta_kernel
 from .operators import SpectralDecomposition, spectral_decomposition
 from .sampling import ConvergenceReport, convergence_study
-
-TWO_PI = 2.0 * math.pi
 
 
 def _calibrated_decompositions(

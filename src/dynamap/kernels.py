@@ -19,7 +19,8 @@ from .exceptions import CalibrationError, DegeneracyError, InputError, Numerical
 # changes sign; Illinois regula falsi on log(epsilon) then refines the bracket
 # for at most MAX_REFINEMENTS steps. When the walk finds no sign change (a
 # non-monotone profile), a log-spaced grid of GRID_POINTS over the same reach
-# looks for a crossing before giving up.
+# is probed in order: it stops at its first point within tol, or else hands
+# its first crossing to Illinois, before giving up.
 MAX_DOUBLINGS = 20
 GRID_POINTS = 64
 MAX_REFINEMENTS = 100
@@ -87,17 +88,20 @@ class PointCloud:
         return self.points.shape[1]
 
 
-def _exactly_symmetric(vals: np.ndarray) -> bool:
-    """np.array_equal(vals, vals.T) for a square matrix, tile by tile: each
-    SYMMETRY_TILE block (i, j) with j >= i against block (j, i) transposed.
-    A NaN entry compares unequal, as it does there."""
+def _square_symmetric(values, name: str) -> np.ndarray:
+    """`values` as a float array, refused unless square and exactly symmetric:
+    np.array_equal(vals, vals.T) tile by tile, each SYMMETRY_TILE block (i, j)
+    with j >= i against block (j, i) transposed (a NaN compares unequal)."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+        raise InputError(f"{name} must be a square matrix")
     n, side = vals.shape[0], SYMMETRY_TILE
     for i in range(0, n, side):
         for j in range(i, n, side):
             block = vals[i : i + side, j : j + side]
             if not np.array_equal(block, vals[j : j + side, i : i + side].T):
-                return False
-    return True
+                raise InputError(f"{name} must be exactly symmetric")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -108,14 +112,11 @@ class KernelMatrix:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise InputError("kernel must be a square matrix")
-        if vals.shape[0] < 2:
-            raise InputError("kernel must be at least 2x2")
         if not np.all(np.isfinite(vals)):
             raise InputError("kernel entries must be finite")
-        if not _exactly_symmetric(vals):
-            raise InputError("kernel must be exactly symmetric")
+        vals = _square_symmetric(vals, "kernel")
+        if vals.shape[0] < 2:
+            raise InputError("kernel must be at least 2x2")
         # strictly positive in exact arithmetic; far pairs at tiny bandwidths
         # underflow to zero in floats, so only signs and the diagonal are checked
         if np.any(vals < 0.0):
@@ -124,31 +125,16 @@ class KernelMatrix:
             raise InputError("kernel diagonal must be strictly positive")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class DiffusionMatrix:
-    """Degree-symmetrized kernel K[i,j] / sqrt(d_i d_j) plus the sampled density d/n."""
+    """Degree-symmetrized kernel K[i,j] / sqrt(d_i d_j), d the row sums; its top
+    eigenvector is sqrt(d), so the sampled density d/n is not stored beside it."""
 
     values: np.ndarray
-    density: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        dens = np.asarray(self.density, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise InputError("diffusion matrix must be square")
-        if not _exactly_symmetric(vals):
-            raise InputError("diffusion matrix must be exactly symmetric")
-        if dens.shape != (vals.shape[0],):
-            raise InputError("density must be an n-vector")
-        if not np.all(dens > 0.0):
-            raise DegeneracyError("density must be strictly positive")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "density", dens)
+        object.__setattr__(self, "values", _square_symmetric(self.values, "diffusion matrix"))
 
     @property
     def n(self) -> int:
@@ -207,17 +193,16 @@ def gaussian_kernel(cloud: PointCloud, epsilon: float) -> KernelMatrix:
     return KernelMatrix(_gaussian_values(sq, epsilon, out=sq))
 
 
-def _degree_normalized(values: np.ndarray) -> np.ndarray:
-    """Scale a kernel K that the caller owns into D^{-1/2} K D^{-1/2} in place;
-    return its degrees d (the row sums). Row blocks of outer(d^{-1/2}, d^{-1/2})
-    give the whole outer product's IEEE products without its n x n temporary."""
+def _degree_normalized(values: np.ndarray) -> None:
+    """Scale a kernel K that the caller owns into D^{-1/2} K D^{-1/2} in place,
+    d its row sums. Row blocks of outer(d^{-1/2}, d^{-1/2}) give the whole
+    outer product's IEEE products without its n x n temporary."""
     deg = values.sum(axis=1)
     if not np.all(deg > 0.0):
         raise DegeneracyError("kernel has a zero row degree; input is corrupt")
     inv_sqrt = 1.0 / np.sqrt(deg)
     for r0 in range(0, values.shape[0], ROW_BLOCK):
         values[r0 : r0 + ROW_BLOCK] *= np.multiply.outer(inv_sqrt[r0 : r0 + ROW_BLOCK], inv_sqrt)
-    return deg
 
 
 @functools.cache
@@ -340,8 +325,9 @@ def calibrated_diffusion_matrix(
     sign changes, then runs Illinois regula falsi on log(epsilon) inside the
     bracket, accepting the first bandwidth whose |lambda2 - target| <= tol.
     When the walk reaches median * 2^(+-20) without a sign change, a 64-point
-    log-spaced grid over that whole reach looks for a crossing of a
-    non-monotone profile.
+    log-spaced grid over that whole reach is probed in order: its first point
+    within tol is accepted, and without one, its first crossing of a
+    non-monotone profile is refined by Illinois.
 
     The squared distances are computed once. Each probe's kernel is built from
     them and normalized in place; that one normalization serves its lambda2
@@ -350,7 +336,7 @@ def calibrated_diffusion_matrix(
     before the next is built. No KernelMatrix check is lost: a probe is
     exp(-sq / epsilon^2) of a validated PointCloud with a unit diagonal, in
     [0, 1]; a NaN makes its row's degree NaN, which the normalization refuses
-    with DegeneracyError; DiffusionMatrix checks exact symmetry and density.
+    with DegeneracyError; DiffusionMatrix checks exact symmetry.
 
     Raises CalibrationError, reporting the range of eigenvalues reached, when
     no bandwidth in the reach crosses the target or the refinement stalls.
@@ -370,10 +356,11 @@ def _calibrate(
 
     A warm start that misses takes a secant step first: its size is
     |lambda2 - target| / |slope|, at most log 2, and without a negative slope
-    it is log 2. The factor-2 walk, Illinois and the grid scan, centred on the
-    start, follow unchanged. The returned start is the accepted log(epsilon)
-    and the slope between the last two probes at distinct bandwidths, or the
-    slope received when the first probe was accepted.
+    it is log 2. The factor-2 walk, Illinois and the grid scan (up to its first
+    point within tol), centred on the start, follow unchanged. The returned
+    start is the accepted (the latest) probe's log(epsilon) and the slope
+    between the last two probes at distinct bandwidths, or the slope received
+    when the first probe was accepted.
     """
     if not 0.0 < target_lambda2 < 1.0:
         raise InputError(f"target second eigenvalue must lie in (0, 1), got {target_lambda2}")
@@ -389,19 +376,16 @@ def _calibrate(
     x0 = start.log_epsilon
     probed: list[float] = []  # log(epsilon) of each probe
     reached: list[float] = []  # and its lambda2
-    probe = None  # the latest probe: (epsilon, normalized values, degrees)
-
-    def build(epsilon: float, out: np.ndarray | None = None) -> None:
-        nonlocal probe
-        probe = None  # drop the previous probe before building this one
-        values = _gaussian_values(sq, epsilon, out=out)
-        probe = (epsilon, values, _degree_normalized(values))
+    probe = None  # the latest probe's normalized kernel
 
     def gap(x: float) -> float:
-        """lambda2 - target at epsilon = exp(x)."""
-        build(math.exp(x))
+        """lambda2 - target at epsilon = exp(x), whose probe is kept."""
+        nonlocal probe
+        probe = None  # drop the previous probe before building this one
+        probe = _gaussian_values(sq, math.exp(x))
+        _degree_normalized(probe)
         probed.append(x)
-        reached.append(_second_eigenvalue(probe[1]))
+        reached.append(_second_eigenvalue(probe))
         return reached[-1] - target_lambda2
 
     def next_start(x: float) -> _Start:
@@ -411,9 +395,8 @@ def _calibrate(
                 return _Start(x, (reached[last] - reached[k]) / (probed[last] - probed[k]))
         return _Start(x, start.slope)
 
-    def accept(x: float) -> tuple[float, DiffusionMatrix, _Start]:
-        epsilon, values, degrees = probe
-        return epsilon, DiffusionMatrix(values, degrees / cloud.n), next_start(x)
+    def accept(x: float) -> tuple[float, DiffusionMatrix, _Start]:  # x: the latest probe
+        return math.exp(x), DiffusionMatrix(probe), next_start(x)
 
     def miss(message: str) -> CalibrationError:
         achieved = (min(reached), max(reached))
@@ -436,22 +419,20 @@ def _calibrate(
             break
         step = math.log(2.0)
     else:
-        # no sign change within the reach: scan it for a non-monotone crossing
+        # no sign change within the reach: scan it, up to its first point
+        # within tol, for a crossing of a non-monotone profile
         reach = MAX_DOUBLINGS * math.log(2.0)
-        grid = np.linspace(x0 - reach, x0 + reach, GRID_POINTS)
-        scans = np.array([gap(x) for x in grid])
-        hits = np.flatnonzero(np.abs(scans) <= tol)
-        if hits.size:
-            # the latest probe is the grid's last point: rebuild the hit's, in
-            # the squared distances, which are not needed any more
-            x = float(grid[hits[0]])
-            build(float(np.exp(x)), out=sq)
-            return accept(x)
-        crossings = np.flatnonzero(scans[:-1] * scans[1:] < 0.0)
+        grid = np.linspace(x0 - reach, x0 + reach, GRID_POINTS).tolist()
+        scans = []
+        for x in grid:
+            scans.append(gap(x))
+            if abs(scans[-1]) <= tol:
+                return accept(x)
+        crossings = np.flatnonzero(np.multiply(scans[:-1], scans[1:]) < 0.0)
         if crossings.size == 0:
             raise miss(f"second eigenvalue never crosses {target_lambda2}")
         k = crossings[0]
-        a, fa, b, fb = float(grid[k]), float(scans[k]), float(grid[k + 1]), float(scans[k + 1])
+        a, fa, b, fb = grid[k], scans[k], grid[k + 1], scans[k + 1]
 
     # Illinois: halve the stored value of an endpoint kept twice in a row
     kept = 0

@@ -43,7 +43,10 @@ class HistoricalGraph:
 
     kernel: np.ndarray
     n: int
-    n_params: int
+
+    @property
+    def n_params(self) -> int:
+        return self.kernel.shape[0] // self.n
 
 
 def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN) -> MetaGraph:
@@ -180,7 +183,7 @@ def historical_kernel(
                 big[cols, rows] = big[rows, cols].T
     if variant == EXPONENTIAL:
         np.fill_diagonal(big, 1.0)
-    return HistoricalGraph(kernel=big, n=n, n_params=count)
+    return HistoricalGraph(kernel=big, n=n)
 
 
 def historical_embedding(

@@ -62,8 +62,8 @@ def diffusion_matrix(kernel: KernelMatrix) -> DiffusionMatrix:
     cancel, so A is scale-free in n; its spectral radius is 1.
     """
     vals = kernel.values.copy()  # the caller's kernel is left as it is
-    deg = _degree_normalized(vals)
-    return DiffusionMatrix(values=vals, density=deg / kernel.n)
+    _degree_normalized(vals)
+    return DiffusionMatrix(vals)
 
 
 def apply_sign_convention(psi: np.ndarray) -> np.ndarray:
@@ -144,6 +144,17 @@ def _check_index(name: str, idx, n: int) -> np.ndarray:
     bad = idx[(idx < 0) | (idx >= n)]
     if bad.size:
         raise InputError(f"point index {name}={bad[0]} out of range for n={n}")
+    return idx
+
+
+def _check_shared_set(name: str, idx, n: int) -> np.ndarray:
+    """A shared vertex set S: a nonempty 1-d list of distinct point indices,
+    each an integer in [0, n) (`_check_index`); a repeat would count twice."""
+    idx = np.asarray(idx)
+    if idx.size == 0:
+        raise InputError(f"{name}: the common vertex set S must be nonempty")
+    if idx.ndim != 1 or np.unique(_check_index(name, idx, n)).size != idx.size:
+        raise InputError(f"{name} must be a 1-d list of distinct indices, got {idx.tolist()}")
     return idx
 
 

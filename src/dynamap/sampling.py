@@ -75,6 +75,20 @@ def _fit_rate(
     )
 
 
+def _sample_distances(rows: np.ndarray, kernel_builder: KernelBuilder, t: int) -> np.ndarray:
+    """The TRACKED_PAIRS distances between a sample's two diffusion matrices,
+    then their global distance, all by the matrix-power oracles. Each kernel
+    (128 MB at 4000 reference points) is dropped as soon as its diffusion
+    matrix exists, which lowers the study's peak memory."""
+    kern_a, kern_b = kernel_builder(rows)
+    mat_a = diffusion_matrix(kern_a)
+    del kern_a
+    mat_b = diffusion_matrix(kern_b)
+    del kern_b
+    pointwise = [direct_diffusion_distance(mat_a, mat_b, i, j, t) for i, j in TRACKED_PAIRS]
+    return np.array([*pointwise, direct_global_distance(mat_a, mat_b, t)])
+
+
 def convergence_study(
     reference: np.ndarray,
     kernel_builder: KernelBuilder,
@@ -87,8 +101,10 @@ def convergence_study(
 
     reference is the (m, d) reference sample, with m at least 4 x max(n_grid).
     kernel_builder maps a subset of its rows to the two parameter kernels
-    (with bandwidths already fixed). The pointwise deviation is the mean over
-    TRACKED_PAIRS; the rate fit needs at least two sample sizes.
+    (with bandwidths already fixed). The reference sample and every trial are
+    measured by one routine, the oracle distances of TRACKED_PAIRS and the
+    global distance; a trial's pointwise deviation is the mean over
+    TRACKED_PAIRS. The rate fit needs at least two sample sizes.
     """
     n_grid = np.asarray(sorted(set(int(v) for v in n_grid)), dtype=int)
     if n_grid.size < 2 or n_grid[0] < TRACKED_POINTS:
@@ -106,50 +122,25 @@ def convergence_study(
             f"4 x max(n_grid)={4 * int(n_grid.max())}"
         )
 
-    # each reference kernel (128 MB at 4000 reference points) is dropped as
-    # soon as its diffusion matrix exists, which lowers the study's peak memory
-    kern_a, kern_b = kernel_builder(base)
-    mat_a = diffusion_matrix(kern_a)
-    del kern_a
-    mat_b = diffusion_matrix(kern_b)
-    del kern_b
-    ref_pointwise = np.array(
-        [direct_diffusion_distance(mat_a, mat_b, i, j, t) for i, j in TRACKED_PAIRS]
-    )
-    ref_global = direct_global_distance(mat_a, mat_b, t)
-    del mat_a, mat_b
-
+    ref = _sample_distances(base, kernel_builder, t)
     tracked = np.arange(TRACKED_POINTS)
     rest = np.arange(TRACKED_POINTS, m_ref)
     streams = np.random.SeedSequence(seed).spawn(int(n_grid.size) * trials)
-
-    mean_pt = np.zeros(n_grid.size)
-    spread_pt = np.zeros(n_grid.size)
-    mean_gl = np.zeros(n_grid.size)
-    spread_gl = np.zeros(n_grid.size)
+    # (pointwise, global) deviation per size and trial; trials are the
+    # contiguous axis the mean and spread reduce over
+    devs = np.empty((2, n_grid.size, trials))
     for gi, n in enumerate(n_grid):
-        pt_devs = np.zeros(trials)
-        gl_devs = np.zeros(trials)
         for trial in range(trials):
             rng = np.random.default_rng(streams[gi * trials + trial])
             fill = rng.choice(rest, size=int(n) - TRACKED_POINTS, replace=False)
-            sub_a, sub_b = kernel_builder(base[np.concatenate([tracked, fill])])
-            sm_a = diffusion_matrix(sub_a)
-            sm_b = diffusion_matrix(sub_b)
-            devs = [
-                abs(direct_diffusion_distance(sm_a, sm_b, i, j, t) - ref_pointwise[k])
-                for k, (i, j) in enumerate(TRACKED_PAIRS)
-            ]
-            pt_devs[trial] = float(np.mean(devs))
-            gl_devs[trial] = abs(direct_global_distance(sm_a, sm_b, t) - ref_global)
-        mean_pt[gi] = pt_devs.mean()
-        spread_pt[gi] = pt_devs.std()
-        mean_gl[gi] = gl_devs.mean()
-        spread_gl[gi] = gl_devs.std()
+            rows = base[np.concatenate([tracked, fill])]
+            dev = np.abs(_sample_distances(rows, kernel_builder, t) - ref)
+            devs[:, gi, trial] = np.mean(dev[:-1]), dev[-1]
+    mean, spread = devs.mean(axis=2), devs.std(axis=2)
 
     return ConvergenceReport(
-        pointwise=_fit_rate("pointwise", n_grid, mean_pt, spread_pt),
-        global_=_fit_rate("global", n_grid, mean_gl, spread_gl),
+        pointwise=_fit_rate("pointwise", n_grid, mean[0], spread[0]),
+        global_=_fit_rate("global", n_grid, mean[1], spread[1]),
         reference_n=m_ref,
         trials=trials,
         t=int(t),

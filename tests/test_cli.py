@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynamap.cli import build_parser, main
-from dynamap.datasets import synthetic_cube_family
+from dynamap.datasets import pinched_torus_family, synthetic_cube_family
 from dynamap.distances import global_distance_matrix
 from dynamap.experiments import change_detection_experiment
 from dynamap.kernels import PointCloud, calibrated_diffusion_matrix
@@ -319,6 +319,34 @@ def test_gen_data_torus_and_determinism(tmp_path):
     second = (out_b / "torus.csv").read_bytes()
     assert first == second
     assert read_matrix(out_a / "torus.csv").shape == (40, 3)
+
+
+def test_gen_data_torus_family(tmp_path):
+    outs = {}
+    for name, seed in (("a", 5), ("b", 5), ("c", 6)):
+        outs[name] = tmp_path / name
+        assert main([
+            "gen-data", "--dataset", "torus-family", "--n", "30", "--seed", str(seed),
+            "--output-dir", str(outs[name]),
+        ]) == 0
+    files = sorted(path.name for path in outs["a"].iterdir())
+    members = [f"torus_family_{idx:02d}.csv" for idx in range(31)]
+    assert files == sorted([*members, "torus_family_labels.csv"])
+    # deterministic per seed
+    assert all((outs["a"] / f).read_bytes() == (outs["b"] / f).read_bytes() for f in files)
+    assert (outs["a"] / members[0]).read_bytes() != (outs["c"] / members[0]).read_bytes()
+    # the library's family: every member sampled at the same angles
+    clouds, labels = pinched_torus_family(5, n=30)
+    azimuth = None
+    for name, cloud in zip(members, clouds):
+        points = read_matrix(outs["a"] / name)
+        np.testing.assert_array_equal(points, cloud.points)
+        u = np.arctan2(points[:, 1], points[:, 0])
+        azimuth = u if azimuth is None else azimuth
+        np.testing.assert_allclose(u, azimuth, atol=1e-12)
+    table = read_matrix(outs["a"] / "torus_family_labels.csv")
+    assert table.shape == (31, 2) and labels[0] is None and np.all(np.isnan(table[0]))
+    np.testing.assert_array_equal(table[1:], np.array(labels[1:]))
 
 
 def test_gen_data_standard_map(tmp_path):

@@ -22,6 +22,8 @@ from dynamap import (
     subgraph_diffusion_distance,
     truncate,
 )
+from dynamap.distances import NEGATIVE_SQ_TOL, _clamp_sq
+from dynamap.exceptions import NumericalError
 from dynamap.kernels import KernelMatrix, PointCloud, gaussian_kernel
 from dynamap.operators import (
     DiffusionMatrix,
@@ -210,7 +212,7 @@ def test_asymptotic_requires_connectivity():
     # two decoupled blocks: eigenvalue 1 has multiplicity two
     block = np.full((2, 2), 0.5)
     values = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
-    mat = DiffusionMatrix(values=values, density=np.ones(4))
+    mat = DiffusionMatrix(values=values)
     dec = spectral_decomposition(mat, 4)
     with pytest.raises(ConnectivityError):
         diffusion_distance(dec, dec, 0, 1, math.inf)
@@ -243,8 +245,8 @@ def test_global_oracle_equivalence(t):
 
 
 def test_direct_global_eigenvalue_arithmetic():
-    ident = DiffusionMatrix(values=np.eye(3), density=np.ones(3))
-    other = DiffusionMatrix(values=np.diag([1.0, 0.5, 0.25]), density=np.ones(3))
+    ident = DiffusionMatrix(values=np.eye(3))
+    other = DiffusionMatrix(values=np.diag([1.0, 0.5, 0.25]))
     expected = math.sqrt(0.25 + 0.5625)
     assert direct_global_distance(ident, other, 1) == pytest.approx(expected, abs=1e-15)
 
@@ -274,8 +276,8 @@ def test_global_monotone_decay_shared_eigenvectors():
     sym_a = (sym_a + sym_a.T) / 2.0
     sym_b = (basis * lam_b) @ basis.T
     sym_b = (sym_b + sym_b.T) / 2.0
-    mat_a = DiffusionMatrix(values=sym_a, density=np.ones(5))
-    mat_b = DiffusionMatrix(values=sym_b, density=np.ones(5))
+    mat_a = DiffusionMatrix(values=sym_a)
+    mat_b = DiffusionMatrix(values=sym_b)
     dists = [direct_global_distance(mat_a, mat_b, t) for t in (1, 2, 3, 4, 6)]
     assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
     expected = [math.sqrt(float(np.sum(lam_a[1:] ** (2 * t)))) for t in (1, 2, 3, 4, 6)]
@@ -319,6 +321,14 @@ def test_subgraph_partial_overlap_elementwise_reference():
     expected = math.sqrt(total / 4)
     got = subgraph_diffusion_distance(mat_a, mat_b, idx_a, idx_b, i, j, t)
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_clamp_sq_forgives_only_roundoff_negatives():
+    assert _clamp_sq(0.25) == 0.25
+    assert _clamp_sq(-0.5 * NEGATIVE_SQ_TOL) == 0.0
+    assert _clamp_sq(-NEGATIVE_SQ_TOL) == 0.0
+    with pytest.raises(NumericalError, match="below roundoff tolerance"):
+        _clamp_sq(-2.0 * NEGATIVE_SQ_TOL)
 
 
 def test_subgraph_validation():

@@ -171,6 +171,30 @@ def test_subgraph_bases_refuse_non_integer_indices(shared):
         subgraph_rotation(dec, shared, canonical_subgraph_basis(3))
 
 
+# a 2-d index array escaped as a bare numpy IndexError or ValueError, and a
+# repeated index counted its point twice
+@pytest.mark.parametrize("shared", [[[0, 1], [2, 3]], [0, 0, 1], [2, 1, 2, 0]])
+def test_subgraph_functions_refuse_a_2d_or_repeated_shared_set(shared):
+    mat, dec = random_instance(6, seed=3)
+    size = np.size(shared)
+    calls = {
+        "s_indices": [
+            lambda: reference_subgraph_basis(dec, shared),
+            lambda: subgraph_rotation(dec, shared, canonical_subgraph_basis(size)),
+        ],
+        "common_indices_a": [
+            lambda: subgraph_diffusion_distance(mat, mat, shared, list(range(size)), 0, 1, 1),
+        ],
+        "common_indices_b": [
+            lambda: subgraph_diffusion_distance(mat, mat, list(range(size)), shared, 0, 1, 1),
+        ],
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(InputError, match=rf"{name} must be a 1-d list of distinct"):
+                call()
+
+
 def test_subgraph_bases_empty_set_is_named_before_its_dtype():
     _, dec = random_instance(5, seed=67)
     with pytest.raises(InputError, match="S must be nonempty"):

@@ -154,11 +154,16 @@ def test_calibrate_coincident_points_fails_with_range():
     cloud = PointCloud(np.zeros((4, 2)))
     with pytest.raises(CalibrationError):
         calibrated_diffusion_matrix(cloud, 0.5)
+    # a warm start has no median distance to find the coincidence for it
+    with pytest.raises(CalibrationError, match="all points coincide") as info:
+        _calibrate(cloud, 0.5, 1e-3, _Start(0.0, -0.5))
+    assert info.value.achieved_range is None
 
 
 def test_calibrate_grid_scan_fallback(monkeypatch):
-    # rig a non-monotone profile: the target is crossed only inside a bump
-    # that bracket expansion cannot straddle, forcing the grid scan
+    # rig a non-monotone profile: the target is crossed only inside a bump,
+    # whose wide side the first factor-2 step brackets; a target above the
+    # bump's peak sends the walk and the grid scan past every bandwidth
     import dynamap.kernels as kernels_mod
 
     def rigged(values):
@@ -176,6 +181,50 @@ def test_calibrate_grid_scan_fallback(monkeypatch):
         calibrated_diffusion_matrix(cloud, 0.9, tol=1e-3)
     assert info.value.achieved_range is not None
     assert info.value.achieved_range[1] <= 0.8 + 1e-12
+
+
+def test_calibrate_grid_scan_crossing_goes_to_illinois(monkeypatch):
+    # rig a profile below the target on the narrow side, where the walk looks
+    # from the median distance 1, with a smooth bump on the wide side that
+    # crosses the target between grid points: the scan hits no point within
+    # tol and hands its first crossing to Illinois
+    import dynamap.kernels as kernels_mod
+
+    def profile(x):
+        return 0.3 + 0.4 * math.exp(-(((x - 2.0) / 0.5) ** 2))
+
+    def rigged(values):
+        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
+        return profile(math.log(math.sqrt(-1.0 / math.log(k12)))) if 0.0 < k12 < 1.0 else 0.3
+
+    reach = MAX_DOUBLINGS * math.log(2.0)
+    grid = np.linspace(-reach, reach, GRID_POINTS)
+    scans = np.array([profile(x) for x in grid]) - 0.5
+    assert np.all(np.abs(scans) > 1e-3)
+    k = int(np.flatnonzero(scans[:-1] * scans[1:] < 0.0)[0])
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    eps, mat = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)
+    assert grid[k] < math.log(eps) < grid[k + 1]
+    assert abs(profile(math.log(eps)) - 0.5) <= 1e-3
+    assert abs(rigged(mat.values) - 0.5) <= 1e-3
+
+
+def test_calibrate_illinois_stall_reports_the_range(monkeypatch):
+    # a jump across the target at x = 0.1: the walk brackets it at once, and
+    # no bandwidth in the bracket comes within tol, so Illinois gives up
+    import dynamap.kernels as kernels_mod
+
+    def rigged(values):
+        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
+        wide = 0.0 < k12 < 1.0 and math.log(math.sqrt(-1.0 / math.log(k12))) >= 0.1
+        return 0.3 if wide or k12 >= 1.0 else 0.7
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    with pytest.raises(CalibrationError, match="refinement stalled") as info:
+        calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)
+    assert info.value.achieved_range == (0.3, 0.7)
 
 
 def test_lambda2_trend_in_epsilon():
@@ -234,7 +283,7 @@ def test_squared_distances_across_row_blocks(n, d):
 def _same_diffusion_matrix(mat, cloud, eps):
     """`mat` is diffusion_matrix(gaussian_kernel(cloud, eps)), bit for bit."""
     ref = diffusion_matrix(gaussian_kernel(cloud, eps))
-    return np.array_equal(mat.values, ref.values) and np.array_equal(mat.density, ref.density)
+    return np.array_equal(mat.values, ref.values)
 
 
 def _calibrate_counting(monkeypatch, cloud, target, tol=1e-3):
@@ -308,9 +357,14 @@ def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     eps, probes = _calibrate_counting(monkeypatch, cloud, 0.5)
-    assert probes == 1 + MAX_DOUBLINGS + GRID_POINTS
-    assert 0.1 <= math.log(eps) <= 0.35
-    # the kernel is the hit's, not that of the grid's last (widest) probe
+    reach = MAX_DOUBLINGS * math.log(2.0)
+    k = 32  # the plateau's grid point
+    grid = np.linspace(-reach, reach, GRID_POINTS)
+    assert 0.1 <= grid[k] <= 0.35
+    # the scan stops at the hit, and the bandwidth is the one it probed
+    assert probes == 1 + MAX_DOUBLINGS + k + 1
+    assert eps == math.exp(grid[k])
+    # the kernel is the hit's, not that of the grid's last (widest) point
     assert rigged(calibrated_diffusion_matrix(cloud, 0.5)[1].values) == 0.5
 
 
@@ -412,9 +466,11 @@ def test_warm_start_grid_scan_is_centred_on_the_start(monkeypatch):
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     eps, next_start, probes = _warm_calibrate(monkeypatch, _Start(x, None), cloud, 0.5)
-    assert len(probes) == 1 + MAX_DOUBLINGS + GRID_POINTS
-    assert probes[1 + MAX_DOUBLINGS :] == pytest.approx(list(grid), abs=1e-12)
-    assert eps == float(np.exp(grid[40])) and next_start.log_epsilon == grid[40]
+    assert len(probes) == 1 + MAX_DOUBLINGS + 41  # the scan stops at the hit
+    assert probes[1 + MAX_DOUBLINGS :] == pytest.approx(list(grid[:41]), abs=1e-12)
+    assert eps == math.exp(grid[40]) and next_start.log_epsilon == grid[40]
+    # the slope handed on is measured next to the hit, from the point before it
+    assert next_start.slope == pytest.approx(0.2 / (grid[40] - grid[39]), rel=1e-12)
 
 
 def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
@@ -451,14 +507,14 @@ def test_symmetry_check_finds_one_asymmetric_entry_at_tile_corners(n):
     assert SYMMETRY_TILE == 256
     values = random_kernel(n, np.random.default_rng(n)).values
     KernelMatrix(values)
-    DiffusionMatrix(values, np.ones(n))
+    DiffusionMatrix(values)
     for i, j in ((0, 255), (255, 256), (256, 0), (n - 1, 0)):
         bad = values.copy()
         bad[i, j] = np.nextafter(bad[i, j], 2.0)
         with pytest.raises(InputError, match="exactly symmetric"):
             KernelMatrix(bad)
         with pytest.raises(InputError, match="exactly symmetric"):
-            DiffusionMatrix(bad, np.ones(n))
+            DiffusionMatrix(bad)
 
 
 def test_calibration_refuses_a_nan_probe(monkeypatch):
@@ -560,9 +616,8 @@ def test_degree_normalized_matches_outer_product():
     cloud = PointCloud(np.random.default_rng(200).normal(size=(200, 3)))
     values = gaussian_kernel(cloud, 1.0).values
     sym = values.copy()
-    deg = _degree_normalized(sym)
+    _degree_normalized(sym)
     assert np.array_equal(sym, _normalized(values))
-    assert np.array_equal(deg, values.sum(axis=1))
 
 
 def _median_via_triu(sq):

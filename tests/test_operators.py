@@ -53,7 +53,7 @@ def test_identity_dominant_kernel():
 
 
 def test_identity_laplacian_is_zero():
-    mat = DiffusionMatrix(values=np.eye(3), density=np.ones(3) / 3)
+    mat = DiffusionMatrix(values=np.eye(3))
     np.testing.assert_allclose(graph_laplacian(mat), np.zeros((3, 3)), atol=0)
 
 
@@ -90,7 +90,7 @@ def test_decomposition_all_ones_kernel():
 
 
 def test_decomposition_identity_rank_one():
-    mat = DiffusionMatrix(values=np.eye(4), density=np.ones(4))
+    mat = DiffusionMatrix(values=np.eye(4))
     dec = spectral_decomposition(mat, 1)
     assert dec.eigenvalues[0] == 1.0
     assert np.mean(dec.eigenfunctions[:, 0] ** 2) == pytest.approx(1.0)
@@ -104,7 +104,8 @@ def test_decomposition_identity_rank_one():
 def test_reconstruction_and_top_eigenfunction(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
-    mat = diffusion_matrix(random_kernel(n, rng))
+    kern = random_kernel(n, rng)
+    mat = diffusion_matrix(kern)
     dec = spectral_decomposition(mat, n)
     assert np.array_equal(mat.values, mat.values.T)
     assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
@@ -114,7 +115,7 @@ def test_reconstruction_and_top_eigenfunction(seed):
     recon = (dec.eigenfunctions * dec.eigenvalues) @ dec.eigenfunctions.T / n
     assert np.max(np.abs(recon - mat.values)) <= 1e-8
     # top eigenfunction is the empirically normalized square root of the density
-    sqrt_density = np.sqrt(mat.density)
+    sqrt_density = np.sqrt(kern.values.sum(axis=1) / n)
     expected = sqrt_density / np.sqrt(np.mean(sqrt_density**2))
     np.testing.assert_allclose(dec.eigenfunctions[:, 0], expected, atol=1e-8)
 
@@ -157,7 +158,7 @@ def test_zero_degree_guard():
 
 
 def test_eigenvalues_outside_unit_range_rejected():
-    mat = DiffusionMatrix(values=np.diag([1.2, 0.5]), density=np.ones(2))
+    mat = DiffusionMatrix(values=np.diag([1.2, 0.5]))
     with pytest.raises(NumericalError):
         spectral_decomposition(mat, 2)
 
