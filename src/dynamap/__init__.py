@@ -12,7 +12,6 @@ from .datasets import (
     TorusSpec,
     pinched_torus_family,
     sample_torus,
-    standard_map_orbits,
     synthetic_cube_family,
 )
 from .distances import (
@@ -117,7 +116,6 @@ __all__ = [
     "reference_subgraph_basis",
     "sample_torus",
     "spectral_decomposition",
-    "standard_map_orbits",
     "subgraph_diffusion_distance",
     "subgraph_rotation",
     "synthetic_cube_family",

@@ -1,8 +1,7 @@
 """Command-line front end: dataset generation, embeddings, distances, experiments.
 
 Commands: embed, distance, global, metagraph, torus-experiment, convergence,
-change-detect, gen-data. Option precedence is flags > config file (key=value
-lines) > defaults. Each command accepts only the options it reads.
+change-detect, gen-data. Each command accepts only the options it reads.
 torus-experiment, convergence and change-detect pass the options that were
 set to their experiment function, whose signature holds the other defaults.
 Every command is deterministic given --seed, exits zero only when all outputs
@@ -23,7 +22,6 @@ from .datasets import (
     TorusSpec,
     pinched_torus_family,
     sample_torus,
-    standard_map_orbits,
     synthetic_cube_family,
 )
 from .distances import (
@@ -135,7 +133,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         # no abbreviations: `convergence --s` would otherwise set --seed
         p = commands[name] = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--output-dir", type=Path, default=Path("."), help="directory for outputs")
-        p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--format", choices=FORMATS, default="csv")
     meta = ("metagraph", "torus-experiment")
     groups = {name: commands[name].add_mutually_exclusive_group() for name in meta}
@@ -150,7 +147,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add(FILE_COMMANDS, "--input-kind", choices=("kernel", "points"), default="kernel",
         help="inputs are kernel matrices (default) or point clouds")
     # bandwidth options: the library states their defaults
-    add(("embed", "distance", "global"), "--epsilon", type=_parse_epsilon, default=unset,
+    add(("embed", "distance", "global"), "--epsilon", type=float, default=unset,
         help="fixed bandwidth for point-cloud inputs")
     add(FILE_COMMANDS + EXPERIMENTS, "--target-lambda2", type=float, default=unset,
         help="calibration target")
@@ -188,62 +185,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add(scene, "--block-size", type=int, default=unset)
     add(scene, "--side", type=_square_shape, dest="shape", metavar="SIDE", default=unset,
         help="pixel grid side length")
-    add(("gen-data",), "--dataset", choices=("torus", "torus-family", "standard-map", "cube"),
-        default="torus")
-    add(("gen-data",), "--grid", type=int, default=12, help="standard-map lattice side")
-    add(("gen-data",), "--steps", type=int, default=100, help="standard-map iterations")
-    add(("gen-data",), "--alpha", type=float, default=0.4, help="standard-map nonlinearity")
+    add(("gen-data",), "--dataset", choices=("torus", "torus-family", "cube"), default="torus")
     return parser, commands
-
-
-def _config_values(command: argparse.ArgumentParser, path: str) -> dict:
-    """The options a config file of `key = value` lines sets, converted and
-    checked as flags are. Keys that name no option of the command are ignored;
-    a flag that takes no value (--full-matrix, --epsilon-median) is refused."""
-    values = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"config line without '=': {line!r}")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip().replace("-", "_"), raw.strip()
-        action = command._option_string_actions.get("--" + key.replace("_", "-"))
-        if action is None:
-            continue
-        if action.nargs == 0:
-            raise InputError(f"config key {key} is a flag without a value; pass it as a flag")
-        try:
-            value = action.type(raw) if action.type else raw
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"expected one of {action.choices}")
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise InputError(f"bad config value for {key}: {raw!r} ({exc})") from exc
-        values[action.dest] = value
-    return values
-
-
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    # the config file's values become the command's defaults, so flags still
-    # win; --input flags replace the config's whitespace-separated inputs
-    values = _config_values(commands[args.command], args.config)
-    inputs = values.pop("input", None)
-    commands[args.command].set_defaults(**values)
-    args = parser.parse_args(argv)
-    if inputs is not None and not args.input:
-        args.input = inputs.split()
-    return args
 
 
 def _options(args: argparse.Namespace) -> dict:
     """An experiment command's options as keyword arguments of its experiment
-    function: those a flag or the config file set."""
-    common = ("command", "config", "output_dir", "format")
+    function: those a flag set."""
+    common = ("command", "output_dir", "format")
     return {key: value for key, value in vars(args).items() if key not in common}
 
 
@@ -252,8 +201,8 @@ def _load_decompositions(
 ):
     """Read the inputs as kernels and decompose each one. Point clouds take a
     fixed --epsilon, or else calibrated_diffusion_matrix's --target-lambda2
-    and --tol: the `bandwidth` options that a flag or the config file set,
-    which kernel inputs refuse, and of which --epsilon refuses the other two."""
+    and --tol: the `bandwidth` options that a flag set, which kernel inputs
+    refuse, and of which --epsilon refuses the other two."""
     inputs = args.input or []
     if len(inputs) < minimum:
         raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
@@ -262,11 +211,6 @@ def _load_decompositions(
         flags = ", ".join("--" + key.replace("_", "-") for key in options)
         raise InputError(f"{flags}: a point-cloud bandwidth option needs --input-kind points")
     epsilon = options.pop("epsilon", None)
-    if epsilon == MEDIAN:
-        raise InputError(
-            f"--epsilon {MEDIAN} has no meaning with --input-kind points: give a number, "
-            "or leave --epsilon out to calibrate to --target-lambda2"
-        )
     if epsilon is not None and options:
         flags = ", ".join("--" + key.replace("_", "-") for key in options)
         raise InputError(f"{flags}: calibration options conflict with a fixed --epsilon")
@@ -399,15 +343,6 @@ def cmd_gen_data(args: argparse.Namespace, out: OutputTracker) -> None:
         for idx, cloud in enumerate(clouds):
             out.matrix(f"torus_family_{idx:02d}", cloud.points)
         out.matrix("torus_family_labels", _label_rows(labels))
-    elif args.dataset == "standard-map":
-        orbits = standard_map_orbits(args.alpha, args.grid, args.steps)
-        rows = []
-        for orbit_id, orbit in enumerate(orbits):
-            steps = np.arange(orbit.shape[0], dtype=float)
-            rows.append(
-                np.column_stack([np.full(orbit.shape[0], float(orbit_id)), steps, orbit])
-            )
-        out.matrix("standard_map", np.vstack(rows))
     elif args.dataset == "cube":
         scene = inspect.signature(synthetic_cube_family).parameters
         family = synthetic_cube_family(
@@ -440,7 +375,7 @@ HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     out = None
     try:
-        args = _parse_args(argv)
+        args = build_parser()[0].parse_args(argv)
         args.output_dir.mkdir(parents=True, exist_ok=True)
         out = OutputTracker(args.output_dir, args.format)
         HANDLERS[args.command](args, out)

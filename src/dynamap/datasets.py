@@ -1,5 +1,5 @@
-"""Deterministic synthetic data generators: torus families, standard-map orbits,
-and a multi-sensor pixel cube with a planted anomaly."""
+"""Deterministic synthetic data generators: pinched-torus families and a
+multi-sensor pixel cube with a planted anomaly."""
 from __future__ import annotations
 
 import math
@@ -94,35 +94,6 @@ def pinched_torus_family(
             clouds.append(sample_torus(spec, n, seed))
             labels.append((angle, strength))
     return clouds, labels
-
-
-def standard_map_orbits(alpha: float, grid: int, steps: int) -> list[np.ndarray]:
-    """Orbits of the standard map from a grid x grid lattice of initial conditions.
-
-    Updates p <- p + alpha sin(theta) mod 2pi, then theta <- theta + p mod 2pi.
-    Each orbit is a (steps + 1) x 2 array of (p, theta) rows starting at the
-    initial condition.
-    """
-    if alpha < 0.0:
-        raise InputError("alpha must be nonnegative")
-    if grid < 1 or steps < 1:
-        raise InputError("grid and steps must be positive")
-    ticks = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    orbits = []
-    for p0 in ticks:
-        for theta0 in ticks:
-            orbit = np.empty((steps + 1, 2))
-            p, theta = p0, theta0
-            orbit[0] = (p, theta)
-            for step in range(1, steps + 1):
-                # a tiny negative argument mod 2pi rounds up to exactly 2pi
-                p = (p + alpha * math.sin(theta)) % TWO_PI
-                p = 0.0 if p >= TWO_PI else p
-                theta = (theta + p) % TWO_PI
-                theta = 0.0 if theta >= TWO_PI else theta
-                orbit[step] = (p, theta)
-            orbits.append(orbit)
-    return orbits
 
 
 @dataclass(frozen=True)

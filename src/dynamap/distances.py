@@ -25,8 +25,8 @@ from .exceptions import (
     NumericalError,
 )
 from .operators import (
-    DiffusionMatrix, SpectralDecomposition, _check_index, _check_shared_set, _check_t,
-    kernel_power_row,
+    DiffusionMatrix, SpectralDecomposition, _check_index, _check_point, _check_shared_set,
+    _check_t, kernel_power_row,
 )
 
 GRAM_ENTRY_SLACK = 1e-8
@@ -77,8 +77,8 @@ def _check_connected(*decs: SpectralDecomposition) -> None:
             raise InputError("connectivity check needs at least two eigenpairs")
         if dec.eigenvalues[1] > 1.0 - CONNECTIVITY_GAP:
             raise ConnectivityError(
-                f"second eigenvalue {dec.eigenvalues[1]:.12g} too close to 1; "
-                "graph is disconnected or nearly so"
+                f"spectral gap 1 - lambda_2 = {1.0 - dec.eigenvalues[1]:.3g} is below "
+                f"{CONNECTIVITY_GAP:g}; graph is disconnected or nearly so"
             )
 
 
@@ -145,7 +145,9 @@ def diffusion_distance(
     D^2 = (pa(i) - pb(j))^2 + pa(i) pb(j) * mean_x (pa(x) - pb(x))^2,
     the pointwise density gap plus a term carrying the global density change.
     """
-    return float(np.sqrt(_squared_distances(dec_a, dec_b, _check_time(t), pairs=([i], [j]))[0]))
+    t = _check_time(t)
+    pairs = ([_check_point("i", i, dec_a.n)], [_check_point("j", j, dec_b.n)])
+    return float(np.sqrt(_squared_distances(dec_a, dec_b, t, pairs=pairs)[0]))
 
 
 def diffusion_distance_map(
@@ -177,7 +179,7 @@ def direct_diffusion_distance(
     """Oracle route: D^2 = n * sum_k (A_a^t[i,k] - A_b^t[j,k])^2 via matrix powers only."""
     t = _check_t(t)
     _check_sizes(mat_a.n, mat_b.n)
-    _check_index("j", j, mat_b.n)  # kernel_power_row would name it i
+    _check_point("j", j, mat_b.n)  # kernel_power_row would name it i
     diff = kernel_power_row(mat_a, t, i) - kernel_power_row(mat_b, t, j)
     return float(np.sqrt(_clamp_sq(mat_a.n * float(diff @ diff))))
 
@@ -267,7 +269,7 @@ def subgraph_diffusion_distance(
     idx_b = _check_shared_set("common_indices_b", common_indices_b, mat_b.n)
     if idx_a.size != idx_b.size:
         raise InputError("the two index lists must be of equal length")
-    _check_index("j", j, mat_b.n)  # kernel_power_row would name it i
+    _check_point("j", j, mat_b.n)  # kernel_power_row would name it i
     row_a = mat_a.n * kernel_power_row(mat_a, t, i)
     row_b = mat_b.n * kernel_power_row(mat_b, t, j)
     diff = row_a[idx_a] - row_b[idx_b]

@@ -8,7 +8,8 @@ import numpy as np
 from .distances import diffusion_distance_matrix, gram_matrix
 from .exceptions import CorrespondenceError, InputError
 from .operators import (
-    SpectralDecomposition, _check_shared_set, _check_t, apply_sign_convention, truncate
+    SpectralDecomposition, _check_count, _check_shared_set, _check_t, apply_sign_convention,
+    truncate,
 )
 
 BASIS_ORTHONORMALITY_TOL = 1e-8
@@ -32,9 +33,7 @@ def common_embedding(
     members' rows realize the cross-parameter diffusion distance (exactly at
     full rank).
     """
-    if not 0 <= gamma < len(family):
-        raise InputError(f"base index {gamma} out of range for family of {len(family)}")
-    base = family[gamma]
+    base = family[_check_count("gamma", gamma, 0, len(family) - 1)]
     if any(dec.n != base.n for dec in family):
         raise CorrespondenceError("family members must share the sample set")
     return [diffusion_map(dec, t) @ gram_matrix(base, dec).T for dec in family]
@@ -71,8 +70,7 @@ def truncation_residuals(
 
 def canonical_subgraph_basis(size: int) -> np.ndarray:
     """Indicator basis scaled by sqrt(size); orthonormal under the 1/size measure."""
-    if size < 1:
-        raise InputError("basis size must be positive")
+    size = _check_count("size", size, 1)
     return np.sqrt(size) * np.eye(size)
 
 

@@ -14,7 +14,8 @@ from .exceptions import (
 )
 from .kernels import KernelMatrix
 from .operators import (
-    DiffusionMatrix, SpectralDecomposition, _check_t, diffusion_matrix, spectral_decomposition
+    DiffusionMatrix, SpectralDecomposition, _check_count, _check_t, diffusion_matrix,
+    spectral_decomposition,
 )
 
 MEDIAN = "median"
@@ -44,6 +45,14 @@ class HistoricalGraph:
     kernel: np.ndarray
     n: int
 
+    def __post_init__(self):
+        side = np.shape(self.kernel)
+        if len(side) != 2 or side[0] != side[1]:
+            raise InputError(f"historical kernel must be square, got shape {side}")
+        n = _check_count("n", self.n, 1, side[0])
+        if side[0] % n:
+            raise InputError(f"n={n} does not divide the kernel side {side[0]}")
+
     @property
     def n_params(self) -> int:
         return self.kernel.shape[0] // self.n
@@ -55,8 +64,10 @@ def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN) -> 
     epsilon=MEDIAN resolves the bandwidth to the median off-diagonal distance.
     """
     dist = np.asarray(family_distances, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise InputError("family distance matrix must be square")
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.shape[0] < 2:
+        raise InputError(
+            f"family distance matrix must be square with at least two members, got {dist.shape}"
+        )
     # NaN slips past the comparisons below into a NaN kernel, and inf makes
     # the median bandwidth inf
     if not np.all(np.isfinite(dist)):
@@ -68,8 +79,7 @@ def meta_kernel(family_distances: np.ndarray, epsilon: float | str = MEDIAN) -> 
     if isinstance(epsilon, str):
         if epsilon != MEDIAN:
             raise InputError(f"epsilon must be a positive number or '{MEDIAN}'")
-        offdiag = dist[np.triu_indices(dist.shape[0], k=1)]
-        eps = float(np.median(offdiag)) if offdiag.size else 0.0
+        eps = float(np.median(dist[np.triu_indices(dist.shape[0], k=1)]))
         if eps <= 0.0:
             raise DegeneracyError("median bandwidth degenerate: all family distances are zero")
     else:
@@ -107,8 +117,7 @@ def meta_embedding(meta: MetaGraph, s: float, dims: int) -> np.ndarray:
 
     The trivial top eigenpair is kept: its coordinate is nearly constant.
     """
-    if not 1 <= dims <= meta.size:
-        raise InputError(f"dims must lie in [1, {meta.size}], got {dims}")
+    dims = _check_count("dims", dims, 1, meta.size)
     return _timescaled_coords(meta_decomposition(meta, dims), s)
 
 
@@ -197,9 +206,7 @@ def historical_embedding(
     point. trajectories[x, alpha] is the embedded image of point x at the
     family's alpha-th parameter: an (n, n_params, dims) view of coords.
     """
-    total = hist.n * hist.n_params
-    if not 1 <= dims <= total:
-        raise InputError(f"dims must lie in [1, {total}], got {dims}")
+    dims = _check_count("dims", dims, 1, hist.kernel.shape[0])
     dec = spectral_decomposition(diffusion_matrix(KernelMatrix(hist.kernel)), dims)
     coords = _timescaled_coords(dec, s)
     return coords, coords.reshape(hist.n_params, hist.n, dims).swapaxes(0, 1)

@@ -6,6 +6,7 @@ Eigenfunctions are normalized against the empirical measure (1/n per sample):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +34,9 @@ class SpectralDecomposition:
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
         psi = np.asarray(self.eigenfunctions, dtype=float)
-        if lam.ndim != 1 or psi.ndim != 2 or psi.shape[1] != lam.shape[0]:
-            raise InputError("need k eigenvalues and an n x k eigenfunction matrix")
+        if (lam.ndim != 1 or lam.size == 0 or psi.ndim != 2 or psi.shape[0] == 0
+                or psi.shape[1] != lam.shape[0]):
+            raise InputError("need k >= 1 eigenvalues and an n x k eigenfunction matrix, n >= 1")
         if np.any(np.diff(lam) > 0.0):
             raise InputError("eigenvalues must be in descending order")
         if lam[0] > 1.0 + EIGENVALUE_SLACK or lam[-1] <= -1.0 - EIGENVALUE_SLACK:
@@ -100,8 +102,7 @@ def spectral_decomposition(matrix: DiffusionMatrix, rank: int) -> SpectralDecomp
     ORTHONORMALITY_TOL check and the sign convention.
     """
     n = matrix.n
-    if not 1 <= rank <= n:
-        raise InputError(f"rank must lie in [1, {n}], got {rank}")
+    rank = _check_count("rank", rank, 1, n)
     lam, vec = _eigensolve(matrix.values, rank, vectors=True)
     lam = lam[::-1]
     vec = vec[:, ::-1]
@@ -120,8 +121,7 @@ def spectral_decomposition(matrix: DiffusionMatrix, rank: int) -> SpectralDecomp
 
 def truncate(dec: SpectralDecomposition, rank: int) -> SpectralDecomposition:
     """Keep the top `rank` eigenpairs of an existing decomposition."""
-    if not 1 <= rank <= dec.rank:
-        raise InputError(f"rank must lie in [1, {dec.rank}], got {rank}")
+    rank = _check_count("rank", rank, 1, dec.rank)
     return replace(
         dec,
         eigenvalues=dec.eigenvalues[:rank],
@@ -129,11 +129,18 @@ def truncate(dec: SpectralDecomposition, rank: int) -> SpectralDecomposition:
     )
 
 
+def _check_count(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """An integer in [lo, hi] (a float such as 2.0, or a bool, is refused)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    if not lo <= value <= hi:
+        raise InputError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return int(value)
+
+
 def _check_t(t) -> int:
-    """A diffusion time: a positive integer (a float such as 2.0, or a bool, is refused)."""
-    if not (isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 1):
-        raise InputError(f"diffusion time must be a positive integer, got {t}")
-    return int(t)
+    """A diffusion time: a positive integer."""
+    return _check_count("diffusion time", t, 1)
 
 
 def _check_index(name: str, idx, n: int) -> np.ndarray:
@@ -145,6 +152,16 @@ def _check_index(name: str, idx, n: int) -> np.ndarray:
     if bad.size:
         raise InputError(f"point index {name}={bad[0]} out of range for n={n}")
     return idx
+
+
+def _check_point(name: str, idx, n: int) -> int:
+    """A single point index: a 0-d integer in [0, n) (`_check_index`)."""
+    if np.ndim(idx) != 0:
+        raise InputError(
+            f"point index {name}={np.asarray(idx).tolist()} is not an integer: "
+            "a single point is a 0-d integer"
+        )
+    return int(_check_index(name, idx, n))
 
 
 def _check_shared_set(name: str, idx, n: int) -> np.ndarray:
@@ -161,7 +178,7 @@ def _check_shared_set(name: str, idx, n: int) -> np.ndarray:
 def kernel_power_row(matrix: DiffusionMatrix, t: int, i: int) -> np.ndarray:
     """Row i of A^t by repeated multiplication; the oracle path, no eigensolve."""
     t = _check_t(t)
-    row = matrix.values[_check_index("i", i, matrix.n)].copy()
+    row = matrix.values[_check_point("i", i, matrix.n)].copy()
     for _ in range(t - 1):
         row = row @ matrix.values
     return row

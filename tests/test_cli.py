@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from dynamap.operators import spectral_decomposition
 
 from conftest import random_kernel
 
-# the options each command reads besides --output-dir, --config and --format
+# the options each command reads besides --output-dir and --format
 COMMAND_OPTIONS = {
     "embed": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t --common-base",
     "distance": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t "
@@ -31,8 +34,7 @@ COMMAND_OPTIONS = {
     "convergence": "--n-grid --trials --reference-n --t --seed --target-lambda2",
     "change-detect": "--band-counts --noise-sigma --block-size --side --seed --target-lambda2 "
     "--tol",
-    "gen-data": "--dataset --n --seed --grid --steps --alpha --band-counts --noise-sigma "
-    "--block-size --side",
+    "gen-data": "--dataset --n --seed --band-counts --noise-sigma --block-size --side",
 }
 
 
@@ -202,14 +204,11 @@ def test_kernel_inputs_refuse_bandwidth_options(tmp_path, capsys, command, optio
     # kernel inputs used to ignore these options and exit 0
     paths = _write_kernels(tmp_path, 6, [16, 17])
     inputs = sum((["--input", str(p)] for p in paths), [])
-    config = tmp_path / "bandwidth.cfg"
-    config.write_text(f"{option[2:]} = 0.5\n", encoding="utf-8")
-    for route, setting in (("flag", [option, "0.5"]), ("config", ["--config", str(config)])):
-        out = tmp_path / route
-        assert main([command, *inputs, *setting, "--output-dir", str(out)]) == 1, route
-        err = capsys.readouterr().err
-        assert option in err and "--input-kind points" in err
-        assert list(out.iterdir()) == []
+    out = tmp_path / "flag"
+    assert main([command, *inputs, option, "0.5", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert option in err and "--input-kind points" in err
+    assert list(out.iterdir()) == []
     out = tmp_path / "unset"
     assert main([command, *inputs, "--output-dir", str(out)]) == 0
 
@@ -266,42 +265,9 @@ def test_binary_format_pipeline(tmp_path):
     assert coords.shape == (5, 3)
 
 
-def test_config_file_precedence(tmp_path):
-    (kern,) = _write_kernels(tmp_path, 6, [17])
-    config = tmp_path / "run.cfg"
-    config.write_text("rank = 2\nt = 1\n# comment line\n", encoding="utf-8")
-    out_cfg = tmp_path / "cfg"
-    assert main([
-        "embed", "--input", str(kern), "--output-dir", str(out_cfg),
-        "--config", str(config),
-    ]) == 0
-    assert read_matrix(out_cfg / "embedding_0.csv").shape == (6, 2)
-    # a flag beats the config file
-    out_flag = tmp_path / "flag"
-    assert main([
-        "embed", "--input", str(kern), "--output-dir", str(out_flag),
-        "--config", str(config), "--rank", "4",
-    ]) == 0
-    assert read_matrix(out_flag / "embedding_0.csv").shape == (6, 4)
-    # the config's inputs serve when no --input flag is given
-    config.write_text(f"rank = 3\ninput = {kern}\n", encoding="utf-8")
-    out_input = tmp_path / "input"
-    assert main(["embed", "--output-dir", str(out_input), "--config", str(config)]) == 0
-    assert read_matrix(out_input / "embedding_0.csv").shape == (6, 3)
-
-
-def test_config_and_flag_value_errors(tmp_path, capsys):
+def test_flag_value_errors(tmp_path):
     (kern,) = _write_kernels(tmp_path, 6, [18])
-    config = tmp_path / "bad.cfg"
-    config.write_text("rank = x\n", encoding="utf-8")
     common = ["embed", "--input", str(kern), "--output-dir", str(tmp_path / "out")]
-    assert main([*common, "--config", str(config)]) == 1
-    assert "rank" in capsys.readouterr().err
-    # flags that take no value cannot be set from a config file
-    for command, key in (("distance", "full_matrix"), ("metagraph", "epsilon-median")):
-        config.write_text(f"{key} = true\n", encoding="utf-8")
-        assert main([command, *common[1:], "--config", str(config)]) == 1
-        assert key.replace("-", "_") in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main([*common, "--rank", "x"])
     assert exc.value.code == 2
@@ -347,20 +313,6 @@ def test_gen_data_torus_family(tmp_path):
     table = read_matrix(outs["a"] / "torus_family_labels.csv")
     assert table.shape == (31, 2) and labels[0] is None and np.all(np.isnan(table[0]))
     np.testing.assert_array_equal(table[1:], np.array(labels[1:]))
-
-
-def test_gen_data_standard_map(tmp_path):
-    out = tmp_path / "out"
-    assert main([
-        "gen-data", "--dataset", "standard-map", "--grid", "3", "--steps", "5",
-        "--alpha", "0.0", "--output-dir", str(out),
-    ]) == 0
-    table = read_matrix(out / "standard_map.csv")
-    assert table.shape == (9 * 6, 4)
-    # alpha=0 conserves momentum within every orbit
-    for orbit_id in range(9):
-        rows = table[table[:, 0] == orbit_id]
-        assert np.all(rows[:, 2] == rows[0, 2])
 
 
 def test_gen_data_cube(tmp_path):
@@ -442,10 +394,8 @@ def test_points_input_kind(tmp_path):
 
 @pytest.mark.parametrize("flag", [["--epsilon", "median"], ["--epsilon-median"]])
 def test_points_input_kind_rejects_median_epsilon(tmp_path, capsys, flag):
-    # a median bandwidth is a meta-kernel setting; for point clouds it used to
-    # fall through to calibration without a word. embed has no --epsilon-median
-    # at all, so that flag is a usage error
-    usage_error = flag == ["--epsilon-median"]
+    # a median bandwidth is a meta-kernel setting: embed's --epsilon takes only
+    # a number, and embed has no --epsilon-median, so both are usage errors
     rng = np.random.default_rng(20)
     pts = tmp_path / "points.csv"
     write_matrix_csv(pts, rng.normal(size=(30, 3)))
@@ -453,17 +403,24 @@ def test_points_input_kind_rejects_median_epsilon(tmp_path, capsys, flag):
     assert _exit_code([
         "embed", "--input", str(pts), "--input-kind", "points", *flag,
         "--output-dir", str(out),
-    ]) == (2 if usage_error else 1)
-    err = capsys.readouterr().err
-    assert "--epsilon" in err and (usage_error or "--input-kind points" in err)
-    assert not list(out.glob("embedding_*"))
+    ]) == 2
+    assert "--epsilon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_each_command_declares_the_options_it_reads():
-    common = {"--output-dir", "--config", "--format"}
+    common = {"--output-dir", "--format"}
     declared = _declared_options()
     assert declared == {name: set(opts.split()) | common for name, opts in COMMAND_OPTIONS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 90
+    assert sum(len(flags) for flags in declared.values()) == 79
+
+
+def test_readme_options_table_matches_the_parser():
+    # README's "| command | options |" table, one row per command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, flags=re.MULTILINE)
+    table = {command: set(re.findall(r"--[a-z0-9-]+", cell)) for command, cell in rows}
+    assert table == {name: set(opts.split()) for name, opts in COMMAND_OPTIONS.items()}
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
@@ -478,6 +435,18 @@ def test_options_a_command_does_not_read_are_refused(tmp_path, capsys, command):
         assert _exit_code([command, flag, "1", "--output-dir", str(out)]) == 2, flag
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["embed", "--config", "run.cfg"], "unrecognized arguments"),
+    (["gen-data", "--dataset", "standard-map"], "invalid choice"),
+    (["gen-data", "--grid", "3"], "unrecognized arguments"),
+])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert _exit_code([*argv, "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _write_clouds(tmp_path, seeds, n=40):
@@ -525,14 +494,11 @@ def test_points_input_kind_refuses_calibration_options_with_fixed_epsilon(
     paths = _write_clouds(tmp_path, [40, 41], n=30)
     base = [command, *sum((["--input", str(p)] for p in paths), []), "--input-kind", "points",
             "--epsilon", "1.3"]
-    config = tmp_path / "calibration.cfg"
-    config.write_text(f"{option[2:]} = 0.5\n", encoding="utf-8")
-    for route, setting in (("flag", [option, "0.5"]), ("config", ["--config", str(config)])):
-        out = tmp_path / route
-        assert main([*base, *setting, "--output-dir", str(out)]) == 1, route
-        err = capsys.readouterr().err
-        assert option in err and "--epsilon" in err
-        assert list(out.iterdir()) == []
+    out = tmp_path / "flag"
+    assert main([*base, option, "0.5", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert option in err and "--epsilon" in err
+    assert list(out.iterdir()) == []
     assert main([*base, "--output-dir", str(tmp_path / "unset")]) == 0
 
 
@@ -541,13 +507,10 @@ def test_metagraph_refuses_dims_above_the_family_size(tmp_path, capsys):
     # it asks for 3 coordinates, or as many as a smaller family has
     paths = _write_kernels(tmp_path, 6, [10, 11, 12])
     inputs = sum((["--input", str(p)] for p in paths), [])
-    config = tmp_path / "dims.cfg"
-    config.write_text("dims = 9\n", encoding="utf-8")
-    for route, setting in (("flag", ["--dims", "9"]), ("config", ["--config", str(config)])):
-        out = tmp_path / route
-        assert main(["metagraph", *inputs, *setting, "--output-dir", str(out)]) == 1, route
-        assert "dims must lie in [1, 3], got 9" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+    out = tmp_path / "flag"
+    assert main(["metagraph", *inputs, "--dims", "9", "--output-dir", str(out)]) == 1
+    assert "dims must lie in [1, 3], got 9" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
     for members in (3, 2):
         out = tmp_path / f"unset_{members}"
         assert main(["metagraph", *inputs[: 2 * members], "--output-dir", str(out)]) == 0

@@ -8,7 +8,6 @@ from dynamap import (
     TorusSpec,
     pinched_torus_family,
     sample_torus,
-    standard_map_orbits,
     synthetic_cube_family,
 )
 from dynamap.datasets import PINCH_ANGLES, PINCH_STRENGTHS, lateral_radius
@@ -81,34 +80,6 @@ def test_family_determinism():
     second, _ = pinched_torus_family(seed=5, n=60)
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a.points, b.points)
-
-
-def test_standard_map_zero_alpha_keeps_momentum():
-    orbits = standard_map_orbits(0.0, grid=3, steps=20)
-    assert len(orbits) == 9
-    for orbit in orbits:
-        assert orbit.shape == (21, 2)
-        assert np.all(orbit[:, 0] == orbit[0, 0])
-
-
-def test_standard_map_closed_form_orbit():
-    orbits = standard_map_orbits(0.0, grid=2, steps=10)
-    # grid ticks are {0, pi}: pick the orbit starting at p=pi, theta=0
-    target = [o for o in orbits if o[0, 0] == math.pi and o[0, 1] == 0.0]
-    assert len(target) == 1
-    orbit = target[0]
-    for step in range(11):
-        assert orbit[step, 1] == pytest.approx((math.pi * step) % TWO_PI, abs=1e-9)
-
-
-def test_standard_map_range_and_validation():
-    orbits = standard_map_orbits(1.7, grid=4, steps=30)
-    stacked = np.vstack(orbits)
-    assert np.all(stacked >= 0.0) and np.all(stacked < TWO_PI)
-    with pytest.raises(InputError):
-        standard_map_orbits(-1.0, grid=2, steps=2)
-    with pytest.raises(InputError):
-        standard_map_orbits(0.5, grid=0, steps=2)
 
 
 def test_cube_mixed_band_counts_are_usable():

@@ -220,6 +220,66 @@ def test_asymptotic_requires_connectivity():
         global_diffusion_distance(dec, dec, math.inf)
 
 
+def _two_blocks(cross, seed):
+    """Two 6-point blocks joined by affinity `cross`, decomposed at full rank."""
+    rng = np.random.default_rng(seed)
+    values = np.full((12, 12), cross)
+    for block in (slice(0, 6), slice(6, 12)):
+        values[block, block] = random_kernel(6, rng).values
+    mat = diffusion_matrix(KernelMatrix(values))
+    return mat, spectral_decomposition(mat, 12)
+
+
+def test_nearly_disconnected_graphs_at_the_connectivity_gap():
+    # CONNECTIVITY_GAP is 1e-9; the error used to print lambda_2 itself, which
+    # at .12g read "1" for a gap of 1e-13
+    (mat_a, dec_a), (mat_b, dec_b) = _two_blocks(1e-13, 70), _two_blocks(1e-13, 71)
+    for call in (
+        lambda: diffusion_distance(dec_a, dec_b, 0, 7, math.inf),
+        lambda: global_diffusion_distance(dec_a, dec_b, math.inf),
+    ):
+        with pytest.raises(ConnectivityError, match=r"spectral gap 1 - lambda_2 = \S+e-13 "):
+            call()
+    # finite times need no gap
+    direct = direct_diffusion_distance(mat_a, mat_b, 0, 7, 3)
+    assert abs(diffusion_distance(dec_a, dec_b, 0, 7, 3) - direct) <= 1e-8
+    direct = direct_global_distance(mat_a, mat_b, 3)
+    assert abs(global_diffusion_distance(dec_a, dec_b, 3) - direct) <= 1e-8
+    (_, dec_a), (_, dec_b) = _two_blocks(1e-6, 70), _two_blocks(1e-6, 71)
+    assert np.isfinite(diffusion_distance(dec_a, dec_b, 0, 7, math.inf))
+    assert np.isfinite(global_diffusion_distance(dec_a, dec_b, math.inf))
+
+
+def test_two_point_graphs_through_every_distance():
+    kernels = ([[1.0, 0.3], [0.3, 0.5]], [[0.8, 0.6], [0.6, 1.0]])
+    mats = [diffusion_matrix(KernelMatrix(np.array(values))) for values in kernels]
+    decs = [spectral_decomposition(mat, 2) for mat in mats]
+    for t in (1, 2):
+        direct = np.array(
+            [[direct_diffusion_distance(*mats, i, j, t) for j in range(2)] for i in range(2)]
+        )
+        for i, j in itertools.product(range(2), repeat=2):
+            assert abs(diffusion_distance(*decs, i, j, t) - direct[i, j]) <= 1e-12
+        np.testing.assert_allclose(diffusion_distance_map(*decs, t), np.diag(direct), atol=1e-12)
+        np.testing.assert_allclose(diffusion_distance_matrix(*decs, t), direct, atol=1e-12)
+        glob = direct_global_distance(*mats, t)
+        assert abs(global_diffusion_distance(*decs, t) - glob) <= 1e-12
+        np.testing.assert_allclose(
+            global_distance_matrix(decs, t), [[0.0, glob], [glob, 0.0]], atol=1e-12
+        )
+    # rank 1 carries no lambda_2 for the large-t connectivity check
+    rank_one = [truncate(dec, 1) for dec in decs]
+    for call in (
+        lambda: diffusion_distance(*rank_one, 0, 1, math.inf),
+        lambda: diffusion_distance_map(*rank_one, math.inf),
+        lambda: diffusion_distance_matrix(*rank_one, math.inf),
+        lambda: global_diffusion_distance(*rank_one, math.inf),
+        lambda: global_distance_matrix(rank_one, math.inf),
+    ):
+        with pytest.raises(InputError, match="at least two eigenpairs"):
+            call()
+
+
 def test_global_self_and_identical_spectra():
     _, dec = random_instance(5, seed=16)
     assert global_diffusion_distance(dec, dec, 2) == pytest.approx(0.0, abs=1e-12)
@@ -351,9 +411,15 @@ def test_subgraph_refuses_out_of_range_indices(bad):
         subgraph_diffusion_distance(mat_a, mat_b, [0, 1, 2], [0, bad, 2], 0, 0, 1)
 
 
-# a float index was truncated (1.9 -> 1) or raised a bare IndexError, and a
-# bool was taken as 0 or 1; a boolean mask stands in for a list of bools
-NON_INTEGER_INDICES = [(1.5, [0, 1.5, 2]), (1.9, [0, 1.9, 2]), (True, [True, False, True])]
+# a float index was truncated (1.9 -> 1) or raised a bare IndexError, a bool
+# was taken as 0 or 1, and a list as one point raised a bare numpy error; a
+# boolean mask stands in for a list of bools, and integral floats are refused
+NON_INTEGER_INDICES = [
+    (1.5, [0, 1.5, 2]),
+    (1.9, [0, 1.9, 2]),
+    (True, [True, False, True]),
+    ([0, 1], [0.0, 1.0, 2.0]),
+]
 
 
 @pytest.mark.parametrize("bad, shared", NON_INTEGER_INDICES)

@@ -20,7 +20,7 @@ from dynamap import (
     meta_kernel,
 )
 from dynamap.kernels import KernelMatrix
-from dynamap.metagraph import MetaGraph, meta_decomposition
+from dynamap.metagraph import HistoricalGraph, MetaGraph, meta_decomposition
 from dynamap.operators import diffusion_matrix, spectral_decomposition
 
 from conftest import random_instance
@@ -83,6 +83,14 @@ def test_meta_kernel_refuses_non_finite_distances(bad, epsilon):
     dists = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
     with pytest.raises(InputError, match="finite"):
         meta_kernel(dists, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("members", [0, 1])
+@pytest.mark.parametrize("epsilon", [1.0, MEDIAN])
+def test_meta_kernel_needs_two_members(members, epsilon):
+    # 0 x 0 raised a bare ValueError, and 1 x 1 said all family distances were zero
+    with pytest.raises(InputError, match="at least two members"):
+        meta_kernel(np.zeros((members, members)), epsilon=epsilon)
 
 
 def test_meta_kernel_refuses_nan_bandwidth():
@@ -226,6 +234,16 @@ def test_historical_kernel_validation():
     small, _ = random_instance(3, seed=117)
     with pytest.raises(CorrespondenceError):
         historical_kernel([mats[0], small], t=1, epsilon=1.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, n", [(np.eye(6), 0), (np.eye(6), 4), (np.eye(6), 2.0), (np.eye(6)[:, :3], 3)]
+)
+def test_historical_graph_refuses_a_malformed_layout(kernel, n):
+    # n = 0 raised ZeroDivisionError on n_params, and an n that does not divide
+    # the kernel's side failed in historical_embedding's reshape
+    with pytest.raises(InputError):
+        HistoricalGraph(kernel, n)
 
 
 def test_historical_kernel_inner_product_refuses_epsilon():

@@ -6,21 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynamap import (
+    INNER_PRODUCT,
     DegeneracyError,
     InputError,
     NumericalError,
     PointCloud,
     calibrated_diffusion_matrix,
+    canonical_subgraph_basis,
+    common_embedding,
     diffusion_matrix,
     gaussian_kernel,
+    historical_embedding,
+    historical_kernel,
     kernel_power_row,
+    meta_embedding,
+    meta_kernel,
     sample_torus,
     spectral_decomposition,
     truncate,
+    truncation_residuals,
 )
 from dynamap.datasets import TorusSpec
 from dynamap.kernels import KernelMatrix
-from dynamap.operators import DiffusionMatrix, apply_sign_convention
+from dynamap.operators import DiffusionMatrix, SpectralDecomposition, apply_sign_convention
 
 from conftest import (
     counting_eigsh,
@@ -178,6 +186,40 @@ def test_rank_validation_and_truncate():
         truncate(cut, 3)
 
 
+@pytest.mark.parametrize("bad", [1.0, np.float64(1.0), True], ids=["float", "float64", "bool"])
+def test_counts_refuse_floats_and_bools(bad):
+    # a float count raised a bare TypeError, and True was taken as 1
+    mat = diffusion_matrix(random_kernel(4, np.random.default_rng(2)))
+    dec = spectral_decomposition(mat, 4)
+    meta = meta_kernel(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]))
+    hist = historical_kernel([mat, mat], t=1, variant=INNER_PRODUCT)
+    calls = {
+        "rank": [
+            lambda: spectral_decomposition(mat, bad),
+            lambda: truncate(dec, bad),
+            lambda: truncation_residuals([dec, dec], 0, 1, bad),
+        ],
+        "dims": [
+            lambda: meta_embedding(meta, 1.0, bad),
+            lambda: historical_embedding(hist, 1.0, bad),
+        ],
+        "gamma": [lambda: common_embedding([dec, dec], bad, 1)],
+        "size": [lambda: canonical_subgraph_basis(bad)],
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(InputError, match=rf"{name} must be an integer in \["):
+                call()
+
+
+@pytest.mark.parametrize("lam, psi", [([], np.zeros((5, 0))), ([1.0], np.zeros((0, 1)))])
+def test_decomposition_needs_an_eigenpair(lam, psi):
+    # an empty spectrum raised a bare IndexError, and zero samples passed the
+    # orthonormality check on a 0/0 Gram matrix
+    with pytest.raises(InputError, match="k >= 1 eigenvalues"):
+        SpectralDecomposition(np.array(lam), psi)
+
+
 def test_power_row_validation():
     rng = np.random.default_rng(2)
     mat = diffusion_matrix(random_kernel(4, rng))
@@ -187,6 +229,9 @@ def test_power_row_validation():
             kernel_power_row(mat, bad_t, 1)
     with pytest.raises(InputError):
         kernel_power_row(mat, 2, 7)
+    # a list is not one row: it returned a 2 x n block
+    with pytest.raises(InputError, match="point index i="):
+        kernel_power_row(mat, 2, [0, 1])
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.9, True])
