@@ -24,6 +24,7 @@ from .exceptions import (
     InputError,
     NumericalError,
 )
+from .kernels import ROW_BLOCK
 from .operators import (
     DiffusionMatrix, SpectralDecomposition, _check_index, _check_point, _check_shared_set,
     _check_t, kernel_power_row,
@@ -229,7 +230,11 @@ def direct_global_distance(mat_a: DiffusionMatrix, mat_b: DiffusionMatrix, t: in
     _check_sizes(mat_a.n, mat_b.n)
     pow_a = np.linalg.matrix_power(mat_a.values, t)
     pow_b = np.linalg.matrix_power(mat_b.values, t)
-    return float(np.linalg.norm(pow_a - pow_b, ord="fro"))
+    total = 0.0
+    for r0 in range(0, mat_a.n, ROW_BLOCK):  # no n x n difference is formed
+        diff = (pow_a[r0 : r0 + ROW_BLOCK] - pow_b[r0 : r0 + ROW_BLOCK]).ravel()
+        total += float(diff @ diff)
+    return math.sqrt(total)
 
 
 def global_distance_matrix(decs: Sequence[SpectralDecomposition], t: int | float) -> np.ndarray:

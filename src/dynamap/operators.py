@@ -37,6 +37,9 @@ class SpectralDecomposition:
         if (lam.ndim != 1 or lam.size == 0 or psi.ndim != 2 or psi.shape[0] == 0
                 or psi.shape[1] != lam.shape[0]):
             raise InputError("need k >= 1 eigenvalues and an n x k eigenfunction matrix, n >= 1")
+        for name, vals in (("eigenvalues", lam), ("eigenfunctions", psi)):
+            if not np.isfinite(vals).all():  # NaN passes every comparison below
+                raise InputError(f"{name} must be finite")
         if np.any(np.diff(lam) > 0.0):
             raise InputError("eigenvalues must be in descending order")
         if lam[0] > 1.0 + EIGENVALUE_SLACK or lam[-1] <= -1.0 - EIGENVALUE_SLACK:
@@ -154,20 +157,27 @@ def _check_index(name: str, idx, n: int) -> np.ndarray:
     return idx
 
 
+def _index_array(idx) -> np.ndarray:
+    """idx as an array; a ragged list becomes a 1-d object array, which every check refuses."""
+    try:
+        return np.asarray(idx)
+    except ValueError:  # numpy refuses inhomogeneous nesting
+        return np.asarray(idx, dtype=object)
+
+
 def _check_point(name: str, idx, n: int) -> int:
     """A single point index: a 0-d integer in [0, n) (`_check_index`)."""
-    if np.ndim(idx) != 0:
-        raise InputError(
-            f"point index {name}={np.asarray(idx).tolist()} is not an integer: "
-            "a single point is a 0-d integer"
-        )
+    idx = _index_array(idx)
+    if idx.ndim != 0:
+        raise InputError(f"point index {name}={idx.tolist()} is not an integer: "
+                         "a single point is a 0-d integer")
     return int(_check_index(name, idx, n))
 
 
 def _check_shared_set(name: str, idx, n: int) -> np.ndarray:
     """A shared vertex set S: a nonempty 1-d list of distinct point indices,
     each an integer in [0, n) (`_check_index`); a repeat would count twice."""
-    idx = np.asarray(idx)
+    idx = _index_array(idx)
     if idx.size == 0:
         raise InputError(f"{name}: the common vertex set S must be nonempty")
     if idx.ndim != 1 or np.unique(_check_index(name, idx, n)).size != idx.size:

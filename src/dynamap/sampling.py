@@ -16,9 +16,9 @@ import numpy as np
 
 from .distances import direct_diffusion_distance, direct_global_distance
 from .exceptions import DegeneracyError, InputError
-from .kernels import KernelMatrix
-from .operators import diffusion_matrix
+from .kernels import DiffusionMatrix, KernelMatrix, _degree_normalized
 
+# rows -> the two kernels, normalized in place by the study: return fresh arrays
 KernelBuilder = Callable[[np.ndarray], tuple[KernelMatrix, KernelMatrix]]
 
 # point pairs (i, j) whose distance is tracked, as indices of the reference
@@ -78,13 +78,12 @@ def _fit_rate(
 def _sample_distances(rows: np.ndarray, kernel_builder: KernelBuilder, t: int) -> np.ndarray:
     """The TRACKED_PAIRS distances between a sample's two diffusion matrices,
     then their global distance, all by the matrix-power oracles. Each kernel
-    (128 MB at 4000 reference points) is dropped as soon as its diffusion
-    matrix exists, which lowers the study's peak memory."""
-    kern_a, kern_b = kernel_builder(rows)
-    mat_a = diffusion_matrix(kern_a)
-    del kern_a
-    mat_b = diffusion_matrix(kern_b)
-    del kern_b
+    (128 MB at 4000 reference points) becomes its diffusion matrix in place, bit
+    for bit `diffusion_matrix`'s, so the peak at t = 1 is two n x n arrays."""
+    kerns = kernel_builder(rows)
+    for kern in kerns:
+        _degree_normalized(kern.values)
+    mat_a, mat_b = (DiffusionMatrix(kern.values) for kern in kerns)
     pointwise = [direct_diffusion_distance(mat_a, mat_b, i, j, t) for i, j in TRACKED_PAIRS]
     return np.array([*pointwise, direct_global_distance(mat_a, mat_b, t)])
 
@@ -100,11 +99,12 @@ def convergence_study(
     """Estimate how fast the sampled distances approach their reference values.
 
     reference is the (m, d) reference sample, with m at least 4 x max(n_grid).
-    kernel_builder maps a subset of its rows to the two parameter kernels
-    (with bandwidths already fixed). The reference sample and every trial are
-    measured by one routine, the oracle distances of TRACKED_PAIRS and the
-    global distance; a trial's pointwise deviation is the mean over
-    TRACKED_PAIRS. The rate fit needs at least two sample sizes.
+    kernel_builder maps a subset of its rows to the two parameter kernels (with
+    bandwidths already fixed) in fresh arrays, which the study normalizes in
+    place. The reference sample and every trial are measured by one routine,
+    the oracle distances of TRACKED_PAIRS and the global distance; a trial's
+    pointwise deviation is the mean over TRACKED_PAIRS. The rate fit needs at
+    least two sample sizes.
     """
     n_grid = np.asarray(sorted(set(int(v) for v in n_grid)), dtype=int)
     if n_grid.size < 2 or n_grid[0] < TRACKED_POINTS:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ def gaussian_instance(n, seed, d=3, epsilon=1.5, rank=None):
     cloud = PointCloud(rng.normal(size=(n, d)))
     mat = diffusion_matrix(gaussian_kernel(cloud, epsilon))
     return mat, spectral_decomposition(mat, rank if rank is not None else n)
+
+
+def peak_bytes(fn):
+    """(fn(), the tracemalloc peak of that one call in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -304,6 +304,17 @@ def test_global_oracle_equivalence(t):
         assert abs(spec - direct) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_direct_global_row_blocks_match_the_whole_difference(n, t):
+    # the squared norm is summed over 64-row blocks; the sizes straddle their edges
+    rng = np.random.default_rng(n + 10 * t)
+    mat_a, mat_b = (diffusion_matrix(random_kernel(n, rng)) for _ in range(2))
+    pows = [np.linalg.matrix_power(mat.values, t) for mat in (mat_a, mat_b)]
+    whole = np.linalg.norm(pows[0] - pows[1], "fro")
+    assert direct_global_distance(mat_a, mat_b, t) == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
 def test_direct_global_eigenvalue_arithmetic():
     ident = DiffusionMatrix(values=np.eye(3))
     other = DiffusionMatrix(values=np.diag([1.0, 0.5, 0.25]))
@@ -419,6 +430,7 @@ NON_INTEGER_INDICES = [
     (1.9, [0, 1.9, 2]),
     (True, [True, False, True]),
     ([0, 1], [0.0, 1.0, 2.0]),
+    ([[0], [1, 2]], [[0], [1, 2]]),  # ragged: numpy refuses to make it an array
 ]
 
 

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,9 @@ from dynamap.kernels import (
 )
 from dynamap.operators import DiffusionMatrix
 
-from conftest import counting_eigsh, near_identity_kernel, random_kernel, refuse_dense_solves
+from conftest import (
+    counting_eigsh, near_identity_kernel, peak_bytes, random_kernel, refuse_dense_solves,
+)
 
 
 def test_point_cloud_validation():
@@ -544,12 +545,7 @@ def test_family_loop_peak_memory():
 
     n = 1000
     clouds = pinched_torus_family(7, n=n)[0][:3]
-    tracemalloc.start()
-    try:
-        _calibrated_decompositions(clouds, 0.5, 1e-3, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: _calibrated_decompositions(clouds, 0.5, 1e-3, 10))
     assert peak <= 2.25 * n * n * 8
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from dynamap.kernels import KernelMatrix
 from dynamap.metagraph import HistoricalGraph, MetaGraph, meta_decomposition
 from dynamap.operators import diffusion_matrix, spectral_decomposition
 
-from conftest import random_instance
+from conftest import peak_bytes, random_instance
 
 
 def test_meta_kernel_identical_graphs_all_ones():
@@ -280,12 +278,7 @@ def test_historical_kernel_assembled_in_place(variant, epsilon):
     # no whole-kernel temporary: the peak stays within half a kernel of the
     # kernel itself, and the result equals the whole-array mirror bit for bit
     mats, _ = _family(100, range(121, 129))
-    tracemalloc.start()
-    try:
-        hist = historical_kernel(mats, t=2, epsilon=epsilon, variant=variant)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    hist, peak = peak_bytes(lambda: historical_kernel(mats, t=2, epsilon=epsilon, variant=variant))
     assert peak <= 1.5 * hist.kernel.nbytes
     assert np.array_equal(hist.kernel, _historical_reference(mats, 2, epsilon, variant))
 

@@ -220,6 +220,20 @@ def test_decomposition_needs_an_eigenpair(lam, psi):
         SpectralDecomposition(np.array(lam), psi)
 
 
+@pytest.mark.parametrize(
+    "lam, psi, name",
+    [
+        ([np.nan], np.ones((4, 1)), "eigenvalues"),
+        ([1.0], [[1.0], [np.nan], [1.0], [1.0]], "eigenfunctions"),
+        ([1.0], [[1.0], [np.inf], [1.0], [1.0]], "eigenfunctions"),
+    ],
+)
+def test_decomposition_refuses_non_finite_values(lam, psi, name):
+    # NaN fails every comparison the other checks make, so it constructed
+    with pytest.raises(InputError, match=f"{name} must be finite"):
+        SpectralDecomposition(np.array(lam), np.array(psi))
+
+
 def test_power_row_validation():
     rng = np.random.default_rng(2)
     mat = diffusion_matrix(random_kernel(4, rng))

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from dynamap import DegeneracyError, InputError, convergence_study, gaussian_kernel
+import dynamap.sampling as sampling_mod
+from dynamap import (
+    DegeneracyError, InputError, convergence_study, diffusion_matrix, gaussian_kernel,
+)
 from dynamap.kernels import PointCloud
-from dynamap.sampling import report_rows, report_summary
+from dynamap.sampling import _sample_distances, report_rows, report_summary
+
+from conftest import peak_bytes
 
 
 def _gaussian_pair_builder(eps_a, eps_b, shift):
@@ -84,3 +89,29 @@ def test_report_serialization_helpers():
     np.testing.assert_array_equal(rows[:, 0], [32.0, 64.0])
     text = report_summary(report)
     assert "pointwise slope" in text and "global slope" in text and "n=" in text
+
+
+def test_sample_distances_peak_is_two_matrices():
+    # the builder's two kernels become the diffusion matrices in place, and the
+    # global oracle sums row blocks: a copy or a whole difference would cross
+    n = 1000
+    rows = _plane_sample(n, 5)
+    build = _gaussian_pair_builder(0.8, 0.8, 0.3)
+    _, peak = peak_bytes(lambda: _sample_distances(rows, build, 1))
+    assert peak <= 2.25 * n * n * 8
+
+
+def test_sample_distances_normalize_in_place_bit_for_bit(monkeypatch):
+    rows = _plane_sample(130, 6)
+    build = _gaussian_pair_builder(0.8, 0.6, 0.3)
+    seen = []
+
+    def recording(mat_a, mat_b, t):
+        seen.extend(mat.values.copy() for mat in (mat_a, mat_b))
+        return 0.0
+
+    monkeypatch.setattr(sampling_mod, "direct_global_distance", recording)
+    _sample_distances(rows, build, 2)
+    assert len(seen) == 2
+    for got, kern in zip(seen, build(rows)):
+        assert np.array_equal(got, diffusion_matrix(kern).values)
