@@ -31,9 +31,9 @@ from .distances import (
 )
 from .embeddings import common_embedding, diffusion_map
 from .exceptions import DynamapError, InputError
-from .kernels import KernelMatrix, PointCloud, calibrated_diffusion_matrix, gaussian_kernel
+from .kernels import KernelMatrix, PointCloud, _gaussian_diffusion, calibrated_diffusion_matrix
 from .matio import FORMATS, read_matrix, write_matrix
-from .metagraph import MEDIAN, meta_embedding, meta_kernel
+from .metagraph import MEDIAN, META_DIMS, META_S, meta_embedding, meta_kernel
 from .operators import diffusion_matrix, spectral_decomposition
 from .sampling import report_rows, report_summary
 from .svgplot import scatter_svg
@@ -151,8 +151,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="fixed bandwidth for point-cloud inputs")
     add(FILE_COMMANDS + EXPERIMENTS, "--target-lambda2", type=float, default=unset,
         help="calibration target")
-    add(FILE_COMMANDS + ("torus-experiment", "change-detect"), "--tol", type=float,
-        default=unset, help="calibration tolerance")
     add(FILE_COMMANDS + ("torus-experiment",), "--rank", type=int, help="retained eigenpairs")
     add(("embed", "metagraph", "torus-experiment", "convergence"), "--t", type=int, default=1,
         help="diffusion time")
@@ -162,7 +160,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add(("embed",), "--common-base", type=int, help="base member for rotations")
     add(("distance",), "--full-matrix", action="store_true", default=False,
         help="emit all-pairs distances")
-    add(meta, "--s", type=float, default=1.92, help="meta diffusion time")
+    add(meta, "--s", type=float, default=META_S, help="meta diffusion time")
     add(("torus-experiment",), "--dims", type=int, help="embedding dimensions")
     add(("metagraph",), "--dims", type=int, default=unset,
         help="embedding dimensions (default: 3, or the family size when it is smaller)")
@@ -197,12 +195,12 @@ def _options(args: argparse.Namespace) -> dict:
 
 
 def _load_decompositions(
-    args: argparse.Namespace, minimum: int, bandwidth=("epsilon", "target_lambda2", "tol")
+    args: argparse.Namespace, minimum: int, bandwidth=("epsilon", "target_lambda2")
 ):
     """Read the inputs as kernels and decompose each one. Point clouds take a
-    fixed --epsilon, or else calibrated_diffusion_matrix's --target-lambda2
-    and --tol: the `bandwidth` options that a flag set, which kernel inputs
-    refuse, and of which --epsilon refuses the other two."""
+    fixed --epsilon, or else calibrated_diffusion_matrix's --target-lambda2:
+    the `bandwidth` options that a flag set, which kernel inputs refuse, and
+    of which --epsilon refuses the other."""
     inputs = args.input or []
     if len(inputs) < minimum:
         raise InputError(f"{args.command} needs at least {minimum} --input file(s)")
@@ -223,7 +221,7 @@ def _load_decompositions(
         elif epsilon is None:
             mat = calibrated_diffusion_matrix(PointCloud(values), **options)[1]
         else:
-            mat = diffusion_matrix(gaussian_kernel(PointCloud(values), epsilon))
+            mat = _gaussian_diffusion(PointCloud(values), epsilon)
         del values  # a kernel input is not alive during the eigensolve
         if size is None:
             size = mat.n
@@ -261,11 +259,11 @@ def cmd_global(args: argparse.Namespace, out: OutputTracker) -> None:
 
 def cmd_metagraph(args: argparse.Namespace, out: OutputTracker) -> None:
     # --epsilon is the meta kernel's bandwidth: point-cloud members are calibrated
-    decs = _load_decompositions(args, 2, bandwidth=("target_lambda2", "tol"))
+    decs = _load_decompositions(args, 2, bandwidth=("target_lambda2",))
     dists = global_distance_matrix(decs, args.t)
     meta = meta_kernel(dists, epsilon=args.epsilon)
     # a --dims that is set and exceeds the family size is refused by meta_embedding
-    dims = args.dims if "dims" in args else min(3, meta.size)
+    dims = args.dims if "dims" in args else min(META_DIMS, meta.size)
     coords = meta_embedding(meta, args.s, dims)
     out.matrix("global_distances", dists)
     out.matrix("meta_kernel", meta.kernel)

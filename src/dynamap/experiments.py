@@ -17,15 +17,17 @@ from .datasets import (
 )
 from .distances import diffusion_distance_map, global_distance_matrix
 from .kernels import (
-    KernelMatrix, PointCloud, _calibrate, calibrated_diffusion_matrix, gaussian_kernel
+    DiffusionMatrix, PointCloud, _calibrate, _gaussian_diffusion, calibrated_diffusion_matrix
 )
-from .metagraph import MEDIAN, MetaGraph, meta_decomposition, meta_embedding, meta_kernel
+from .metagraph import (
+    MEDIAN, META_DIMS, META_S, MetaGraph, meta_decomposition, meta_embedding, meta_kernel
+)
 from .operators import SpectralDecomposition, spectral_decomposition
 from .sampling import ConvergenceReport, convergence_study
 
 
 def _calibrated_decompositions(
-    clouds: Sequence[PointCloud], target_lambda2: float, tol: float, rank: int
+    clouds: Sequence[PointCloud], target_lambda2: float, rank: int
 ) -> tuple[np.ndarray, list[SpectralDecomposition]]:
     """Per member: the bandwidth calibrated to the common second eigenvalue and
     the rank-`rank` decomposition of its diffusion matrix.
@@ -43,7 +45,7 @@ def _calibrated_decompositions(
     decs = []
     start = None
     for k, cloud in enumerate(clouds):
-        epsilons[k], mat, start = _calibrate(cloud, target_lambda2, tol, start)
+        epsilons[k], mat, start = _calibrate(cloud, target_lambda2, start)
         decs.append(spectral_decomposition(mat, rank))
         del mat
     return epsilons, decs
@@ -76,11 +78,10 @@ def torus_experiment(
     n: int = 1000,
     seed: int = 7,
     target_lambda2: float = 0.5,
-    tol: float = 1e-3,
     rank: int = 10,
     t: int = 2,
-    s: float = 1.92,
-    dims: int = 3,
+    s: float = META_S,
+    dims: int = META_DIMS,
     epsilon: float | str = MEDIAN,
 ) -> TorusExperimentResult:
     """Pinched-torus family -> per-member kernels -> global distances -> graph of graphs.
@@ -91,7 +92,7 @@ def torus_experiment(
     angle and pinch strength.
     """
     clouds, labels = pinched_torus_family(seed, n=n)
-    epsilons, decs = _calibrated_decompositions(clouds, target_lambda2, tol, rank)
+    epsilons, decs = _calibrated_decompositions(clouds, target_lambda2, rank)
     dists = global_distance_matrix(decs, t)
     meta = meta_kernel(dists, epsilon=epsilon)
     meta_lambda2 = float(meta_decomposition(meta, 2).eigenvalues[1])
@@ -152,7 +153,6 @@ class ChangeDetectionResult:
 def change_detection_experiment(
     scene_seed: int = 11,
     target_lambda2: float = 0.97,
-    tol: float = 1e-3,
     **scene,
 ) -> ChangeDetectionResult:
     """Synthetic multi-sensor change detection via the large-t diffusion distance.
@@ -165,7 +165,7 @@ def change_detection_experiment(
     which needs only the top eigenfunctions.
     """
     family = synthetic_cube_family(scene_seed, **scene)
-    epsilons, decs = _calibrated_decompositions(family.clouds, target_lambda2, tol, 2)
+    epsilons, decs = _calibrated_decompositions(family.clouds, target_lambda2, 2)
     chg = family.change_epoch
     others = [k for k in range(len(decs)) if k != chg]
     scores = np.mean(
@@ -195,21 +195,18 @@ def torus_pair_study(
     once, on an independent 500-point sample, and then held fixed across
     every sample size; the reference sample holds reference_n angle pairs.
     """
-    plain = TorusSpec()
-    pinched = TorusSpec(pinch_angle=math.pi, pinch_radius=1.0)
-
+    specs = (TorusSpec(), TorusSpec(pinch_angle=math.pi, pinch_radius=1.0))
     calib = np.random.default_rng(seed + 1).uniform(0.0, TWO_PI, (500, 2))
-    eps_plain, eps_pinched = (
+    epsilons = [
         calibrated_diffusion_matrix(PointCloud(torus_points(spec, *calib.T)), target_lambda2)[0]
-        for spec in (plain, pinched)
-    )
+        for spec in specs
+    ]
 
-    def kernel_builder(angles: np.ndarray) -> tuple[KernelMatrix, KernelMatrix]:
-        cloud_a = PointCloud(torus_points(plain, angles[:, 0], angles[:, 1]))
-        cloud_b = PointCloud(torus_points(pinched, angles[:, 0], angles[:, 1]))
-        return gaussian_kernel(cloud_a, eps_plain), gaussian_kernel(cloud_b, eps_pinched)
+    def matrix_builder(angles: np.ndarray) -> tuple[DiffusionMatrix, DiffusionMatrix]:
+        clouds = (PointCloud(torus_points(spec, *angles.T)) for spec in specs)
+        return tuple(map(_gaussian_diffusion, clouds, epsilons))
 
     reference = np.random.default_rng(seed).uniform(0.0, TWO_PI, (reference_n, 2))
     return convergence_study(
-        reference, kernel_builder, t=t, n_grid=n_grid, trials=trials, seed=seed
+        reference, matrix_builder, t=t, n_grid=n_grid, trials=trials, seed=seed
     )

@@ -20,7 +20,8 @@ from .exceptions import CalibrationError, DegeneracyError, InputError, Numerical
 # for at most MAX_REFINEMENTS steps. When the walk finds no sign change (a
 # non-monotone profile), a log-spaced grid of GRID_POINTS over the same reach
 # is probed in order: it stops at its first point within tol, or else hands
-# its first crossing to Illinois, before giving up.
+# its first crossing to Illinois, before giving up. tol is CALIBRATION_TOL.
+CALIBRATION_TOL = 1e-3
 MAX_DOUBLINGS = 20
 GRID_POINTS = 64
 MAX_REFINEMENTS = 100
@@ -171,11 +172,8 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _gaussian_values(
-    sq: np.ndarray, epsilon: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """exp(-sq / epsilon^2) with an exact unit diagonal, in `out` (which may be
-    `sq` itself) or else in one new n x n array."""
+def _gaussian_values(sq: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
+    """exp(-sq / epsilon^2) with an exact unit diagonal, in `out` (which may be `sq`)."""
     vals = np.divide(sq, -(epsilon * epsilon), out=out)
     np.exp(vals, out=vals)
     np.fill_diagonal(vals, 1.0)
@@ -203,6 +201,25 @@ def _degree_normalized(values: np.ndarray) -> None:
     inv_sqrt = 1.0 / np.sqrt(deg)
     for r0 in range(0, values.shape[0], ROW_BLOCK):
         values[r0 : r0 + ROW_BLOCK] *= np.multiply.outer(inv_sqrt[r0 : r0 + ROW_BLOCK], inv_sqrt)
+
+
+def _gaussian_diffusion_values(sq: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
+    """D^{-1/2} K D^{-1/2} of K = exp(-sq / epsilon^2), in `out` (which may be
+    `sq`) by the IEEE operations of `diffusion_matrix(gaussian_kernel(...))`.
+    No KernelMatrix check is lost: K, from a validated PointCloud, lies in
+    [0, 1] with a unit diagonal; a NaN makes its row's degree NaN, which the
+    normalization refuses; DiffusionMatrix checks exact symmetry."""
+    vals = _gaussian_values(sq, epsilon, out=out)
+    _degree_normalized(vals)
+    return vals
+
+
+def _gaussian_diffusion(cloud: PointCloud, epsilon: float) -> DiffusionMatrix:
+    """`diffusion_matrix(gaussian_kernel(cloud, epsilon))` bit for bit, in one n x n array."""
+    if not epsilon > 0.0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    sq = squared_distances(cloud.points)
+    return DiffusionMatrix(_gaussian_diffusion_values(sq, epsilon, out=sq))
 
 
 @functools.cache
@@ -311,9 +328,7 @@ class _Start(NamedTuple):
 
 
 def calibrated_diffusion_matrix(
-    cloud: PointCloud,
-    target_lambda2: float = 0.5,
-    tol: float = 1e-3,
+    cloud: PointCloud, target_lambda2: float = 0.5
 ) -> tuple[float, DiffusionMatrix]:
     """A Gaussian bandwidth whose diffusion matrix has the requested second
     eigenvalue, and the diffusion matrix at that bandwidth.
@@ -323,32 +338,24 @@ def calibrated_diffusion_matrix(
     so the sign of lambda2 - target at the median pairwise distance says which
     way the root lies. The search walks that way in factor-2 steps until the
     sign changes, then runs Illinois regula falsi on log(epsilon) inside the
-    bracket, accepting the first bandwidth whose |lambda2 - target| <= tol.
-    When the walk reaches median * 2^(+-20) without a sign change, a 64-point
-    log-spaced grid over that whole reach is probed in order: its first point
-    within tol is accepted, and without one, its first crossing of a
-    non-monotone profile is refined by Illinois.
+    bracket, accepting the first bandwidth whose |lambda2 - target| <=
+    CALIBRATION_TOL (1e-3). When the walk reaches median * 2^(+-20) without a
+    sign change, a 64-point log-spaced grid over that whole reach is probed in
+    order: its first point within the tolerance is accepted, and without one,
+    its first crossing of a non-monotone profile is refined by Illinois.
 
-    The squared distances are computed once. Each probe's kernel is built from
-    them and normalized in place; that one normalization serves its lambda2
-    and, for the accepted probe, the returned matrix, bit-identical to
-    `diffusion_matrix(gaussian_kernel(cloud, epsilon))`. Each probe is dropped
-    before the next is built. No KernelMatrix check is lost: a probe is
-    exp(-sq / epsilon^2) of a validated PointCloud with a unit diagonal, in
-    [0, 1]; a NaN makes its row's degree NaN, which the normalization refuses
-    with DegeneracyError; DiffusionMatrix checks exact symmetry.
+    The squared distances are computed once, and every probe's diffusion
+    matrix is built from them in one buffer; the accepted probe's is returned,
+    bit-identical to `diffusion_matrix(gaussian_kernel(cloud, epsilon))`.
 
     Raises CalibrationError, reporting the range of eigenvalues reached, when
     no bandwidth in the reach crosses the target or the refinement stalls.
     """
-    return _calibrate(cloud, target_lambda2, tol)[:2]
+    return _calibrate(cloud, target_lambda2)[:2]
 
 
 def _calibrate(
-    cloud: PointCloud,
-    target_lambda2: float,
-    tol: float,
-    start: _Start | None = None,
+    cloud: PointCloud, target_lambda2: float, start: _Start | None = None
 ) -> tuple[float, DiffusionMatrix, _Start]:
     """`calibrated_diffusion_matrix`'s search from `start`, or from the median
     pairwise distance when `start` is None; also the start for the next member
@@ -357,15 +364,14 @@ def _calibrate(
     A warm start that misses takes a secant step first: its size is
     |lambda2 - target| / |slope|, at most log 2, and without a negative slope
     it is log 2. The factor-2 walk, Illinois and the grid scan (up to its first
-    point within tol), centred on the start, follow unchanged. The returned
-    start is the accepted (the latest) probe's log(epsilon) and the slope
-    between the last two probes at distinct bandwidths, or the slope received
-    when the first probe was accepted.
+    point within CALIBRATION_TOL), centred on the start, follow unchanged. The
+    returned start is the accepted (the latest) probe's log(epsilon) and the
+    slope between the last two probes at distinct bandwidths, or the slope
+    received when the first probe was accepted.
     """
     if not 0.0 < target_lambda2 < 1.0:
         raise InputError(f"target second eigenvalue must lie in (0, 1), got {target_lambda2}")
-    if not tol > 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
+    tol = CALIBRATION_TOL
 
     sq = squared_distances(cloud.points)
     if start is None:
@@ -376,14 +382,11 @@ def _calibrate(
     x0 = start.log_epsilon
     probed: list[float] = []  # log(epsilon) of each probe
     reached: list[float] = []  # and its lambda2
-    probe = None  # the latest probe's normalized kernel
+    probe = np.empty_like(sq)  # the latest probe's diffusion matrix
 
     def gap(x: float) -> float:
         """lambda2 - target at epsilon = exp(x), whose probe is kept."""
-        nonlocal probe
-        probe = None  # drop the previous probe before building this one
-        probe = _gaussian_values(sq, math.exp(x))
-        _degree_normalized(probe)
+        _gaussian_diffusion_values(sq, math.exp(x), out=probe)
         probed.append(x)
         reached.append(_second_eigenvalue(probe))
         return reached[-1] - target_lambda2

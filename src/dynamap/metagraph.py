@@ -19,6 +19,9 @@ from .operators import (
 )
 
 MEDIAN = "median"
+# the graph of graphs' default diffusion time s and embedding dimensions
+META_S = 1.92
+META_DIMS = 3
 
 EXPONENTIAL = "exponential"
 INNER_PRODUCT = "inner_product"

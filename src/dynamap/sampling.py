@@ -16,10 +16,11 @@ import numpy as np
 
 from .distances import direct_diffusion_distance, direct_global_distance
 from .exceptions import DegeneracyError, InputError
-from .kernels import DiffusionMatrix, KernelMatrix, _degree_normalized
+from .kernels import DiffusionMatrix
+from .operators import _check_count, _check_t
 
-# rows -> the two kernels, normalized in place by the study: return fresh arrays
-KernelBuilder = Callable[[np.ndarray], tuple[KernelMatrix, KernelMatrix]]
+# rows -> the two diffusion matrices, which the study only reads
+MatrixBuilder = Callable[[np.ndarray], tuple[DiffusionMatrix, DiffusionMatrix]]
 
 # point pairs (i, j) whose distance is tracked, as indices of the reference
 # sample: a point with itself and a pair of distinct points
@@ -75,22 +76,20 @@ def _fit_rate(
     )
 
 
-def _sample_distances(rows: np.ndarray, kernel_builder: KernelBuilder, t: int) -> np.ndarray:
+def _sample_distances(rows: np.ndarray, matrix_builder: MatrixBuilder, t: int) -> np.ndarray:
     """The TRACKED_PAIRS distances between a sample's two diffusion matrices,
-    then their global distance, all by the matrix-power oracles. Each kernel
-    (128 MB at 4000 reference points) becomes its diffusion matrix in place, bit
-    for bit `diffusion_matrix`'s, so the peak at t = 1 is two n x n arrays."""
-    kerns = kernel_builder(rows)
-    for kern in kerns:
-        _degree_normalized(kern.values)
-    mat_a, mat_b = (DiffusionMatrix(kern.values) for kern in kerns)
-    pointwise = [direct_diffusion_distance(mat_a, mat_b, i, j, t) for i, j in TRACKED_PAIRS]
-    return np.array([*pointwise, direct_global_distance(mat_a, mat_b, t)])
+    then their global distance, by the matrix-power oracles, which only read."""
+    mats = tuple(matrix_builder(rows))
+    if len(mats) != 2 or not all(isinstance(mat, DiffusionMatrix) for mat in mats):
+        raise InputError(f"matrix_builder must return two DiffusionMatrix objects, got "
+                         f"{[type(mat).__name__ for mat in mats]}")
+    pointwise = [direct_diffusion_distance(*mats, i, j, t) for i, j in TRACKED_PAIRS]
+    return np.array([*pointwise, direct_global_distance(*mats, t)])
 
 
 def convergence_study(
     reference: np.ndarray,
-    kernel_builder: KernelBuilder,
+    matrix_builder: MatrixBuilder,
     t: int,
     n_grid: Sequence[int],
     trials: int,
@@ -99,21 +98,19 @@ def convergence_study(
     """Estimate how fast the sampled distances approach their reference values.
 
     reference is the (m, d) reference sample, with m at least 4 x max(n_grid).
-    kernel_builder maps a subset of its rows to the two parameter kernels (with
-    bandwidths already fixed) in fresh arrays, which the study normalizes in
-    place. The reference sample and every trial are measured by one routine,
+    matrix_builder maps a subset of its rows to the two parameters' finished
+    diffusion matrices (with bandwidths already fixed), which the study only
+    reads. The reference sample and every trial are measured by one routine,
     the oracle distances of TRACKED_PAIRS and the global distance; a trial's
     pointwise deviation is the mean over TRACKED_PAIRS. The rate fit needs at
-    least two sample sizes.
+    least two sample sizes; t, trials and each size are integers.
     """
-    n_grid = np.asarray(sorted(set(int(v) for v in n_grid)), dtype=int)
-    if n_grid.size < 2 or n_grid[0] < TRACKED_POINTS:
-        raise InputError(
-            f"n_grid needs at least two sizes of at least {TRACKED_POINTS} points "
-            f"(the tracked ones), got {n_grid.tolist()}"
-        )
-    if trials < 10:
-        raise InputError(f"need at least 10 trials, got {trials}")
+    t = _check_t(t)
+    trials = _check_count("trials", trials, 10)
+    sizes = {_check_count("n_grid entry", v, TRACKED_POINTS) for v in n_grid}
+    n_grid = np.asarray(sorted(sizes), dtype=int)
+    if n_grid.size < 2:
+        raise InputError(f"n_grid needs at least two distinct sizes, got {n_grid.tolist()}")
     base = np.asarray(reference, dtype=float)
     m_ref = base.shape[0]
     if m_ref < 4 * int(n_grid.max()):
@@ -122,7 +119,7 @@ def convergence_study(
             f"4 x max(n_grid)={4 * int(n_grid.max())}"
         )
 
-    ref = _sample_distances(base, kernel_builder, t)
+    ref = _sample_distances(base, matrix_builder, t)
     tracked = np.arange(TRACKED_POINTS)
     rest = np.arange(TRACKED_POINTS, m_ref)
     streams = np.random.SeedSequence(seed).spawn(int(n_grid.size) * trials)
@@ -134,7 +131,7 @@ def convergence_study(
             rng = np.random.default_rng(streams[gi * trials + trial])
             fill = rng.choice(rest, size=int(n) - TRACKED_POINTS, replace=False)
             rows = base[np.concatenate([tracked, fill])]
-            dev = np.abs(_sample_distances(rows, kernel_builder, t) - ref)
+            dev = np.abs(_sample_distances(rows, matrix_builder, t) - ref)
             devs[:, gi, trial] = np.mean(dev[:-1]), dev[-1]
     mean, spread = devs.mean(axis=2), devs.std(axis=2)
 
@@ -143,7 +140,7 @@ def convergence_study(
         global_=_fit_rate("global", n_grid, mean[1], spread[1]),
         reference_n=m_ref,
         trials=trials,
-        t=int(t),
+        t=t,
     )
 
 

@@ -23,17 +23,15 @@ from conftest import random_kernel
 
 # the options each command reads besides --output-dir and --format
 COMMAND_OPTIONS = {
-    "embed": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t --common-base",
-    "distance": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t "
-    "--full-matrix",
-    "global": "--input --input-kind --epsilon --target-lambda2 --tol --rank --t",
-    "metagraph": "--input --input-kind --target-lambda2 --tol --rank --t --epsilon "
+    "embed": "--input --input-kind --epsilon --target-lambda2 --rank --t --common-base",
+    "distance": "--input --input-kind --epsilon --target-lambda2 --rank --t --full-matrix",
+    "global": "--input --input-kind --epsilon --target-lambda2 --rank --t",
+    "metagraph": "--input --input-kind --target-lambda2 --rank --t --epsilon "
     "--epsilon-median --s --dims",
-    "torus-experiment": "--n --seed --target-lambda2 --tol --rank --t --s --dims --epsilon "
+    "torus-experiment": "--n --seed --target-lambda2 --rank --t --s --dims --epsilon "
     "--epsilon-median",
     "convergence": "--n-grid --trials --reference-n --t --seed --target-lambda2",
-    "change-detect": "--band-counts --noise-sigma --block-size --side --seed --target-lambda2 "
-    "--tol",
+    "change-detect": "--band-counts --noise-sigma --block-size --side --seed --target-lambda2",
     "gen-data": "--dataset --n --seed --band-counts --noise-sigma --block-size --side",
 }
 
@@ -194,7 +192,7 @@ def test_metagraph_refuses_non_finite_meta_time(tmp_path, capsys, s):
 BANDWIDTH_OPTIONS = [
     (command, option)
     for command in ("embed", "distance", "global", "metagraph")
-    for option in ("--epsilon", "--target-lambda2", "--tol")
+    for option in ("--epsilon", "--target-lambda2")
     if (command, option) != ("metagraph", "--epsilon")
 ]
 
@@ -412,7 +410,7 @@ def test_each_command_declares_the_options_it_reads():
     common = {"--output-dir", "--format"}
     declared = _declared_options()
     assert declared == {name: set(opts.split()) | common for name, opts in COMMAND_OPTIONS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 79
+    assert sum(len(flags) for flags in declared.values()) == 73
 
 
 def test_readme_options_table_matches_the_parser():
@@ -441,6 +439,9 @@ def test_options_a_command_does_not_read_are_refused(tmp_path, capsys, command):
     (["embed", "--config", "run.cfg"], "unrecognized arguments"),
     (["gen-data", "--dataset", "standard-map"], "invalid choice"),
     (["gen-data", "--grid", "3"], "unrecognized arguments"),
+    # the calibration tolerance is kernels.CALIBRATION_TOL
+    *(([command, "--tol", "0.01"], "unrecognized arguments") for command in (
+        "embed", "distance", "global", "metagraph", "torus-experiment", "change-detect")),
 ])
 def test_removed_options_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -461,7 +462,7 @@ def _write_clouds(tmp_path, seeds, n=40):
 def _calibrated_family_distances(paths, t):
     decs = []
     for path in paths:
-        _, mat = calibrated_diffusion_matrix(PointCloud(read_matrix(path)), 0.5, 1e-3)
+        _, mat = calibrated_diffusion_matrix(PointCloud(read_matrix(path)), 0.5)
         decs.append(spectral_decomposition(mat, mat.n))
     return global_distance_matrix(decs, t)
 
@@ -486,7 +487,7 @@ def test_metagraph_epsilon_is_the_meta_bandwidth(tmp_path, flag, epsilon):
 
 
 @pytest.mark.parametrize("command", ["embed", "distance", "global"])
-@pytest.mark.parametrize("option", ["--target-lambda2", "--tol"])
+@pytest.mark.parametrize("option", ["--target-lambda2"])
 def test_points_input_kind_refuses_calibration_options_with_fixed_epsilon(
     tmp_path, capsys, command, option
 ):

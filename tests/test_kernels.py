@@ -25,6 +25,7 @@ from dynamap import (
 from dynamap.datasets import TorusSpec
 from dynamap.experiments import _calibrated_decompositions
 from dynamap.kernels import (
+    CALIBRATION_TOL,
     GRID_POINTS,
     MAX_DOUBLINGS,
     SYMMETRY_TILE,
@@ -32,6 +33,7 @@ from dynamap.kernels import (
     _calibrate,
     _degree_normalized,
     _eigensolve,
+    _gaussian_diffusion,
     _median_squared_distance,
     _scipy_openblas,
     _second_eigenvalue,
@@ -125,21 +127,21 @@ def _lambda2_via_full_path(cloud, eps):
 
 def test_calibrate_three_point_line():
     cloud = PointCloud(np.array([[0.0], [1.0], [2.0]]))
-    eps = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)[0]
+    eps = calibrated_diffusion_matrix(cloud, 0.5)[0]
     # independent recheck through the full decomposition path
     assert abs(_lambda2_via_full_path(cloud, eps) - 0.5) <= 1e-3
 
 
 def test_calibrate_torus_sample():
     cloud = sample_torus(TorusSpec(), 300, seed=4)
-    eps = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)[0]
+    eps = calibrated_diffusion_matrix(cloud, 0.5)[0]
     assert abs(_lambda2_via_full_path(cloud, eps) - 0.5) <= 1e-3
 
 
 def test_calibrate_high_target():
     rng = np.random.default_rng(9)
     cloud = PointCloud(rng.uniform(size=(120, 8)))
-    eps = calibrated_diffusion_matrix(cloud, 0.97, tol=1e-3)[0]
+    eps = calibrated_diffusion_matrix(cloud, 0.97)[0]
     assert abs(_lambda2_via_full_path(cloud, eps) - 0.97) <= 1e-3
 
 
@@ -147,8 +149,6 @@ def test_calibrate_rejects_bad_target():
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     with pytest.raises(InputError):
         calibrated_diffusion_matrix(cloud, 1.5)
-    with pytest.raises(InputError):
-        calibrated_diffusion_matrix(cloud, 0.5, tol=0.0)
 
 
 def test_calibrate_coincident_points_fails_with_range():
@@ -157,7 +157,7 @@ def test_calibrate_coincident_points_fails_with_range():
         calibrated_diffusion_matrix(cloud, 0.5)
     # a warm start has no median distance to find the coincidence for it
     with pytest.raises(CalibrationError, match="all points coincide") as info:
-        _calibrate(cloud, 0.5, 1e-3, _Start(0.0, -0.5))
+        _calibrate(cloud, 0.5, _Start(0.0, -0.5))
     assert info.value.achieved_range is None
 
 
@@ -174,12 +174,12 @@ def test_calibrate_grid_scan_fallback(monkeypatch):
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
-    eps = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)[0]
+    eps = calibrated_diffusion_matrix(cloud, 0.5)[0]
     assert abs(rigged(gaussian_kernel(cloud, eps).values) - 0.5) <= 1e-3
 
     # a target above the bump's peak is unreachable: error reports the range
     with pytest.raises(CalibrationError) as info:
-        calibrated_diffusion_matrix(cloud, 0.9, tol=1e-3)
+        calibrated_diffusion_matrix(cloud, 0.9)
     assert info.value.achieved_range is not None
     assert info.value.achieved_range[1] <= 0.8 + 1e-12
 
@@ -205,7 +205,7 @@ def test_calibrate_grid_scan_crossing_goes_to_illinois(monkeypatch):
     k = int(np.flatnonzero(scans[:-1] * scans[1:] < 0.0)[0])
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
-    eps, mat = calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)
+    eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
     assert grid[k] < math.log(eps) < grid[k + 1]
     assert abs(profile(math.log(eps)) - 0.5) <= 1e-3
     assert abs(rigged(mat.values) - 0.5) <= 1e-3
@@ -224,7 +224,7 @@ def test_calibrate_illinois_stall_reports_the_range(monkeypatch):
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     with pytest.raises(CalibrationError, match="refinement stalled") as info:
-        calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)
+        calibrated_diffusion_matrix(cloud, 0.5)
     assert info.value.achieved_range == (0.3, 0.7)
 
 
@@ -287,7 +287,54 @@ def _same_diffusion_matrix(mat, cloud, eps):
     return np.array_equal(mat.values, ref.values)
 
 
-def _calibrate_counting(monkeypatch, cloud, target, tol=1e-3):
+# clouds of 2-40 distinct points on a 0.1 grid in 1-3 dimensions
+_distinct_clouds = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(-30, 30)] * d), min_size=2, max_size=40, unique=True
+    )
+).map(lambda rows: PointCloud(0.1 * np.array(rows, dtype=float)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_distinct_clouds, st.floats(0.05, 0.95))
+def test_calibrated_lambda2_lies_within_the_tolerance(cloud, target):
+    _, mat = calibrated_diffusion_matrix(cloud, target)
+    assert abs(np.linalg.eigvalsh(mat.values)[-2] - target) <= CALIBRATION_TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_distinct_clouds, st.floats(-3.0, 3.0))
+def test_fixed_and_calibrated_bandwidths_build_diffusion_matrix_bit_for_bit(cloud, log_eps):
+    # the one route from points to a diffusion matrix, at a fixed bandwidth
+    # and at the calibrated one, gives the public two-step route's values
+    eps = math.exp(log_eps)
+    assert _same_diffusion_matrix(_gaussian_diffusion(cloud, eps), cloud, eps)
+    eps, mat = calibrated_diffusion_matrix(cloud)
+    assert _same_diffusion_matrix(mat, cloud, eps)
+
+
+def test_gaussian_diffusion_peak_is_one_matrix():
+    # the squared distances become the diffusion matrix in place: a kernel
+    # plus a normalized copy would cross
+    n = 1000
+    cloud = PointCloud(np.random.default_rng(7).normal(size=(n, 3)))
+    with pytest.raises(InputError, match="epsilon must be positive"):
+        _gaussian_diffusion(cloud, 0.0)
+    _, peak = peak_bytes(lambda: _gaussian_diffusion(cloud, 1.0))
+    assert peak <= 1.25 * n * n * 8
+
+
+def test_calibration_reads_the_tolerance_at_call_time(monkeypatch):
+    import dynamap.kernels as kernels_mod
+
+    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
+    x0 = _walk_start(cloud)
+    target = _probe_lambda2(cloud, x0) + 0.01  # the first probe misses by 0.01
+    monkeypatch.setattr(kernels_mod, "CALIBRATION_TOL", 0.02)
+    assert calibrated_diffusion_matrix(cloud, target)[0] == math.exp(x0)
+
+
+def _calibrate_counting(monkeypatch, cloud, target):
     """calibrated_diffusion_matrix's bandwidth and the number of lambda2 probes
     it made; its matrix must be diffusion_matrix's of gaussian_kernel's, and a
     second call must find the same bandwidth."""
@@ -301,10 +348,10 @@ def _calibrate_counting(monkeypatch, cloud, target, tol=1e-3):
         return second(values)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
-    eps, mat = calibrated_diffusion_matrix(cloud, target, tol)
+    eps, mat = calibrated_diffusion_matrix(cloud, target)
     assert _same_diffusion_matrix(mat, cloud, eps)
     count = len(probes)
-    assert calibrated_diffusion_matrix(cloud, target, tol)[0] == eps
+    assert calibrated_diffusion_matrix(cloud, target)[0] == eps
     return eps, count
 
 
@@ -369,7 +416,7 @@ def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     assert rigged(calibrated_diffusion_matrix(cloud, 0.5)[1].values) == 0.5
 
 
-def _warm_calibrate(monkeypatch, start, cloud, target, tol=1e-3):
+def _warm_calibrate(monkeypatch, start, cloud, target):
     """_calibrate's output from `start` and the log bandwidth of each lambda2
     probe; its matrix must be diffusion_matrix's of gaussian_kernel's at the
     bandwidth it returns."""
@@ -388,7 +435,7 @@ def _warm_calibrate(monkeypatch, start, cloud, target, tol=1e-3):
 
     monkeypatch.setattr(kernels_mod, "_gaussian_values", recording_build)
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", recording_probe)
-    eps, mat, next_start = _calibrate(cloud, target, tol, start)
+    eps, mat, next_start = _calibrate(cloud, target, start)
     probes = list(probed)
     assert _same_diffusion_matrix(mat, cloud, eps)
     return eps, next_start, probes
@@ -490,10 +537,10 @@ def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
         return second(values)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
-    epsilons, decs = _calibrated_decompositions(clouds, 0.5, 1e-3, 2)
+    epsilons, decs = _calibrated_decompositions(clouds, 0.5, 2)
     warm = len(probes)
     probes.clear()
-    cold = [calibrated_diffusion_matrix(cloud, 0.5, 1e-3)[0] for cloud in clouds]
+    cold = [calibrated_diffusion_matrix(cloud, 0.5)[0] for cloud in clouds]
     assert epsilons[0] == cold[0]
     for cloud, eps, dec in zip(clouds, epsilons, decs):
         lam2 = np.linalg.eigvalsh(_normalized(gaussian_kernel(cloud, eps).values))[-2]
@@ -545,7 +592,7 @@ def test_family_loop_peak_memory():
 
     n = 1000
     clouds = pinched_torus_family(7, n=n)[0][:3]
-    _, peak = peak_bytes(lambda: _calibrated_decompositions(clouds, 0.5, 1e-3, 10))
+    _, peak = peak_bytes(lambda: _calibrated_decompositions(clouds, 0.5, 10))
     assert peak <= 2.25 * n * n * 8
 
 
@@ -597,7 +644,7 @@ def test_calibrate_torus_solve_count(monkeypatch):
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
     monkeypatch.setattr(kernels_mod, "eigvalsh", counting_dense)
     cloud = sample_torus(TorusSpec(), 300, seed=4)
-    calibrated_diffusion_matrix(cloud, 0.5, tol=1e-3)
+    calibrated_diffusion_matrix(cloud, 0.5)
     assert not dense  # so Lanczos never stalled
     assert 1 <= len(probes) <= 8
 

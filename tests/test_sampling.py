@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-import dynamap.sampling as sampling_mod
-from dynamap import (
-    DegeneracyError, InputError, convergence_study, diffusion_matrix, gaussian_kernel,
-)
-from dynamap.kernels import PointCloud
+from dynamap import DegeneracyError, InputError, convergence_study, gaussian_kernel
+from dynamap.kernels import PointCloud, _gaussian_diffusion
 from dynamap.sampling import _sample_distances, report_rows, report_summary
 
 from conftest import peak_bytes
@@ -13,9 +10,9 @@ from conftest import peak_bytes
 
 def _gaussian_pair_builder(eps_a, eps_b, shift):
     def builder(points):
-        cloud_a = PointCloud(points)
-        cloud_b = PointCloud(points + shift)
-        return gaussian_kernel(cloud_a, eps_a), gaussian_kernel(cloud_b, eps_b)
+        return _gaussian_diffusion(PointCloud(points), eps_a), _gaussian_diffusion(
+            PointCloud(points + shift), eps_b
+        )
 
     return builder
 
@@ -39,6 +36,19 @@ def test_identical_kernels_refuse_a_zero_deviation():
         )
 
 
+def test_one_matrix_returned_twice_is_left_as_it_is():
+    # the study only reads what its builder returns: one read-only matrix for
+    # both parameters gives a zero global distance at every n, which the fit
+    # refuses, and no write on the way
+    def builder(points):
+        mat = _gaussian_diffusion(PointCloud(points), 1.0)
+        mat.values.flags.writeable = False
+        return mat, mat
+
+    with pytest.raises(DegeneracyError, match=r"global distance.*n=8"):
+        convergence_study(_plane_sample(64, 0), builder, t=1, n_grid=[8, 16], trials=10, seed=7)
+
+
 def test_validation_errors():
     reference = _plane_sample(64, 1)
     build = _gaussian_pair_builder(1.0, 1.0, 0.1)
@@ -46,6 +56,29 @@ def test_validation_errors():
         convergence_study(reference, build, 1, [8, 16], trials=5, seed=0)
     with pytest.raises(InputError, match="4 x max"):
         convergence_study(reference, build, 1, [16, 32], trials=10, seed=0)
+    # a builder of kernels, or of one matrix, used to fail on a missing attribute
+    for bad in (lambda points: (gaussian_kernel(PointCloud(points), 1.0),) * 2,
+                lambda points: build(points)[:1]):
+        with pytest.raises(InputError, match="two DiffusionMatrix objects"):
+            convergence_study(reference, bad, 1, [8, 16], trials=10, seed=0)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("trials", {"trials": 12.0}),
+    ("n_grid", {"n_grid": [8.9, 16]}),
+    ("n_grid", {"n_grid": [True, 8, 16]}),
+    ("diffusion time", {"t": 1.0}),
+    ("diffusion time", {"t": 0}),
+])
+def test_counts_must_be_integers(name, kwargs):
+    # trials=12.0 used to fail in np.empty, n_grid=[8.9, 16] ran at n = 8 and
+    # True counted as 1; a float t failed only after the reference was built
+    def refuse(points):
+        raise AssertionError("no matrix is built for a refused count")
+
+    args = {"t": 1, "n_grid": [8, 16], "trials": 12, **kwargs}
+    with pytest.raises(InputError, match=name):
+        convergence_study(_plane_sample(64, 1), refuse, seed=0, **args)
 
 
 @pytest.mark.parametrize("n_grid", [[16], [16, 16], [], [2, 16]])
@@ -92,26 +125,10 @@ def test_report_serialization_helpers():
 
 
 def test_sample_distances_peak_is_two_matrices():
-    # the builder's two kernels become the diffusion matrices in place, and the
+    # the builder makes each diffusion matrix in one n x n array, and the
     # global oracle sums row blocks: a copy or a whole difference would cross
     n = 1000
     rows = _plane_sample(n, 5)
     build = _gaussian_pair_builder(0.8, 0.8, 0.3)
     _, peak = peak_bytes(lambda: _sample_distances(rows, build, 1))
     assert peak <= 2.25 * n * n * 8
-
-
-def test_sample_distances_normalize_in_place_bit_for_bit(monkeypatch):
-    rows = _plane_sample(130, 6)
-    build = _gaussian_pair_builder(0.8, 0.6, 0.3)
-    seen = []
-
-    def recording(mat_a, mat_b, t):
-        seen.extend(mat.values.copy() for mat in (mat_a, mat_b))
-        return 0.0
-
-    monkeypatch.setattr(sampling_mod, "direct_global_distance", recording)
-    _sample_distances(rows, build, 2)
-    assert len(seen) == 2
-    for got, kern in zip(seen, build(rows)):
-        assert np.array_equal(got, diffusion_matrix(kern).values)
