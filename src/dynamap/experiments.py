@@ -38,16 +38,19 @@ def _calibrated_decompositions(
     found there (a continuation along the family: the calibrated bandwidth of
     a smoothly changing family moves little from member to member).
 
-    Only one member's n x n arrays are alive at a time: its matrix is dropped
-    before the next member's calibration starts.
+    Only one member's n x n arrays are alive at a time: its matrix is
+    decomposed inside the calibration and dropped there.
     """
+    def decomposed(mat: DiffusionMatrix):  # its lambda2 checks a float32 calibration
+        dec = spectral_decomposition(mat, rank)
+        return dec, (dec.eigenvalues[1] if rank >= 2 else None)
+
     epsilons = np.zeros(len(clouds))
     decs = []
     start = None
     for k, cloud in enumerate(clouds):
-        epsilons[k], mat, start = _calibrate(cloud, target_lambda2, start)
-        decs.append(spectral_decomposition(mat, rank))
-        del mat
+        epsilons[k], dec, start = _calibrate(cloud, target_lambda2, start, decomposed)
+        decs.append(dec)
     return epsilons, decs
 
 

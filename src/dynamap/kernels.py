@@ -1,6 +1,7 @@
 """Gaussian affinity kernels and bandwidth calibration to a target second eigenvalue."""
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -44,7 +45,8 @@ MAX_REFINEMENTS = 100
 # LANCZOS_MATVECS_PER_N * n matrix-vector products, the measured price of one
 # dense solve. A run stalled at that cap (near-identity kernels, whose top
 # eigenvalues crowd together near 1) falls back to the dense route, which
-# gives the same answer to roundoff.
+# gives the same answer to roundoff. Calibration's probes on this route run in
+# float32, halving their memory traffic (`_second_eigenvalue`, `_calibrate`).
 LANCZOS_MIN_N = 150
 LANCZOS_MAX_RANK_FRACTION = 0.1
 LANCZOS_NCV = 20
@@ -252,7 +254,7 @@ def _on_one_scipy_blas_thread(solve, *args, **kwargs):
         blas[1](previous)
 
 
-def _eigensolve(values: np.ndarray, k: int, vectors: bool):
+def _eigensolve(values: np.ndarray, k: int, vectors: bool, deflate: np.ndarray | None = None):
     """Top-k eigenvalues of a dense symmetric matrix, or its whole spectrum.
 
     Implicitly restarted Lanczos computes only the top k, with scipy's OpenBLAS
@@ -262,21 +264,24 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool):
     vectors) returns the whole spectrum instead, on numpy's threads as set.
     Either way the eigenvalues come in ascending order, plus the matching unit
     eigenvectors as columns when `vectors` is set. The settings are explained
-    with the LANCZOS_* constants.
+    with the LANCZOS_* constants; a unit top eigenvector `deflate` drops its eigenvalue.
 
     Raises NumericalError when the dense solve does not converge.
     """
     n = values.shape[0]
     if n >= LANCZOS_MIN_N and k <= LANCZOS_MAX_RANK_FRACTION * n:
         # imported here: scipy.sparse adds 20-30 ms to `import dynamap`
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
         ncv = max(LANCZOS_NCV, 2 * k + 1)
         maxiter = int(LANCZOS_MATVECS_PER_N * n) // (ncv - k)
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        op = values if deflate is None else LinearOperator(
+            values.shape, lambda x: values @ x - deflate * (deflate @ x), dtype=values.dtype
+        )
         try:
             out = _on_one_scipy_blas_thread(
-                eigsh, values, k=k, which="LA", ncv=ncv, v0=v0, maxiter=maxiter,
+                eigsh, op, k=k, which="LA", ncv=ncv, v0=v0, maxiter=maxiter,
                 return_eigenvectors=vectors,
             )
         except ArpackNoConvergence:
@@ -288,7 +293,7 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool):
             order = np.argsort(lam)
             return lam[order], vec[:, order]
     try:
-        return np.linalg.eigh(values) if vectors else eigvalsh(values)
+        return np.linalg.eigh(values) if vectors else eigvalsh(values)[: n - (deflate is not None)]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
@@ -299,8 +304,13 @@ def _second_eigenvalue(sym: np.ndarray) -> float:
     The top eigenpair is known (eigenvalue 1, eigenvector sqrt(d)), so the two
     largest eigenvalues suffice: Lanczos with k = 2 from n = LANCZOS_MIN_N on,
     the dense spectrum below it or when Lanczos stalls (`_eigensolve`).
+    A float32 probe (unit kernel diagonal, so d_i = 1 / sym_ii) takes k = 1 on
+    sym - u u^T, u = sqrt(d) / |sqrt(d)|: float32 cannot tell a lambda2 near 1 from 1.
     """
-    return float(_eigensolve(sym, 2, vectors=False)[-2])
+    if sym.dtype != np.float32:
+        return float(_eigensolve(sym, 2, vectors=False)[-2])
+    top = 1.0 / np.sqrt(np.diagonal(sym))
+    return float(_eigensolve(sym, 1, vectors=False, deflate=top / np.linalg.norm(top))[-1])
 
 
 def _coincident_points() -> CalibrationError:
@@ -345,8 +355,11 @@ def calibrated_diffusion_matrix(
     its first crossing of a non-monotone profile is refined by Illinois.
 
     The squared distances are computed once, and every probe's diffusion
-    matrix is built from them in one buffer; the accepted probe's is returned,
-    bit-identical to `diffusion_matrix(gaussian_kernel(cloud, epsilon))`.
+    matrix is built from them in one buffer, in float32 from n = LANCZOS_MIN_N
+    on. The returned matrix is the accepted bandwidth's in float64, bit-identical
+    to `diffusion_matrix(gaussian_kernel(cloud, epsilon))`: after float32 probes
+    it is rebuilt in the squared distances' array, and a float64 lambda2 outside
+    the tolerance sends the search on from there on float64 probes.
 
     Raises CalibrationError, reporting the range of eigenvalues reached, when
     no bandwidth in the reach crosses the target or the refinement stalls.
@@ -355,7 +368,7 @@ def calibrated_diffusion_matrix(
 
 
 def _calibrate(
-    cloud: PointCloud, target_lambda2: float, start: _Start | None = None
+    cloud: PointCloud, target_lambda2: float, start: _Start | None = None, finish=None
 ) -> tuple[float, DiffusionMatrix, _Start]:
     """`calibrated_diffusion_matrix`'s search from `start`, or from the median
     pairwise distance when `start` is None; also the start for the next member
@@ -368,9 +381,28 @@ def _calibrate(
     returned start is the accepted (the latest) probe's log(epsilon) and the
     slope between the last two probes at distinct bandwidths, or the slope
     received when the first probe was accepted.
+
+    From n = LANCZOS_MIN_N on, the probes run in float32. `finish(matrix)`, on
+    the float64 matrix returned, gives what to return in its place and that
+    matrix's lambda2, or None for `_second_eigenvalue` to find it; outside
+    CALIBRATION_TOL the search resumes there on float64 probes.
     """
     if not 0.0 < target_lambda2 < 1.0:
         raise InputError(f"target second eigenvalue must lie in (0, 1), got {target_lambda2}")
+    finish = finish or (lambda mat: (mat, None))
+    with contextlib.suppress(CalibrationError):  # a float64 search decides a failure
+        if cloud.n >= LANCZOS_MIN_N:
+            eps, (kept, lam2), found = _search(cloud, target_lambda2, start, finish, np.float32)
+            if abs(lam2 - target_lambda2) <= CALIBRATION_TOL:
+                return eps, kept, found
+            del kept  # before the float64 search's arrays
+            start = found
+    eps, (kept, _), found = _search(cloud, target_lambda2, start, finish, np.float64)
+    return eps, kept, found
+
+
+def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, finish, dtype):
+    """`_calibrate`'s search on `dtype` probes, with `finish`'s pair for the matrix."""
     tol = CALIBRATION_TOL
 
     sq = squared_distances(cloud.points)
@@ -382,7 +414,7 @@ def _calibrate(
     x0 = start.log_epsilon
     probed: list[float] = []  # log(epsilon) of each probe
     reached: list[float] = []  # and its lambda2
-    probe = np.empty_like(sq)  # the latest probe's diffusion matrix
+    probe = np.empty(sq.shape, dtype)  # the latest probe's diffusion matrix
 
     def gap(x: float) -> float:
         """lambda2 - target at epsilon = exp(x), whose probe is kept."""
@@ -398,8 +430,13 @@ def _calibrate(
                 return _Start(x, (reached[last] - reached[k]) / (probed[last] - probed[k]))
         return _Start(x, start.slope)
 
-    def accept(x: float) -> tuple[float, DiffusionMatrix, _Start]:  # x: the latest probe
-        return math.exp(x), DiffusionMatrix(probe), next_start(x)
+    def accept(x: float):  # x: the latest probe; a float32 one is rebuilt in float64
+        eps = math.exp(x)
+        if dtype == np.float64:
+            return eps, finish(DiffusionMatrix(probe)), next_start(x)
+        mat = DiffusionMatrix(_gaussian_diffusion_values(sq, eps, out=sq))
+        kept, lam2 = finish(mat)
+        return eps, (kept, _second_eigenvalue(mat.values) if lam2 is None else lam2), next_start(x)
 
     def miss(message: str) -> CalibrationError:
         achieved = (min(reached), max(reached))

@@ -23,10 +23,11 @@ from dynamap import (
     spectral_decomposition,
 )
 from dynamap.datasets import TorusSpec
-from dynamap.experiments import _calibrated_decompositions
+from dynamap.experiments import _calibrated_decompositions, change_detection_experiment
 from dynamap.kernels import (
     CALIBRATION_TOL,
     GRID_POINTS,
+    LANCZOS_MIN_N,
     MAX_DOUBLINGS,
     SYMMETRY_TILE,
     KernelMatrix,
@@ -34,6 +35,7 @@ from dynamap.kernels import (
     _degree_normalized,
     _eigensolve,
     _gaussian_diffusion,
+    _gaussian_diffusion_values,
     _median_squared_distance,
     _scipy_openblas,
     _second_eigenvalue,
@@ -649,6 +651,112 @@ def test_calibrate_torus_solve_count(monkeypatch):
     assert 1 <= len(probes) <= 8
 
 
+def test_float32_hit_missing_in_float64_resumes_on_float64_probes(monkeypatch):
+    # rig every float32 probe to read the target: the first is accepted, its
+    # matrix is rebuilt in float64, and that matrix's lambda2, outside the
+    # tolerance, sends the search on from there on float64 probes, through
+    # calibrated_diffusion_matrix's own check and through a family's rank-2
+    # decomposition, which stands in for that check
+    import dynamap.kernels as kernels_mod
+
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    x0 = _walk_start(cloud)
+    assert cloud.n >= LANCZOS_MIN_N and abs(_probe_lambda2(cloud, x0) - 0.5) > CALIBRATION_TOL
+    second, probes = kernels_mod._second_eigenvalue, []
+
+    def rigged(values):
+        probes.append(values.dtype)
+        return 0.5 if values.dtype == np.float32 else second(values)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
+    # the float32 hit, the check, and at least the resumed search's first
+    # probe (at the hit) and the one that meets the target
+    assert probes[0] == np.float32 and len(probes) >= 4
+    assert set(probes[1:]) == {np.dtype(np.float64)}
+    assert abs(np.linalg.eigvalsh(mat.values)[-2] - 0.5) <= CALIBRATION_TOL
+    assert _same_diffusion_matrix(mat, cloud, eps)
+    checked = len(probes)
+    probes.clear()
+    epsilons, decs = _calibrated_decompositions([cloud], 0.5, 2)
+    assert probes[0] == np.float32 and len(probes) == checked - 1  # no check solve
+    assert set(probes[1:]) == {np.dtype(np.float64)}
+    assert epsilons[0] == eps and abs(decs[0].eigenvalues[1] - 0.5) <= CALIBRATION_TOL
+
+
+def test_failed_float32_search_reruns_on_float64_probes(monkeypatch):
+    # a float32 profile that never comes near the target ends the float32
+    # search in CalibrationError after the walk and the grid scan; the float64
+    # search from the same start then decides
+    import dynamap.kernels as kernels_mod
+
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    second, probes = kernels_mod._second_eigenvalue, []
+
+    def rigged(values):
+        probes.append(values.dtype)
+        return 0.9 if values.dtype == np.float32 else second(values)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
+    tried = 1 + MAX_DOUBLINGS + GRID_POINTS
+    assert probes[:tried] == [np.float32] * tried
+    assert set(probes[tried:]) == {np.dtype(np.float64)}
+    assert abs(np.linalg.eigvalsh(mat.values)[-2] - 0.5) <= CALIBRATION_TOL
+    assert _same_diffusion_matrix(mat, cloud, eps)
+
+
+def test_float32_probe_of_a_nearly_disconnected_graph_finds_lambda2():
+    # 180 points along [0, 1] and a knot of 20 at 1.3: at this bandwidth
+    # 1 - lambda2 = 3e-9, far below float32's resolution of 1, and lambda3 =
+    # 0.99005 stands apart from lambda4 = 0.96269. Undeflated, float32 Lanczos
+    # takes the top two eigenvalues for one and returns lambda3 as the second;
+    # deflating the known top pair leaves lambda2 on top
+    rng = np.random.default_rng(0)
+    line, knot = np.sort(rng.uniform(0.0, 1.0, 180)), 1.3 + 0.01 * rng.normal(size=20)
+    cloud, eps = PointCloud(np.concatenate([line, knot])[:, None]), 0.07
+    exact = np.linalg.eigvalsh(_gaussian_diffusion(cloud, eps).values)[-2]
+    assert 1e-10 <= 1.0 - exact <= 1e-6
+    sq = squared_distances(cloud.points)
+    probe = _gaussian_diffusion_values(sq, eps, out=np.empty(sq.shape, np.float32))
+    assert _second_eigenvalue(probe) >= 1.0 - 1e-6
+
+
+def test_change_scene_15_calibrates_its_nearly_disconnected_member():
+    # member 2 holds the 25 planted pixels as a nearly disconnected cluster:
+    # its lambda2 lies within 2e-6 of 1 at bandwidths 0.47-0.6, where
+    # undeflated float32 probes can read lambda3; the float64 search reaches
+    # the root at 0.993036
+    result = change_detection_experiment(scene_seed=15)
+    assert result.epsilons[2] == pytest.approx(0.993036, rel=1e-5)
+
+
+# clouds of 150-300 normal points in 1-3 dimensions: float32 probes
+_lanczos_clouds = st.builds(
+    lambda n, d, seed: PointCloud(np.random.default_rng(seed).normal(size=(n, d))),
+    st.integers(LANCZOS_MIN_N, 300), st.integers(1, 3), st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(_lanczos_clouds, st.floats(0.05, 0.95))
+def test_float32_calibrated_lambda2_lies_within_the_tolerance(cloud, target):
+    eps, mat = calibrated_diffusion_matrix(cloud, target)
+    assert abs(np.linalg.eigvalsh(mat.values)[-2] - target) <= CALIBRATION_TOL
+    assert np.array_equal(mat.values, _gaussian_diffusion(cloud, eps).values)
+
+
+def test_calibration_peak_memory():
+    # the squared distances and a float32 probe, or the median's gathered upper
+    # triangle; the float64 rebuild overwrites the squared distances
+    import scipy.sparse.linalg  # noqa: F401  its first import allocates ~2 n x n
+
+    n = 1000
+    cloud = sample_torus(TorusSpec(), n, seed=4)
+    _, peak = peak_bytes(lambda: _calibrate(cloud, 0.5))
+    assert peak <= 2.15 * n * n * 8
+
+
 def _normalized(values):
     inv_sqrt = 1.0 / np.sqrt(values.sum(axis=1))
     return values * np.outer(inv_sqrt, inv_sqrt)
@@ -721,6 +829,18 @@ def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
     assert dense > 0.9999
     assert stats["stalls"] == 1
     assert stats["matvecs"] <= LANCZOS_MATVECS_PER_N * n + 2 * LANCZOS_NCV
+
+
+def test_stalled_float32_probe_falls_back_to_the_dense_spectrum_less_its_top(monkeypatch):
+    # deflated, Lanczos still stalls on the near-identity probe in float32; the
+    # dense solve's spectrum answers once its top eigenvalue, 1, is dropped
+    import dynamap.kernels as kernels_mod
+
+    values = _normalized(near_identity_kernel().values)
+    dense, solved, real = float(np.linalg.eigvalsh(values)[-2]), [], kernels_mod.eigvalsh
+    monkeypatch.setattr(kernels_mod, "eigvalsh", lambda a: solved.append(a.dtype) or real(a))
+    assert abs(_second_eigenvalue(values.astype(np.float32)) - dense) <= 1e-6
+    assert solved == [np.float32]
 
 
 def test_import_leaves_scipy_sparse_unloaded():
