@@ -52,10 +52,10 @@ LANCZOS_MAX_RANK_FRACTION = 0.1
 LANCZOS_NCV = 20
 LANCZOS_MATVECS_PER_N = 0.25
 
-# rows per block of the squared-distance pass: its two contiguous 64 x n
-# scratch blocks take 1 KB per point, so they stay in a core's cache for n in
-# the thousands, where whole n x n temporaries stream through memory once per
-# coordinate (strided views into n x n buffers ran 1.7x slower at n = 1024)
+# rows per block where an n x n operation is split into row blocks
+# (`_degree_normalized`, `distances.direct_global_distance`): a 64 x n block
+# takes 512 bytes per point, so its temporaries stay in cache for n in the
+# thousands instead of forming a whole n x n temporary
 ROW_BLOCK = 64
 
 # side of the square tiles the exact-symmetry check compares: a tile and its
@@ -148,30 +148,17 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
     """All-pairs squared Euclidean distances, exactly symmetric and exactly zero
     for duplicated points (accumulated per coordinate, no dot-product shortcut).
 
-    The upper triangle is filled ROW_BLOCK rows at a time in two block-sized
-    scratch buffers and mirrored into the lower one; every entry is still
-    0 + d_0^2 + d_1^2 + ... in coordinate order, and fl(a - b)^2 = fl(b - a)^2,
-    so the result equals the unblocked per-coordinate sum bit for bit.
+    scipy's compiled `cdist(..., "sqeuclidean")` sums (x_ik - x_jk)^2 for each
+    entry over k in coordinate order from 0 (it unrolls across rows, not
+    coordinates), so every entry is 0 + d_0^2 + d_1^2 + ..., the plain
+    per-coordinate sum bit for bit; fl(a - b)^2 = fl(b - a)^2 makes it exactly
+    symmetric with an exactly zero diagonal.
     """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    cols = np.ascontiguousarray(pts.T)
-    sq = np.empty((n, n))
-    acc_buf = np.empty(min(ROW_BLOCK, n) * n)
-    diff_buf = np.empty_like(acc_buf)
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        shape = (r1 - r0, n - r0)
-        acc = acc_buf[: shape[0] * shape[1]].reshape(shape)
-        diff = diff_buf[: acc.size].reshape(shape)
-        acc.fill(0.0)
-        for col in cols:
-            np.subtract(col[r0:r1, None], col[None, r0:], out=diff)
-            np.multiply(diff, diff, out=diff)
-            acc += diff
-        sq[r0:r1, r0:] = acc
-        sq[r1:, r0:r1] = acc[:, r1 - r0 :].T
-    return sq
+    # imported here: scipy.spatial adds 60-120 ms to `import dynamap`
+    from scipy.spatial.distance import cdist
+
+    pts = np.ascontiguousarray(points, dtype=float)
+    return cdist(pts, pts, "sqeuclidean")
 
 
 def _gaussian_values(sq: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
@@ -321,12 +308,19 @@ def _coincident_points() -> CalibrationError:
 
 def _median_squared_distance(sq: np.ndarray) -> float:
     """Median of the positive entries in the strict upper triangle of `sq`,
-    gathered row by row: no n(n-1)/2 index arrays, no copy of the triangle."""
-    rows = (sq[i, i + 1 :] for i in range(sq.shape[0] - 1))
-    pos = np.concatenate([row[row > 0.0] for row in rows])
-    if pos.size == 0:
+    gathered row by row into one n(n-1)/2 buffer: no index arrays, no second
+    copy of the triangle."""
+    n = sq.shape[0]
+    buf = np.empty(n * (n - 1) // 2)
+    count = 0
+    for i in range(n - 1):
+        row = sq[i, i + 1 :]
+        pos = row[row > 0.0]
+        buf[count : count + pos.size] = pos
+        count += pos.size
+    if count == 0:
         raise _coincident_points()
-    return float(np.median(pos, overwrite_input=True))  # partitions `pos`, no copy
+    return float(np.median(buf[:count], overwrite_input=True))  # partitions `buf`, no copy
 
 
 class _Start(NamedTuple):

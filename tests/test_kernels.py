@@ -283,6 +283,37 @@ def test_squared_distances_across_row_blocks(n, d):
     assert sq[0, n // 2] == 0.0 and sq[n // 3, n - 1] == 0.0
 
 
+def _cube_layouts(d):
+    """Point sets in the layouts the pipelines pass, from a cube of 512 points
+    in d + 10 bands with duplicated rows: a band-permuted column subset (as a
+    change epoch sees its scene; numpy's fancy indexing returns it
+    Fortran-ordered), a Fortran-ordered copy of a C-ordered block and a
+    row-strided view."""
+    rng = np.random.default_rng(d)
+    cube = rng.normal(size=(512, d + 10)) * 10.0 ** rng.integers(-3, 4, size=d + 10)
+    cube[7] = cube[0]
+    cube[300] = cube[100]
+    return {
+        "permuted_subset": cube[:256, rng.permutation(d + 10)[:d]],
+        "fortran": np.asfortranarray(cube[:256, :d]),
+        "strided": cube[::2, 3 : 3 + d],
+    }
+
+
+@pytest.mark.parametrize("layout", ["permuted_subset", "fortran", "strided"])
+@pytest.mark.parametrize("d", [30, 50, 70])
+def test_squared_distances_of_pipeline_layouts(d, layout):
+    pts = _cube_layouts(d)[layout]
+    sq = squared_distances(pts)
+    assert np.array_equal(sq, _squared_distances_loop(pts))
+    assert np.array_equal(sq, sq.T)
+    assert np.all(np.diag(sq) == 0.0)
+    assert np.sum(sq == 0.0) > pts.shape[0]  # the duplicated pairs
+    # relabelling the points relabels the matrix, bit for bit
+    perm = np.random.default_rng(d + 1).permutation(pts.shape[0])
+    assert np.array_equal(squared_distances(pts[perm]), sq[perm][:, perm])
+
+
 def _same_diffusion_matrix(mat, cloud, eps):
     """`mat` is diffusion_matrix(gaussian_kernel(cloud, eps)), bit for bit."""
     ref = diffusion_matrix(gaussian_kernel(cloud, eps))
@@ -587,15 +618,15 @@ def test_calibration_refuses_a_nan_probe(monkeypatch):
 
 def test_family_loop_peak_memory():
     # one member's n x n arrays at a time: its squared distances, and either
-    # its probe, normalized where it was built, or the median's gathered
-    # positive upper triangle (the row pieces and their concatenation); a
-    # second n x n normalized copy of the probe would cross the bound
+    # its float32 probe or the median's one n(n-1)/2 buffer (1.60 measured);
+    # a second n x n normalized copy of the probe would cross the bound
     import scipy.sparse.linalg  # noqa: F401  its first import allocates ~2 n x n
+    import scipy.spatial.distance  # noqa: F401  and this one's ~0.5 n x n
 
     n = 1000
     clouds = pinched_torus_family(7, n=n)[0][:3]
     _, peak = peak_bytes(lambda: _calibrated_decompositions(clouds, 0.5, 10))
-    assert peak <= 2.25 * n * n * 8
+    assert peak <= 1.75 * n * n * 8
 
 
 def test_experiments_build_one_kernel_per_member(monkeypatch):
@@ -747,14 +778,15 @@ def test_float32_calibrated_lambda2_lies_within_the_tolerance(cloud, target):
 
 
 def test_calibration_peak_memory():
-    # the squared distances and a float32 probe, or the median's gathered upper
-    # triangle; the float64 rebuild overwrites the squared distances
+    # the squared distances and a float32 probe, or the median's one n(n-1)/2
+    # buffer (1.58 measured); the float64 rebuild overwrites the squared distances
     import scipy.sparse.linalg  # noqa: F401  its first import allocates ~2 n x n
+    import scipy.spatial.distance  # noqa: F401  and this one's ~0.5 n x n
 
     n = 1000
     cloud = sample_torus(TorusSpec(), n, seed=4)
     _, peak = peak_bytes(lambda: _calibrate(cloud, 0.5))
-    assert peak <= 2.15 * n * n * 8
+    assert peak <= 1.70 * n * n * 8
 
 
 def _normalized(values):
@@ -844,19 +876,20 @@ def test_stalled_float32_probe_falls_back_to_the_dense_spectrum_less_its_top(mon
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # eigsh is imported on first use; loading scipy.sparse with the package
-    # would add 20-30 ms to every import
+    # eigsh and cdist are imported on first use; loading scipy.sparse or
+    # scipy.spatial with the package would add 20-120 ms to every import
     src = str(Path(__file__).resolve().parent.parent / "src")
     # and the BLAS lookup waits for the first Lanczos solve: no /proc scan
     code = (
         "import sys, dynamap; from dynamap.kernels import _scipy_openblas; "
-        "print('scipy.sparse' in sys.modules, _scipy_openblas.cache_info().currsize)"
+        "print('scipy.sparse' in sys.modules, 'scipy.spatial' in sys.modules, "
+        "_scipy_openblas.cache_info().currsize)"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False 0"
+    assert out.stdout.strip() == "False False 0"
 
 
 def _torus_operator():

@@ -127,6 +127,8 @@ def test_report_serialization_helpers():
 def test_sample_distances_peak_is_two_matrices():
     # the builder makes each diffusion matrix in one n x n array, and the
     # global oracle sums row blocks: a copy or a whole difference would cross
+    import scipy.spatial.distance  # noqa: F401  its first import allocates ~2.6 n x n
+
     n = 1000
     rows = _plane_sample(n, 5)
     build = _gaussian_pair_builder(0.8, 0.8, 0.3)
