@@ -21,7 +21,14 @@ from .exceptions import CalibrationError, DegeneracyError, InputError, Numerical
 # for at most MAX_REFINEMENTS steps. When the walk finds no sign change (a
 # non-monotone profile), a log-spaced grid of GRID_POINTS over the same reach
 # is probed in order: it stops at its first point within tol, or else hands
-# its first crossing to Illinois, before giving up. tol is CALIBRATION_TOL.
+# its first crossing to Illinois, before giving up. tol is CALIBRATION_TOL,
+# on lambda2 itself. Illinois and the secant steps interpolate
+# logit(lambda2) - logit(target), which has the sign of lambda2 - target:
+# 1 - lambda2 ~ epsilon^2 as epsilon -> 0 (the generator is epsilon^2 times a
+# Laplacian) and lambda2 ~ epsilon^-2 as epsilon -> infinity, so logit(lambda2)
+# is nearly linear in log(epsilon), slope -2 at both ends, where lambda2 - target
+# is flat near a target close to 1 or 0. A lambda2 within the probe dtype's eps
+# of 1 or 0 has no finite logit; Illinois bisects while an endpoint holds one.
 CALIBRATION_TOL = 1e-3
 MAX_DOUBLINGS = 20
 GRID_POINTS = 64
@@ -327,7 +334,7 @@ class _Start(NamedTuple):
     """Where a bandwidth search starts, and what it knows there."""
 
     log_epsilon: float
-    # d lambda2 / d log(epsilon) near the start, when known
+    # d logit(lambda2) / d log(epsilon) near the start, when known and finite
     slope: float | None
 
 
@@ -342,11 +349,14 @@ def calibrated_diffusion_matrix(
     so the sign of lambda2 - target at the median pairwise distance says which
     way the root lies. The search walks that way in factor-2 steps until the
     sign changes, then runs Illinois regula falsi on log(epsilon) inside the
-    bracket, accepting the first bandwidth whose |lambda2 - target| <=
-    CALIBRATION_TOL (1e-3). When the walk reaches median * 2^(+-20) without a
-    sign change, a 64-point log-spaced grid over that whole reach is probed in
-    order: its first point within the tolerance is accepted, and without one,
-    its first crossing of a non-monotone profile is refined by Illinois.
+    bracket, interpolating logit(lambda2) - logit(target) (nearly linear in
+    log(epsilon); it bisects while an endpoint's lambda2 lies within the probe
+    dtype's eps of 1 or 0), and accepts the first bandwidth whose
+    |lambda2 - target| <= CALIBRATION_TOL (1e-3). When the walk reaches
+    median * 2^(+-20) without a sign change, a 64-point log-spaced grid over
+    that whole reach is probed in order: its first point within the tolerance
+    is accepted, and without one, its first crossing of a non-monotone
+    profile is refined by Illinois.
 
     The squared distances are computed once, and every probe's diffusion
     matrix is built from them in one buffer, in float32 from n = LANCZOS_MIN_N
@@ -369,12 +379,13 @@ def _calibrate(
     of a family whose calibrated bandwidth moves little from member to member.
 
     A warm start that misses takes a secant step first: its size is
-    |lambda2 - target| / |slope|, at most log 2, and without a negative slope
-    it is log 2. The factor-2 walk, Illinois and the grid scan (up to its first
-    point within CALIBRATION_TOL), centred on the start, follow unchanged. The
-    returned start is the accepted (the latest) probe's log(epsilon) and the
-    slope between the last two probes at distinct bandwidths, or the slope
-    received when the first probe was accepted.
+    |logit(lambda2) - logit(target)| / |slope|, at most log 2, and without a
+    negative slope or a finite logit it is log 2. The factor-2 walk, Illinois
+    and the grid scan (up to its first point within CALIBRATION_TOL), centred
+    on the start, follow unchanged. The returned start is the accepted (the
+    latest) probe's log(epsilon) and the slope of logit(lambda2) between the
+    last two probes at distinct bandwidths (None when it is not finite), or the
+    slope received when the first probe was accepted.
 
     From n = LANCZOS_MIN_N on, the probes run in float32. `finish(matrix)`, on
     the float64 matrix returned, gives what to return in its place and that
@@ -407,21 +418,34 @@ def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, fini
         raise _coincident_points()
     x0 = start.log_epsilon
     probed: list[float] = []  # log(epsilon) of each probe
-    reached: list[float] = []  # and its lambda2
+    reached: list[float] = []  # its lambda2
+    gaps: list[float] = []  # and its gap(x)
     probe = np.empty(sq.shape, dtype)  # the latest probe's diffusion matrix
+    edge = float(np.finfo(dtype).eps)
+    logit_target = math.log(target_lambda2 / (1.0 - target_lambda2))
 
     def gap(x: float) -> float:
-        """lambda2 - target at epsilon = exp(x), whose probe is kept."""
+        """logit(lambda2) - logit(target) at epsilon = exp(x), whose probe is
+        kept: +-inf for a lambda2 within `edge` of 1 or 0."""
         _gaussian_diffusion_values(sq, math.exp(x), out=probe)
+        lam2 = _second_eigenvalue(probe)
         probed.append(x)
-        reached.append(_second_eigenvalue(probe))
-        return reached[-1] - target_lambda2
+        reached.append(lam2)
+        if lam2 >= 1.0 - edge or lam2 <= edge:
+            gaps.append(math.copysign(math.inf, lam2 - 0.5))
+        else:
+            gaps.append(math.log(lam2 / (1.0 - lam2)) - logit_target)
+        return gaps[-1]
+
+    def hit() -> bool:
+        return abs(reached[-1] - target_lambda2) <= tol
 
     def next_start(x: float) -> _Start:
         last = len(probed) - 1
         for k in range(last - 1, -1, -1):
             if probed[k] != probed[last]:
-                return _Start(x, (reached[last] - reached[k]) / (probed[last] - probed[k]))
+                slope = (gaps[last] - gaps[k]) / (probed[last] - probed[k])
+                return _Start(x, slope if math.isfinite(slope) else None)
         return _Start(x, start.slope)
 
     def accept(x: float):  # x: the latest probe; a float32 one is rebuilt in float64
@@ -438,7 +462,7 @@ def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, fini
 
     # walk: lambda2 above the target means the bandwidth is too narrow
     b, fb = x0, gap(x0)
-    if abs(fb) <= tol:
+    if hit():
         return accept(b)
     step = math.log(2.0)
     if start.slope is not None and start.slope < 0.0:
@@ -447,7 +471,7 @@ def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, fini
     for _ in range(MAX_DOUBLINGS):
         a, fa = b, fb
         b, fb = a + sign * step, gap(a + sign * step)
-        if abs(fb) <= tol:
+        if hit():
             return accept(b)
         if fa * fb < 0.0:
             break
@@ -460,7 +484,7 @@ def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, fini
         scans = []
         for x in grid:
             scans.append(gap(x))
-            if abs(scans[-1]) <= tol:
+            if hit():
                 return accept(x)
         crossings = np.flatnonzero(np.multiply(scans[:-1], scans[1:]) < 0.0)
         if crossings.size == 0:
@@ -468,12 +492,16 @@ def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, fini
         k = crossings[0]
         a, fa, b, fb = grid[k], scans[k], grid[k + 1], scans[k + 1]
 
-    # Illinois: halve the stored value of an endpoint kept twice in a row
+    # Illinois: halve the stored value of an endpoint kept twice in a row;
+    # bisect while an endpoint's logit is infinite
     kept = 0
     for _ in range(MAX_REFINEMENTS):
-        x = (a * fb - b * fa) / (fb - fa)
+        if math.isinf(fa) or math.isinf(fb):
+            x = 0.5 * (a + b)
+        else:
+            x = (a * fb - b * fa) / (fb - fa)
         fx = gap(x)
-        if abs(fx) <= tol:
+        if hit():
             return accept(x)
         if fx * fb > 0.0:
             b, fb = x, fx

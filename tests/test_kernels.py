@@ -22,7 +22,7 @@ from dynamap import (
     sample_torus,
     spectral_decomposition,
 )
-from dynamap.datasets import TorusSpec
+from dynamap.datasets import TorusSpec, synthetic_cube_family
 from dynamap.experiments import _calibrated_decompositions, change_detection_experiment
 from dynamap.kernels import (
     CALIBRATION_TOL,
@@ -397,6 +397,10 @@ def _probe_lambda2(cloud, x):
     return _second_eigenvalue(diffusion_matrix(gaussian_kernel(cloud, math.exp(x))).values)
 
 
+def _logit(p):
+    return math.log(p / (1.0 - p))
+
+
 def test_calibrated_kernel_first_probe_hit(monkeypatch):
     cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
     x0 = _walk_start(cloud)
@@ -449,6 +453,56 @@ def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     assert rigged(calibrated_diffusion_matrix(cloud, 0.5)[1].values) == 0.5
 
 
+def _rigged_log_epsilon(values):
+    """log(epsilon) of a 2-point probe, whose normalized off-diagonal ratio is
+    the kernel entry exp(-1 / epsilon^2): -inf where it underflows to 0, +inf
+    where it rounds to 1."""
+    k12 = values[0, 1] / values[0, 0]
+    if not 0.0 < k12 < 1.0:
+        return math.copysign(math.inf, k12 - 0.5)
+    return math.log(math.sqrt(-1.0 / math.log(k12)))
+
+
+def test_calibrated_kernel_logistic_profile_hit(monkeypatch):
+    # lambda2 = 1 / (1 + e^(2 (x - s))) has logit(lambda2) = -2 (x - s), linear
+    # in x = log(epsilon): the walk's first step from 0 brackets the root 0.3,
+    # and one regula-falsi step on the logit lands on it
+    import dynamap.kernels as kernels_mod
+
+    root = 0.3
+    s = root + 0.5 * _logit(0.97)
+
+    def rigged(values):
+        return 1.0 / (1.0 + math.exp(2.0 * (_rigged_log_epsilon(values) - s)))
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    assert _walk_start(cloud) == 0.0 < root < math.log(2.0)
+    eps, probes = _calibrate_counting(monkeypatch, cloud, 0.97)
+    assert probes == 3 and math.log(eps) == pytest.approx(root, abs=1e-9)
+
+
+def test_calibrated_kernel_clamped_readings(monkeypatch):
+    # a continuous profile that reads exactly 1.0 on the narrow side, as float32
+    # probes of a nearly disconnected graph do: the walk brackets the root
+    # between a reading of 1.0, which has no finite logit, and one below the
+    # target; Illinois bisects until both ends are finite, then interpolates
+    import dynamap.kernels as kernels_mod
+
+    def profile(x):
+        return min(1.0, 1.02 / (1.0 + math.exp(2.0 * (x - 2.0))))
+
+    def rigged(values):
+        return profile(_rigged_log_epsilon(values))
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    assert profile(0.0) == 1.0 and profile(math.log(2.0)) < 0.97 - 1e-3
+    eps, _, probes = _warm_calibrate(monkeypatch, None, cloud, 0.97)
+    assert len(probes) <= 6 and all(map(math.isfinite, probes))
+    assert abs(profile(math.log(eps)) - 0.97) <= CALIBRATION_TOL
+
+
 def _warm_calibrate(monkeypatch, start, cloud, target):
     """_calibrate's output from `start` and the log bandwidth of each lambda2
     probe; its matrix must be diffusion_matrix's of gaussian_kernel's at the
@@ -485,29 +539,32 @@ def test_warm_start_first_probe_hit(monkeypatch):
 
 
 def test_warm_start_secant_step_hit(monkeypatch):
-    # the slope through the start and the root sizes the first step exactly
+    # the slope of logit(lambda2) through the start and the root sizes the
+    # first step exactly
     cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
     root = _walk_start(cloud)
     x = root - 0.1
     target = _probe_lambda2(cloud, root)
-    gap = _probe_lambda2(cloud, x) - target
-    assert gap > 1e-3  # the start misses, on the narrow side
+    assert _probe_lambda2(cloud, x) - target > 1e-3  # the start misses, on the narrow side
+    gap = _logit(_probe_lambda2(cloud, x)) - _logit(target)
     eps, next_start, probes = _warm_calibrate(monkeypatch, _Start(x, -gap / 0.1), cloud, target)
     assert len(probes) == 2 and probes[1] == pytest.approx(root, abs=1e-12)
     assert math.log(eps) == pytest.approx(root, abs=1e-12)
     assert eps == math.exp(next_start.log_epsilon)
-    secant = (_probe_lambda2(cloud, probes[1]) - _probe_lambda2(cloud, x)) / (probes[1] - x)
+    rise = _logit(_probe_lambda2(cloud, probes[1])) - _logit(_probe_lambda2(cloud, x))
+    secant = rise / (probes[1] - x)
     assert next_start.slope == pytest.approx(secant, rel=1e-9) and secant < 0.0
 
 
 def test_warm_start_short_secant_step_then_walk_and_illinois(monkeypatch):
-    # a slope 1000 times too steep makes a first step of 1e-3, short of the
-    # root; the factor-2 walk then brackets it and Illinois refines inside
+    # a slope of logit(lambda2) 500 times too steep makes a first step of
+    # 1e-3, short of the root; the factor-2 walk then brackets it and Illinois
+    # refines inside
     cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
     root = _walk_start(cloud)
     x = root - 0.5
     target = _probe_lambda2(cloud, root)
-    gap = _probe_lambda2(cloud, x) - target
+    gap = _logit(_probe_lambda2(cloud, x)) - _logit(target)
     eps, _, probes = _warm_calibrate(monkeypatch, _Start(x, -1e3 * gap), cloud, target)
     assert probes[1] == pytest.approx(x + 1e-3, abs=1e-12)
     assert probes[2] == pytest.approx(probes[1] + math.log(2.0), abs=1e-12)
@@ -550,8 +607,10 @@ def test_warm_start_grid_scan_is_centred_on_the_start(monkeypatch):
     assert len(probes) == 1 + MAX_DOUBLINGS + 41  # the scan stops at the hit
     assert probes[1 + MAX_DOUBLINGS :] == pytest.approx(list(grid[:41]), abs=1e-12)
     assert eps == math.exp(grid[40]) and next_start.log_epsilon == grid[40]
-    # the slope handed on is measured next to the hit, from the point before it
-    assert next_start.slope == pytest.approx(0.2 / (grid[40] - grid[39]), rel=1e-12)
+    # the slope of logit(lambda2) handed on is measured next to the hit, from
+    # the point before it
+    rise = _logit(0.5) - _logit(0.3)
+    assert next_start.slope == pytest.approx(rise / (grid[40] - grid[39]), rel=1e-12)
 
 
 def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
@@ -756,10 +815,13 @@ def test_float32_probe_of_a_nearly_disconnected_graph_finds_lambda2():
 def test_change_scene_15_calibrates_its_nearly_disconnected_member():
     # member 2 holds the 25 planted pixels as a nearly disconnected cluster:
     # its lambda2 lies within 2e-6 of 1 at bandwidths 0.47-0.6, where
-    # undeflated float32 probes can read lambda3; the float64 search reaches
-    # the root at 0.993036
+    # undeflated float32 probes can read lambda3 and deflated ones read 1.0;
+    # the search accepts 0.991936 (the root to 1e-9 is 0.991675)
     result = change_detection_experiment(scene_seed=15)
-    assert result.epsilons[2] == pytest.approx(0.993036, rel=1e-5)
+    assert result.epsilons[2] == pytest.approx(0.991936, rel=1e-5)
+    cloud = synthetic_cube_family(15).clouds[2]
+    lam2 = np.linalg.eigvalsh(_gaussian_diffusion(cloud, result.epsilons[2]).values)[-2]
+    assert abs(lam2 - 0.97) <= CALIBRATION_TOL
 
 
 # clouds of 150-300 normal points in 1-3 dimensions: float32 probes
@@ -775,6 +837,35 @@ def test_float32_calibrated_lambda2_lies_within_the_tolerance(cloud, target):
     eps, mat = calibrated_diffusion_matrix(cloud, target)
     assert abs(np.linalg.eigvalsh(mat.values)[-2] - target) <= CALIBRATION_TOL
     assert np.array_equal(mat.values, _gaussian_diffusion(cloud, eps).values)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(_distinct_clouds, _lanczos_clouds), st.floats(0.95, 0.995))
+def test_near_identity_calibrated_lambda2_lies_within_the_tolerance(cloud, target):
+    # targets on lambda2's flat shoulder near 1, on float64 probes (at most 40
+    # points) and on float32 ones (150-300 points)
+    eps, mat = calibrated_diffusion_matrix(cloud, target)
+    assert abs(np.linalg.eigvalsh(mat.values)[-2] - target) <= CALIBRATION_TOL
+    assert np.array_equal(mat.values, _gaussian_diffusion(cloud, eps).values)
+
+
+@pytest.mark.parametrize("scene, most", [(11, 13), (15, 15)])
+def test_change_scene_calibration_probe_count(monkeypatch, scene, most):
+    # the three near-identity members (lambda2 = 0.97) of a change scene: the
+    # first starts cold, the others from the member before; interpolating
+    # lambda2 - target instead of its logit took 20 probes on each scene
+    import dynamap.kernels as kernels_mod
+
+    probes = []
+    second = kernels_mod._second_eigenvalue
+
+    def counting_probe(values):
+        probes.append(1)
+        return second(values)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
+    result = change_detection_experiment(scene_seed=scene)
+    assert len(result.epsilons) == 3 and len(probes) <= most
 
 
 def test_calibration_peak_memory():
