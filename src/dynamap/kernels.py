@@ -237,6 +237,8 @@ def _scipy_openblas():
 
 def _on_one_scipy_blas_thread(solve, *args, **kwargs):
     """solve(*args, **kwargs) with scipy's OpenBLAS pool on one thread, then back."""
+    # the thread count is process-wide: two threads in here at once would race
+    # on it, and one could restore the other's setting mid-solve
     blas = _scipy_openblas()
     previous = blas[0]() if blas is not None else 1
     if previous == 1:

@@ -76,12 +76,8 @@ def apply_sign_convention(psi: np.ndarray) -> np.ndarray:
 
     Ties resolve to the lowest index, making decompositions reproducible.
     """
-    out = psi.copy()
-    for col in range(out.shape[1]):
-        pivot = int(np.argmax(np.abs(out[:, col])))
-        if out[pivot, col] < 0.0:
-            out[:, col] = -out[:, col]
-    return out
+    pivots = np.argmax(np.abs(psi), axis=0)  # the first maximum of each column
+    return psi * np.where(psi[pivots, np.arange(psi.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def spectral_decomposition(matrix: DiffusionMatrix, rank: int) -> SpectralDecomposition:

@@ -236,7 +236,7 @@ def test_criterion_7_torus_experiment():
         7,
         "pinched-torus family meta embedding",
         lambda2_ok and monotone_ok and accuracy_ok and elapsed < 600.0,
-        f"meta lambda2 {result.meta_lambda2:.3f}, inversions {list(inversions.values())}, "
+        f"meta lambda2 {result.meta_lambda2:.6f}, inversions {list(inversions.values())}, "
         f"angle accuracy {accuracy:.2f}, runtime {elapsed:.1f}s",
     )
 

@@ -157,6 +157,13 @@ def test_sign_convention_is_idempotent_and_fixes_flips():
     np.testing.assert_array_equal(
         apply_sign_convention(dec.eigenfunctions), dec.eigenfunctions
     )
+    # equal magnitudes of opposite sign: the lower index decides, so the first
+    # column stays and the second flips, its zero to -0.0 as negation gives
+    tie = np.array([[0.5, -0.5], [-0.5, 0.5], [0.25, 0.0]])
+    expected = np.array([[0.5, 0.5], [-0.5, -0.5], [0.25, -0.0]])
+    out = apply_sign_convention(tie)
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
 
 
 def test_zero_degree_guard():

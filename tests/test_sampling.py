@@ -1,8 +1,12 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 
-from dynamap import DegeneracyError, InputError, convergence_study, gaussian_kernel
-from dynamap.kernels import PointCloud, _gaussian_diffusion
+from dynamap import DegeneracyError, InputError, convergence_study, experiments, gaussian_kernel
+from dynamap.datasets import TWO_PI, TorusSpec, torus_points
+from dynamap.kernels import PointCloud, _gaussian_diffusion, calibrated_diffusion_matrix
 from dynamap.sampling import _sample_distances, report_rows, report_summary
 
 from conftest import peak_bytes
@@ -134,3 +138,52 @@ def test_sample_distances_peak_is_two_matrices():
     build = _gaussian_pair_builder(0.8, 0.8, 0.3)
     _, peak = peak_bytes(lambda: _sample_distances(rows, build, 1))
     assert peak <= 2.25 * n * n * 8
+
+
+# a small torus pair study: two sizes, the fewest trials, a 4 x 80 reference
+SMALL_PAIR_STUDY = {"n_grid": (40, 80), "trials": 10, "reference_n": 320, "seed": 5}
+
+
+def test_torus_pair_study_matches_a_serial_build():
+    # the study builds each pair of matrices on two threads; rebuilt here one
+    # matrix after the other, in the order plain, pinched, it gives the same bits
+    seed = SMALL_PAIR_STUDY["seed"]
+    specs = (TorusSpec(), TorusSpec(pinch_angle=math.pi, pinch_radius=1.0))
+    calib = np.random.default_rng(seed + 1).uniform(0.0, TWO_PI, (500, 2))
+    epsilons = [
+        calibrated_diffusion_matrix(PointCloud(torus_points(spec, *calib.T)), 0.5)[0]
+        for spec in specs
+    ]
+
+    def serial_builder(angles):
+        clouds = (PointCloud(torus_points(spec, *angles.T)) for spec in specs)
+        return tuple(map(_gaussian_diffusion, clouds, epsilons))
+
+    reference = np.random.default_rng(seed).uniform(
+        0.0, TWO_PI, (SMALL_PAIR_STUDY["reference_n"], 2)
+    )
+    serial = convergence_study(reference, serial_builder, t=1, n_grid=SMALL_PAIR_STUDY["n_grid"],
+                               trials=SMALL_PAIR_STUDY["trials"], seed=seed)
+    threaded = experiments.torus_pair_study(**SMALL_PAIR_STUDY)
+    np.testing.assert_array_equal(report_rows(threaded), report_rows(serial))
+
+
+@pytest.mark.parametrize("failing_side", ["worker", "caller"])
+def test_torus_pair_study_raises_a_build_error_and_leaves_no_thread(monkeypatch, failing_side):
+    # the pinched matrix is built on the pool's worker, the plain one on the
+    # calling thread; either one's error reaches the caller as it was raised,
+    # and the pool's thread is gone once the study returns
+    caller = threading.current_thread()
+    build = experiments._gaussian_diffusion
+
+    def failing(cloud, epsilon):
+        on_worker = threading.current_thread() is not caller
+        if on_worker == (failing_side == "worker"):
+            raise DegeneracyError(f"{failing_side} build failed")
+        return build(cloud, epsilon)
+
+    monkeypatch.setattr(experiments, "_gaussian_diffusion", failing)
+    before = threading.active_count()
+    with pytest.raises(DegeneracyError, match=f"{failing_side} build failed"):
+        experiments.torus_pair_study(**SMALL_PAIR_STUDY)
+    assert threading.active_count() == before
