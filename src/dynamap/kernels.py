@@ -60,10 +60,24 @@ LANCZOS_NCV = 20
 LANCZOS_MATVECS_PER_N = 0.25
 
 # rows per block where an n x n operation is split into row blocks
-# (`_degree_normalized`, `distances.direct_global_distance`): a 64 x n block
-# takes 512 bytes per point, so its temporaries stay in cache for n in the
-# thousands instead of forming a whole n x n temporary
+# (`_degree_normalized`, `distances.direct_global_distance`, the triangle of
+# `squared_distances`): a 64 x n block takes 512 bytes per point, so its
+# temporaries stay in cache for n in the thousands instead of forming a whole
+# n x n temporary. For the triangle, 64-row blocks measured as well as 128 and
+# 256 or better at the change epochs' 1024 x 30-70 points (d = 30: 6.5-7.3,
+# 7.0-7.3 and 7.7-8.0 ms; d = 50: 11.5, 15.2 and 16.8 ms), since a block also
+# computes the lower half of its diagonal square
 ROW_BLOCK = 64
+
+# the squared-distance pass (`squared_distances`, which every route from points
+# to a kernel takes: calibration, `_gaussian_diffusion`, `gaussian_kernel`, the
+# convergence study and the CLI's point inputs) computes only the upper
+# triangle from TRIANGLE_MIN_D coordinates on. Mirroring the triangle moves it
+# through memory twice more, which pays only where cdist's O(d) work per entry
+# outweighs it: on a 2-core x86 VM the triangle took 0.98-1.02x the whole
+# pass's time at n = 1000, d = 3 but 1.15-1.23x at N = 4000, d = 3 (1.11-1.14x
+# with 128-row blocks), and 0.74-0.98x at n = 1000-4000, d = 10
+TRIANGLE_MIN_D = 10
 
 # side of the square tiles the exact-symmetry check compares: a tile and its
 # mirror stay in cache, where vals == vals.T walks the transpose with stride n
@@ -158,14 +172,31 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
     scipy's compiled `cdist(..., "sqeuclidean")` sums (x_ik - x_jk)^2 for each
     entry over k in coordinate order from 0 (it unrolls across rows, not
     coordinates), so every entry is 0 + d_0^2 + d_1^2 + ..., the plain
-    per-coordinate sum bit for bit; fl(a - b)^2 = fl(b - a)^2 makes it exactly
+    per-coordinate sum bit for bit. From TRIANGLE_MIN_D coordinates on, only
+    the upper triangle is computed: each ROW_BLOCK-row block r0:r1 takes
+    cdist of its rows against points r0:, and the part right of its diagonal
+    square is mirrored into rows r1:. fl(a - b)^2 = fl(b - a)^2, so a mirrored
+    entry is the one cdist would compute there: either way the result equals
+    one whole `cdist(points, points, "sqeuclidean")` bit for bit, exactly
     symmetric with an exactly zero diagonal.
     """
     # imported here: scipy.spatial adds 60-120 ms to `import dynamap`
     from scipy.spatial.distance import cdist
 
     pts = np.ascontiguousarray(points, dtype=float)
-    return cdist(pts, pts, "sqeuclidean")
+    n, d = pts.shape
+    if d < TRIANGLE_MIN_D:
+        return cdist(pts, pts, "sqeuclidean")
+    out = np.empty((n, n))
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        block = cdist(pts[r0:r1], pts[r0:], "sqeuclidean")
+        out[r0:r1, r0:] = block
+        # from `block`, not from out[r0:r1, r1:]: a copy between two views of
+        # `out` makes numpy take an overlap temporary
+        out[r1:, r0:r1] = block[:, r1 - r0 :].T
+        del block  # one block alive at a time, also while the next is computed
+    return out
 
 
 def _gaussian_values(sq: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:

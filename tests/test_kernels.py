@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 from dynamap import (
     CalibrationError,
@@ -29,7 +30,9 @@ from dynamap.kernels import (
     GRID_POINTS,
     LANCZOS_MIN_N,
     MAX_DOUBLINGS,
+    ROW_BLOCK,
     SYMMETRY_TILE,
+    TRIANGLE_MIN_D,
     KernelMatrix,
     _calibrate,
     _degree_normalized,
@@ -267,35 +270,46 @@ def test_squared_distances_matches_reference_loop(points, copies):
     assert np.array_equal(sq, sq.T)
 
 
-@pytest.mark.parametrize("d", [1, 3, 70])
+@pytest.mark.parametrize("d", [1, 3, TRIANGLE_MIN_D - 1, TRIANGLE_MIN_D, 70])
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 1000])
 def test_squared_distances_across_row_blocks(n, d):
-    # sizes on both sides of the 64-row block edges, with duplicated rows whose
-    # pairs fall in different blocks
+    # sizes on both sides of the ROW_BLOCK (64) edges and dimensions on both
+    # sides of TRIANGLE_MIN_D, with duplicated rows whose pairs fall in
+    # different blocks (from n = 65 on): the upper triangle's blocks and
+    # their mirror give one whole cdist's matrix
     rng = np.random.default_rng(100 * n + d)
     pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
     pts[n // 2] = pts[0]
     pts[-1] = pts[n // 3]
     sq = squared_distances(pts)
     assert np.array_equal(sq, _squared_distances_loop(pts))
+    assert np.array_equal(sq, cdist(pts, pts, "sqeuclidean"))
     assert np.array_equal(sq, sq.T)
     assert np.all(np.diag(sq) == 0.0)
     assert sq[0, n // 2] == 0.0 and sq[n // 3, n - 1] == 0.0
 
 
-def _cube_layouts(d):
-    """Point sets in the layouts the pipelines pass, from a cube of 512 points
-    in d + 10 bands with duplicated rows: a band-permuted column subset (as a
-    change epoch sees its scene; numpy's fancy indexing returns it
+def test_squared_distance_triangle_peak_is_the_result_and_one_block():
+    # each block is released before the next is computed
+    n = 1000
+    pts = np.random.default_rng(3).normal(size=(n, TRIANGLE_MIN_D))
+    _, peak = peak_bytes(lambda: squared_distances(pts))
+    assert peak <= (n + ROW_BLOCK) * n * 8 + 4096
+
+
+def _cube_layouts(d, n=256):
+    """Point sets in the layouts the pipelines pass, n points from a cube of 2n
+    points in d + 10 bands with duplicated rows: a band-permuted column subset
+    (as a change epoch sees its scene; numpy's fancy indexing returns it
     Fortran-ordered), a Fortran-ordered copy of a C-ordered block and a
     row-strided view."""
     rng = np.random.default_rng(d)
-    cube = rng.normal(size=(512, d + 10)) * 10.0 ** rng.integers(-3, 4, size=d + 10)
+    cube = rng.normal(size=(2 * n, d + 10)) * 10.0 ** rng.integers(-3, 4, size=d + 10)
     cube[7] = cube[0]
     cube[300] = cube[100]
     return {
-        "permuted_subset": cube[:256, rng.permutation(d + 10)[:d]],
-        "fortran": np.asfortranarray(cube[:256, :d]),
+        "permuted_subset": cube[:n, rng.permutation(d + 10)[:d]],
+        "fortran": np.asfortranarray(cube[:n, :d]),
         "strided": cube[::2, 3 : 3 + d],
     }
 
@@ -312,6 +326,18 @@ def test_squared_distances_of_pipeline_layouts(d, layout):
     # relabelling the points relabels the matrix, bit for bit
     perm = np.random.default_rng(d + 1).permutation(pts.shape[0])
     assert np.array_equal(squared_distances(pts[perm]), sq[perm][:, perm])
+
+
+@pytest.mark.parametrize("layout", ["permuted_subset", "fortran", "strided"])
+@pytest.mark.parametrize("d", [30, 50, 70])
+def test_squared_distances_are_one_whole_cdist_at_change_epoch_shapes(d, layout):
+    # 1024 pixels in 30-70 bands, as change detection's epochs; duplicated
+    # rows 100 and 300 (50 and 150 when strided) fall in different row blocks
+    pts = _cube_layouts(d, n=1024)[layout]
+    assert pts.shape == (1024, d)
+    sq = squared_distances(pts)
+    assert np.array_equal(sq, cdist(pts, pts, "sqeuclidean"))
+    assert np.sum(sq == 0.0) > pts.shape[0]
 
 
 def _same_diffusion_matrix(mat, cloud, eps):
@@ -936,6 +962,23 @@ def test_second_eigenvalue_lanczos_matches_dense(monkeypatch):
     first = _second_eigenvalue(values)
     assert abs(first - dense) <= 1e-12
     assert _second_eigenvalue(values) == first  # fixed start vector: repeatable
+
+
+@pytest.mark.parametrize("member", [0, 1, 11, 21])
+def test_float32_probe_on_near_degenerate_torus_spectra(member, monkeypatch):
+    # torus members whose lambda2 and lambda3 lie 0.030-0.036 apart (6-7% of
+    # lambda2): at the calibrated bandwidth the deflated float32 Lanczos probe,
+    # which calibration runs from n = LANCZOS_MIN_N on, finds the dense float64
+    # lambda2 (worst of all 31 members 1.9e-7)
+    cloud = pinched_torus_family(7, n=300)[0][member]
+    eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
+    dense = np.linalg.eigvalsh(mat.values)
+    assert dense[-2] - dense[-3] < 0.04
+    probe = _gaussian_diffusion_values(
+        squared_distances(cloud.points), eps, out=np.empty(mat.values.shape, np.float32)
+    )
+    refuse_dense_solves(monkeypatch)
+    assert abs(_second_eigenvalue(probe) - dense[-2]) <= 1e-6
 
 
 def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
