@@ -53,7 +53,9 @@ MAX_REFINEMENTS = 100
 # dense solve. A run stalled at that cap (near-identity kernels, whose top
 # eigenvalues crowd together near 1) falls back to the dense route, which
 # gives the same answer to roundoff. Calibration's probes on this route run in
-# float32, halving their memory traffic (`_second_eigenvalue`, `_calibrate`).
+# float32 and hold the kernel K, not D^{-1/2} K D^{-1/2}: Lanczos applies
+# D^{-1/2} inside its operator, so a probe's n x n passes are one cast-and-scale,
+# an exp and the row sums (`_second_eigenvalue`, `_calibrate`).
 LANCZOS_MIN_N = 150
 LANCZOS_MAX_RANK_FRACTION = 0.1
 LANCZOS_NCV = 20
@@ -200,8 +202,14 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_values(sq: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
-    """exp(-sq / epsilon^2) with an exact unit diagonal, in `out` (which may be `sq`)."""
-    vals = np.divide(sq, -(epsilon * epsilon), out=out)
+    """exp(-sq / epsilon^2) with an exact unit diagonal, in `out` (which may be
+    `sq`). A float32 `out` is scaled in float64 and rounded as it is written, in
+    one pass: the exponents keep float64's range (float32's holds no squared
+    distance below 1e-45 or above 3e38) and equal the float64 route's, rounded."""
+    if out.dtype == np.float32:
+        vals = np.multiply(sq, -1.0 / epsilon / epsilon, out=out)
+    else:
+        vals = np.divide(sq, -(epsilon * epsilon), out=out)
     np.exp(vals, out=vals)
     np.fill_diagonal(vals, 1.0)
     return vals
@@ -281,7 +289,7 @@ def _on_one_scipy_blas_thread(solve, *args, **kwargs):
         blas[1](previous)
 
 
-def _eigensolve(values: np.ndarray, k: int, vectors: bool, deflate: np.ndarray | None = None):
+def _eigensolve(values: np.ndarray, k: int, vectors: bool, kernel: bool = False):
     """Top-k eigenvalues of a dense symmetric matrix, or its whole spectrum.
 
     Implicitly restarted Lanczos computes only the top k, with scipy's OpenBLAS
@@ -291,7 +299,10 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool, deflate: np.ndarray |
     vectors) returns the whole spectrum instead, on numpy's threads as set.
     Either way the eigenvalues come in ascending order, plus the matching unit
     eigenvectors as columns when `vectors` is set. The settings are explained
-    with the LANCZOS_* constants; a unit top eigenvector `deflate` drops its eigenvalue.
+    with the LANCZOS_* constants. With `kernel`, `values` is a kernel K that the
+    call may overwrite, standing for D^{-1/2} K D^{-1/2} less its top eigenvalue
+    1: Lanczos runs on x -> s(K(s x)) - u u^T x, s = d^{-1/2} and u = sqrt(d) /
+    |sqrt(d)|, and the dense route normalizes K in place and drops its top.
 
     Raises NumericalError when the dense solve does not converge.
     """
@@ -303,9 +314,13 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool, deflate: np.ndarray |
         ncv = max(LANCZOS_NCV, 2 * k + 1)
         maxiter = int(LANCZOS_MATVECS_PER_N * n) // (ncv - k)
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        op = values if deflate is None else LinearOperator(
-            values.shape, lambda x: values @ x - deflate * (deflate @ x), dtype=values.dtype
-        )
+        op = values
+        if kernel:
+            root = np.sqrt(values.sum(axis=1))
+            s, u = 1.0 / root, root / np.linalg.norm(root)
+            op = LinearOperator(
+                values.shape, lambda x: s * (values @ (s * x)) - u * (u @ x), dtype=values.dtype
+            )
         try:
             out = _on_one_scipy_blas_thread(
                 eigsh, op, k=k, which="LA", ncv=ncv, v0=v0, maxiter=maxiter,
@@ -319,8 +334,10 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool, deflate: np.ndarray |
             lam, vec = out
             order = np.argsort(lam)
             return lam[order], vec[:, order]
+    if kernel:
+        _degree_normalized(values)
     try:
-        return np.linalg.eigh(values) if vectors else eigvalsh(values)[: n - (deflate is not None)]
+        return np.linalg.eigh(values) if vectors else eigvalsh(values)[: n - kernel]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
@@ -331,13 +348,13 @@ def _second_eigenvalue(sym: np.ndarray) -> float:
     The top eigenpair is known (eigenvalue 1, eigenvector sqrt(d)), so the two
     largest eigenvalues suffice: Lanczos with k = 2 from n = LANCZOS_MIN_N on,
     the dense spectrum below it or when Lanczos stalls (`_eigensolve`).
-    A float32 probe (unit kernel diagonal, so d_i = 1 / sym_ii) takes k = 1 on
-    sym - u u^T, u = sqrt(d) / |sqrt(d)|: float32 cannot tell a lambda2 near 1 from 1.
+    A float32 argument is a calibration probe, the unit-diagonal kernel K (so
+    every d_i >= 1), which the call may overwrite: k = 1 on D^{-1/2} K D^{-1/2}
+    less its top (float32 cannot tell a lambda2 near 1 from 1) as an operator.
     """
     if sym.dtype != np.float32:
         return float(_eigensolve(sym, 2, vectors=False)[-2])
-    top = 1.0 / np.sqrt(np.diagonal(sym))
-    return float(_eigensolve(sym, 1, vectors=False, deflate=top / np.linalg.norm(top))[-1])
+    return float(_eigensolve(sym, 1, vectors=False, kernel=True)[-1])
 
 
 def _coincident_points() -> CalibrationError:
@@ -391,9 +408,10 @@ def calibrated_diffusion_matrix(
     is accepted, and without one, its first crossing of a non-monotone
     profile is refined by Illinois.
 
-    The squared distances are computed once, and every probe's diffusion
-    matrix is built from them in one buffer, in float32 from n = LANCZOS_MIN_N
-    on. The returned matrix is the accepted bandwidth's in float64, bit-identical
+    The squared distances are computed once, and every probe is built from
+    them in one buffer: its diffusion matrix, or from n = LANCZOS_MIN_N on its
+    float32 kernel, whose D^{-1/2} the eigensolver's operator applies. The
+    returned matrix is the accepted bandwidth's in float64, bit-identical
     to `diffusion_matrix(gaussian_kernel(cloud, epsilon))`: after float32 probes
     it is rebuilt in the squared distances' array, and a float64 lambda2 outside
     the tolerance sends the search on from there on float64 probes.
@@ -420,7 +438,8 @@ def _calibrate(
     last two probes at distinct bandwidths (None when it is not finite), or the
     slope received when the first probe was accepted.
 
-    From n = LANCZOS_MIN_N on, the probes run in float32. `finish(matrix)`, on
+    From n = LANCZOS_MIN_N on, each probe is the float32 Gaussian kernel, and
+    `_second_eigenvalue` applies its D^{-1/2} inside Lanczos. `finish(matrix)`, on
     the float64 matrix returned, gives what to return in its place and that
     matrix's lambda2, or None for `_second_eigenvalue` to find it; outside
     CALIBRATION_TOL the search resumes there on float64 probes.
@@ -453,15 +472,15 @@ def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, fini
     probed: list[float] = []  # log(epsilon) of each probe
     reached: list[float] = []  # its lambda2
     gaps: list[float] = []  # and its gap(x)
-    probe = np.empty(sq.shape, dtype)  # the latest probe's diffusion matrix
+    probe = np.empty(sq.shape, dtype)  # the latest probe's diffusion matrix, or float32 kernel
+    build = _gaussian_diffusion_values if dtype == np.float64 else _gaussian_values
     edge = float(np.finfo(dtype).eps)
     logit_target = math.log(target_lambda2 / (1.0 - target_lambda2))
 
     def gap(x: float) -> float:
         """logit(lambda2) - logit(target) at epsilon = exp(x), whose probe is
         kept: +-inf for a lambda2 within `edge` of 1 or 0."""
-        _gaussian_diffusion_values(sq, math.exp(x), out=probe)
-        lam2 = _second_eigenvalue(probe)
+        lam2 = _second_eigenvalue(build(sq, math.exp(x), out=probe))
         probed.append(x)
         reached.append(lam2)
         if lam2 >= 1.0 - edge or lam2 <= edge:

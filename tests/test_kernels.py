@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -38,7 +39,7 @@ from dynamap.kernels import (
     _degree_normalized,
     _eigensolve,
     _gaussian_diffusion,
-    _gaussian_diffusion_values,
+    _gaussian_values,
     _median_squared_distance,
     _scipy_openblas,
     _second_eigenvalue,
@@ -231,15 +232,6 @@ def test_calibrate_illinois_stall_reports_the_range(monkeypatch):
     with pytest.raises(CalibrationError, match="refinement stalled") as info:
         calibrated_diffusion_matrix(cloud, 0.5)
     assert info.value.achieved_range == (0.3, 0.7)
-
-
-def test_lambda2_trend_in_epsilon():
-    # second eigenvalue runs from ~1 (tiny bandwidth) down to ~0 (huge bandwidth)
-    rng = np.random.default_rng(11)
-    cloud = PointCloud(rng.normal(size=(40, 3)))
-    values = [_lambda2_via_full_path(cloud, eps) for eps in (0.05, 0.5, 2.0, 8.0, 50.0)]
-    assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-    assert values[0] > 0.9 and values[-1] < 0.1
 
 
 def _squared_distances_loop(points):
@@ -827,15 +819,45 @@ def test_float32_probe_of_a_nearly_disconnected_graph_finds_lambda2():
     # 1 - lambda2 = 3e-9, far below float32's resolution of 1, and lambda3 =
     # 0.99005 stands apart from lambda4 = 0.96269. Undeflated, float32 Lanczos
     # takes the top two eigenvalues for one and returns lambda3 as the second;
-    # deflating the known top pair leaves lambda2 on top
+    # deflating the known top pair leaves lambda2 on top. The probe is the
+    # float32 kernel, as calibration builds it
     rng = np.random.default_rng(0)
     line, knot = np.sort(rng.uniform(0.0, 1.0, 180)), 1.3 + 0.01 * rng.normal(size=20)
     cloud, eps = PointCloud(np.concatenate([line, knot])[:, None]), 0.07
     exact = np.linalg.eigvalsh(_gaussian_diffusion(cloud, eps).values)[-2]
     assert 1e-10 <= 1.0 - exact <= 1e-6
-    sq = squared_distances(cloud.points)
-    probe = _gaussian_diffusion_values(sq, eps, out=np.empty(sq.shape, np.float32))
+    probe = _float32_probe(cloud, eps)
     assert _second_eigenvalue(probe) >= 1.0 - 1e-6
+
+
+def _float32_probe(cloud, eps):
+    """The float32 kernel probe that calibration builds at bandwidth eps."""
+    sq = squared_distances(cloud.points)
+    return _gaussian_values(sq, eps, out=np.empty(sq.shape, np.float32))
+
+
+def test_float32_probes_keep_calibration_scale_invariant(monkeypatch):
+    # the probe's exponent -sq / epsilon^2 is formed in float64 and only then
+    # rounded to float32: squared distances of 1e-48 or 1e42 lie outside
+    # float32's range, yet a scaled cloud calibrates to the scaled bandwidth
+    # on the same float32 probes
+    import dynamap.kernels as kernels_mod
+
+    second, probes = kernels_mod._second_eigenvalue, []
+
+    def recording_probe(values):
+        probes.append(values.dtype)
+        return second(values)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", recording_probe)
+    points = np.random.default_rng(0).normal(size=(LANCZOS_MIN_N, 2))
+    base = calibrated_diffusion_matrix(PointCloud(points), 0.5)[0]
+    assert probes[0] == np.float32 and probes.count(np.float32) == len(probes) - 1
+    runs = list(probes)
+    for scale in (1e-24, 1e21):
+        probes.clear()
+        eps = calibrated_diffusion_matrix(PointCloud(points * scale), 0.5)[0]
+        assert probes == runs and eps / scale == pytest.approx(base, rel=1e-12)
 
 
 def test_change_scene_15_calibrates_its_nearly_disconnected_member():
@@ -857,6 +879,23 @@ _lanczos_clouds = st.builds(
 )
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(_distinct_clouds, _lanczos_clouds))
+def test_lambda2_trend_in_epsilon(cloud):
+    # lambda2 runs from ~1 (tiny bandwidth) down to ~0 (huge bandwidth) and
+    # never rises on the way, at 1/64 to 64 times the median distance: to
+    # 1e-12 on the float64 dense route (at most 40 points), to 1e-6 on the
+    # float32 kernel probes (150-300 points; measured worst rise 2.4e-7)
+    if cloud.n < LANCZOS_MIN_N:
+        lambda2, slack = _lambda2_via_full_path, 1e-12
+    else:
+        lambda2, slack = lambda c, eps: _second_eigenvalue(_float32_probe(c, eps)), 1e-6
+    median = math.sqrt(_median_squared_distance(squared_distances(cloud.points)))
+    values = [lambda2(cloud, median * 2.0**k) for k in range(-6, 7)]
+    assert all(a >= b - slack for a, b in zip(values, values[1:]))
+    assert values[0] > 0.9 and values[-1] < 0.1
+
+
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(_lanczos_clouds, st.floats(0.05, 0.95))
 def test_float32_calibrated_lambda2_lies_within_the_tolerance(cloud, target):
@@ -875,11 +914,12 @@ def test_near_identity_calibrated_lambda2_lies_within_the_tolerance(cloud, targe
     assert np.array_equal(mat.values, _gaussian_diffusion(cloud, eps).values)
 
 
-@pytest.mark.parametrize("scene, most", [(11, 13), (15, 15)])
+@pytest.mark.parametrize("scene, most", [(11, 13), (15, 15), (1011, 13)])
 def test_change_scene_calibration_probe_count(monkeypatch, scene, most):
     # the three near-identity members (lambda2 = 0.97) of a change scene: the
     # first starts cold, the others from the member before; interpolating
-    # lambda2 - target instead of its logit took 20 probes on each scene
+    # lambda2 - target instead of its logit took 20 probes on each scene.
+    # Scene 1011 once accepted a probe 2.4e-8 inside the tolerance's edge
     import dynamap.kernels as kernels_mod
 
     probes = []
@@ -904,6 +944,20 @@ def test_calibration_peak_memory():
     cloud = sample_torus(TorusSpec(), n, seed=4)
     _, peak = peak_bytes(lambda: _calibrate(cloud, 0.5))
     assert peak <= 1.70 * n * n * 8
+
+
+def test_float32_probe_allocates_no_n_by_n_temporary():
+    # one calibration probe, build plus lambda2, works in its own buffer: the
+    # scale pass and the exp write into it, and the operator applies D^{-1/2} to
+    # vectors of n (peak 0.05 n^2 * 4 bytes measured, mostly ARPACK's basis)
+    import scipy.sparse.linalg  # noqa: F401  its first import allocates ~2 n x n
+
+    n = 1000
+    sq = squared_distances(sample_torus(TorusSpec(), n, seed=4).points)
+    eps, probe = math.sqrt(_median_squared_distance(sq)), np.empty(sq.shape, np.float32)
+    lam2, peak = peak_bytes(lambda: _second_eigenvalue(_gaussian_values(sq, eps, out=probe)))
+    assert 0.0 < lam2 < 1.0
+    assert peak <= 0.125 * n * n * 4  # an eighth of one float32 n x n array
 
 
 def _normalized(values):
@@ -967,18 +1021,34 @@ def test_second_eigenvalue_lanczos_matches_dense(monkeypatch):
 @pytest.mark.parametrize("member", [0, 1, 11, 21])
 def test_float32_probe_on_near_degenerate_torus_spectra(member, monkeypatch):
     # torus members whose lambda2 and lambda3 lie 0.030-0.036 apart (6-7% of
-    # lambda2): at the calibrated bandwidth the deflated float32 Lanczos probe,
-    # which calibration runs from n = LANCZOS_MIN_N on, finds the dense float64
-    # lambda2 (worst of all 31 members 1.9e-7)
+    # lambda2): at the calibrated bandwidth the deflated float32 Lanczos probe
+    # of the kernel, which calibration runs from n = LANCZOS_MIN_N on, finds the
+    # dense float64 lambda2 (worst of all 31 members 1.3e-7)
     cloud = pinched_torus_family(7, n=300)[0][member]
     eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
     dense = np.linalg.eigvalsh(mat.values)
     assert dense[-2] - dense[-3] < 0.04
-    probe = _gaussian_diffusion_values(
-        squared_distances(cloud.points), eps, out=np.empty(mat.values.shape, np.float32)
-    )
+    probe = _float32_probe(cloud, eps)
     refuse_dense_solves(monkeypatch)
     assert abs(_second_eigenvalue(probe) - dense[-2]) <= 1e-6
+
+
+@functools.cache
+def _torus_members_1000():
+    return pinched_torus_family(7, n=1000)[0]
+
+
+@pytest.mark.parametrize("member", [0, 1, 11, 21])
+def test_rank10_lanczos_on_near_degenerate_torus_spectra(member, monkeypatch):
+    # the same members at n = 1000, where lambda2 - lambda3 is 0.015-0.018: the
+    # rank-10 decomposition at the calibrated bandwidth, on the Lanczos route,
+    # has the dense eigh eigenvalues (measured worst 1.2e-15)
+    cloud = _torus_members_1000()[member]
+    mat = calibrated_diffusion_matrix(cloud, 0.5)[1]
+    dense = np.linalg.eigh(mat.values)[0][::-1][:10]
+    assert dense[1] - dense[2] < 0.02
+    refuse_dense_solves(monkeypatch)
+    assert np.max(np.abs(spectral_decomposition(mat, 10).eigenvalues - dense)) <= 1e-10
 
 
 def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
@@ -998,14 +1068,16 @@ def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
 
 
 def test_stalled_float32_probe_falls_back_to_the_dense_spectrum_less_its_top(monkeypatch):
-    # deflated, Lanczos still stalls on the near-identity probe in float32; the
-    # dense solve's spectrum answers once its top eigenvalue, 1, is dropped
+    # deflated, Lanczos still stalls on the near-identity kernel probe in
+    # float32; the probe is normalized in place, and the dense solve's spectrum
+    # answers once its top eigenvalue, 1, is dropped
     import dynamap.kernels as kernels_mod
 
-    values = _normalized(near_identity_kernel().values)
-    dense, solved, real = float(np.linalg.eigvalsh(values)[-2]), [], kernels_mod.eigvalsh
+    kernel = near_identity_kernel().values
+    dense = float(np.linalg.eigvalsh(_normalized(kernel))[-2])
+    solved, real = [], kernels_mod.eigvalsh
     monkeypatch.setattr(kernels_mod, "eigvalsh", lambda a: solved.append(a.dtype) or real(a))
-    assert abs(_second_eigenvalue(values.astype(np.float32)) - dense) <= 1e-6
+    assert abs(_second_eigenvalue(kernel.astype(np.float32)) - dense) <= 1e-6
     assert solved == [np.float32]
 
 
