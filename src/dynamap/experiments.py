@@ -34,9 +34,10 @@ def _calibrated_decompositions(
 
     Member 0's search starts at its median pairwise distance, as
     `calibrated_diffusion_matrix`'s does; each later member's starts at the
-    bandwidth accepted for the member before it, with the slope of lambda2
-    found there (a continuation along the family: the calibrated bandwidth of
-    a smoothly changing family moves little from member to member).
+    bandwidth accepted for the member before it (a continuation along the
+    family: the calibrated bandwidth of a smoothly changing family moves
+    little from member to member), and its Newton steps take their slopes from
+    its own probes.
 
     Only one member's n x n arrays are alive at a time: its matrix is
     decomposed inside the calibration and dropped there.
@@ -49,7 +50,8 @@ def _calibrated_decompositions(
     decs = []
     start = None
     for k, cloud in enumerate(clouds):
-        epsilons[k], dec, start = _calibrate(cloud, target_lambda2, start, decomposed)
+        epsilons[k], dec = _calibrate(cloud, target_lambda2, start, decomposed)
+        start = math.log(epsilons[k])
         decs.append(dec)
     return epsilons, decs
 

@@ -6,7 +6,6 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigvalsh
@@ -14,21 +13,21 @@ from numpy.linalg import eigvalsh
 from .exceptions import CalibrationError, DegeneracyError, InputError, NumericalError
 
 # Bandwidth search parameters: the search starts at the median pairwise
-# distance (or, along a family, at the previous member's bandwidth) and walks
-# toward the target in factor-2 steps, at most MAX_DOUBLINGS of them (a reach of
-# start * 2^[-20, 20], about start * [1e-6, 1e6]), until lambda2 - target
-# changes sign; Illinois regula falsi on log(epsilon) then refines the bracket
-# for at most MAX_REFINEMENTS steps. When the walk finds no sign change (a
-# non-monotone profile), a log-spaced grid of GRID_POINTS over the same reach
-# is probed in order: it stops at its first point within tol, or else hands
-# its first crossing to Illinois, before giving up. tol is CALIBRATION_TOL,
-# on lambda2 itself. Illinois and the secant steps interpolate
-# logit(lambda2) - logit(target), which has the sign of lambda2 - target:
-# 1 - lambda2 ~ epsilon^2 as epsilon -> 0 (the generator is epsilon^2 times a
-# Laplacian) and lambda2 ~ epsilon^-2 as epsilon -> infinity, so logit(lambda2)
-# is nearly linear in log(epsilon), slope -2 at both ends, where lambda2 - target
-# is flat near a target close to 1 or 0. A lambda2 within the probe dtype's eps
-# of 1 or 0 has no finite logit; Illinois bisects while an endpoint holds one.
+# distance (or, along a family, at the previous member's bandwidth) and runs
+# Newton's method in x = log(epsilon) on g = logit(lambda2) - logit(target),
+# which has the sign of lambda2 - target and is nearly linear in x: 1 - lambda2
+# ~ epsilon^2 as epsilon -> 0 (the generator is epsilon^2 times a Laplacian) and
+# lambda2 ~ epsilon^-2 as epsilon -> infinity, so its slope is -2 at both ends,
+# where lambda2 - target is flat near a target close to 1 or 0. Each missed
+# probe gives g' from its own eigenvector (`_second_eigenvalue`). Until g
+# changes sign a step is at most 2 log 2, and it is log 2 toward the root where
+# g' >= 0 or g is infinite (a lambda2 within the probe dtype's eps of 1 or 0).
+# After MAX_DOUBLINGS steps without a sign change (a non-monotone profile), a
+# log-spaced grid of GRID_POINTS over start * 2^[-20, 20] (about start *
+# [1e-6, 1e6]) is probed in order: it stops at its first point within tol, or
+# else brackets its first crossing. Inside a bracket, a Newton point outside it
+# bisects instead, for at most MAX_REFINEMENTS probes. tol is CALIBRATION_TOL,
+# on lambda2 itself.
 CALIBRATION_TOL = 1e-3
 MAX_DOUBLINGS = 20
 GRID_POINTS = 64
@@ -52,10 +51,10 @@ MAX_REFINEMENTS = 100
 # LANCZOS_MATVECS_PER_N * n matrix-vector products, the measured price of one
 # dense solve. A run stalled at that cap (near-identity kernels, whose top
 # eigenvalues crowd together near 1) falls back to the dense route, which
-# gives the same answer to roundoff. Calibration's probes on this route run in
-# float32 and hold the kernel K, not D^{-1/2} K D^{-1/2}: Lanczos applies
-# D^{-1/2} inside its operator, so a probe's n x n passes are one cast-and-scale,
-# an exp and the row sums (`_second_eigenvalue`, `_calibrate`).
+# gives the same answer to roundoff. Calibration's probes hold the kernel K,
+# not D^{-1/2} K D^{-1/2}, in float32 on this route: Lanczos applies D^{-1/2}
+# inside its operator, so a probe's n x n passes are one cast-and-scale, an exp
+# and the row sums (`_second_eigenvalue`, `_calibrate`).
 LANCZOS_MIN_N = 150
 LANCZOS_MAX_RANK_FRACTION = 0.1
 LANCZOS_NCV = 20
@@ -300,9 +299,10 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool, kernel: bool = False)
     Either way the eigenvalues come in ascending order, plus the matching unit
     eigenvectors as columns when `vectors` is set. The settings are explained
     with the LANCZOS_* constants. With `kernel`, `values` is a kernel K that the
-    call may overwrite, standing for D^{-1/2} K D^{-1/2} less its top eigenvalue
-    1: Lanczos runs on x -> s(K(s x)) - u u^T x, s = d^{-1/2} and u = sqrt(d) /
-    |sqrt(d)|, and the dense route normalizes K in place and drops its top.
+    call may overwrite, standing for D^{-1/2} K D^{-1/2}: Lanczos runs on that
+    matrix less its top eigenpair (1, sqrt(d) / |sqrt(d)|), x -> s(K(s x)) -
+    u u^T x with s = d^{-1/2} and u = sqrt(d) / |sqrt(d)|, and the dense route
+    normalizes K in place and returns its whole spectrum, top included.
 
     Raises NumericalError when the dense solve does not converge.
     """
@@ -337,24 +337,51 @@ def _eigensolve(values: np.ndarray, k: int, vectors: bool, kernel: bool = False)
     if kernel:
         _degree_normalized(values)
     try:
-        return np.linalg.eigh(values) if vectors else eigvalsh(values)[: n - kernel]
+        return np.linalg.eigh(values) if vectors else eigvalsh(values)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
-def _second_eigenvalue(sym: np.ndarray) -> float:
-    """Second-largest eigenvalue of a diffusion matrix D^{-1/2} K D^{-1/2}.
+def _second_eigenvalue(sq: np.ndarray, x: float, out: np.ndarray):
+    """lambda2 of the Gaussian diffusion matrix D^{-1/2} K D^{-1/2} at epsilon =
+    exp(x), and a function giving d lambda2 / dx there, valid until `out` is
+    overwritten.
 
-    The top eigenpair is known (eigenvalue 1, eigenvector sqrt(d)), so the two
-    largest eigenvalues suffice: Lanczos with k = 2 from n = LANCZOS_MIN_N on,
-    the dense spectrum below it or when Lanczos stalls (`_eigensolve`).
-    A float32 argument is a calibration probe, the unit-diagonal kernel K (so
-    every d_i >= 1), which the call may overwrite: k = 1 on D^{-1/2} K D^{-1/2}
-    less its top (float32 cannot tell a lambda2 near 1 from 1) as an operator.
+    The probe is the kernel K = exp(-S / epsilon^2) of the squared distances S,
+    built in `out` (float32 or float64), which the call may overwrite. The top
+    eigenpair is known (eigenvalue 1, eigenvector sqrt(d)), so k = 1 on the
+    matrix less its top (float32 cannot tell a lambda2 near 1 from 1): Lanczos
+    on K from n = LANCZOS_MIN_N on, or the dense spectrum of the matrix itself,
+    normalized in `out` (`_eigensolve`).
+
+    The slope is first-order perturbation of lambda2's unit eigenvector v (Kato
+    1966, ch. II): with K' = K o 2S / epsilon^2 and d' = K' 1, d lambda2 / dx =
+    w^T K' w - lambda2 sum_i v_i^2 d'_i / d_i, where w = D^{-1/2} v. That is
+    2 / epsilon^2 [p^T (M o S) p - lambda2 sum_i (p_i^2 / q_i) ((M o S) q)_i]
+    for M = K, p = w and q = 1, and, as K o S = D^{1/2} (A o S) D^{1/2}, for
+    the normalized A, p = v and q = sqrt(d) = diag(A)^{-1/2} (K's diagonal is 1):
+    one ROW_BLOCK pass of (M o S) [p, q].
     """
-    if sym.dtype != np.float32:
-        return float(_eigensolve(sym, 2, vectors=False)[-2])
-    return float(_eigensolve(sym, 1, vectors=False, kernel=True)[-1])
+    eps = math.exp(x)
+    probe = _gaussian_values(sq, eps, out=out)
+    lam, vec = _eigensolve(probe, 1, vectors=True, kernel=True)
+    lanczos = lam.size == 1  # else the dense route's whole spectrum, and `probe` holds A
+    top = -1 if lanczos else -2
+    lam2, v = float(lam[top]), vec[:, top].copy()  # not a view of the dense route's n x n
+
+    def slope() -> float:
+        if lanczos:
+            pq = np.column_stack([v / np.sqrt(probe.sum(axis=1)), np.ones(v.size)])
+        else:
+            pq = np.column_stack([v, 1.0 / np.sqrt(np.diagonal(probe))])
+        prod = np.empty(pq.shape)
+        for r0 in range(0, v.size, ROW_BLOCK):
+            rows = slice(r0, r0 + ROW_BLOCK)
+            prod[rows] = (probe[rows] * sq[rows]) @ pq
+        p, q = pq.T
+        return 2.0 / (eps * eps) * (p @ prod[:, 0] - lam2 * np.sum(p * p / q * prod[:, 1]))
+
+    return lam2, slope
 
 
 def _coincident_points() -> CalibrationError:
@@ -365,27 +392,20 @@ def _coincident_points() -> CalibrationError:
 
 def _median_squared_distance(sq: np.ndarray) -> float:
     """Median of the positive entries in the strict upper triangle of `sq`,
-    gathered row by row into one n(n-1)/2 buffer: no index arrays, no second
-    copy of the triangle."""
+    gathered ROW_BLOCK rows at a time into one n(n-1)/2 buffer: no index arrays,
+    no second copy of the triangle. The median depends only on the multiset."""
     n = sq.shape[0]
     buf = np.empty(n * (n - 1) // 2)
     count = 0
-    for i in range(n - 1):
-        row = sq[i, i + 1 :]
-        pos = row[row > 0.0]
+    for r0 in range(0, n, ROW_BLOCK):
+        block = sq[r0 : r0 + ROW_BLOCK, r0:]
+        upper = np.arange(block.shape[1]) > np.arange(block.shape[0])[:, None]
+        pos = block[upper & (block > 0.0)]
         buf[count : count + pos.size] = pos
         count += pos.size
     if count == 0:
         raise _coincident_points()
     return float(np.median(buf[:count], overwrite_input=True))  # partitions `buf`, no copy
-
-
-class _Start(NamedTuple):
-    """Where a bandwidth search starts, and what it knows there."""
-
-    log_epsilon: float
-    # d logit(lambda2) / d log(epsilon) near the start, when known and finite
-    slope: float | None
 
 
 def calibrated_diffusion_matrix(
@@ -395,53 +415,46 @@ def calibrated_diffusion_matrix(
     eigenvalue, and the diffusion matrix at that bandwidth.
 
     The second eigenvalue runs from 1 (epsilon -> 0, kernel collapses to the
-    identity) down to 0 (epsilon -> infinity, kernel collapses to all-ones),
-    so the sign of lambda2 - target at the median pairwise distance says which
-    way the root lies. The search walks that way in factor-2 steps until the
-    sign changes, then runs Illinois regula falsi on log(epsilon) inside the
-    bracket, interpolating logit(lambda2) - logit(target) (nearly linear in
-    log(epsilon); it bisects while an endpoint's lambda2 lies within the probe
-    dtype's eps of 1 or 0), and accepts the first bandwidth whose
-    |lambda2 - target| <= CALIBRATION_TOL (1e-3). When the walk reaches
-    median * 2^(+-20) without a sign change, a 64-point log-spaced grid over
-    that whole reach is probed in order: its first point within the tolerance
-    is accepted, and without one, its first crossing of a non-monotone
-    profile is refined by Illinois.
+    identity) down to 0 (epsilon -> infinity, kernel collapses to all-ones).
+    From the median pairwise distance, the search takes Newton steps in
+    log(epsilon) on logit(lambda2) - logit(target), which is nearly linear
+    there, with each probe's slope taken from its own eigenvector. It accepts
+    the first bandwidth whose |lambda2 - target| <= CALIBRATION_TOL (1e-3).
+    Until the sign of lambda2 - target changes, a step is at most a factor 4
+    in epsilon, and a factor 2 toward the root where the slope gives no Newton
+    point; inside the bracket that a sign change makes, a Newton point outside
+    it bisects instead. When 20 steps find no sign change, a 64-point
+    log-spaced grid over median * 2^(+-20) is probed in order: its first point
+    within the tolerance is accepted, and without one, its first crossing of a
+    non-monotone profile is bracketed.
 
-    The squared distances are computed once, and every probe is built from
-    them in one buffer: its diffusion matrix, or from n = LANCZOS_MIN_N on its
-    float32 kernel, whose D^{-1/2} the eigensolver's operator applies. The
-    returned matrix is the accepted bandwidth's in float64, bit-identical
-    to `diffusion_matrix(gaussian_kernel(cloud, epsilon))`: after float32 probes
-    it is rebuilt in the squared distances' array, and a float64 lambda2 outside
-    the tolerance sends the search on from there on float64 probes.
+    The squared distances are computed once, and every probe is the Gaussian
+    kernel built from them in one buffer, in float32 from n = LANCZOS_MIN_N on,
+    whose D^{-1/2} the eigensolver's operator applies. The returned matrix is
+    the accepted bandwidth's in float64, rebuilt in the squared distances'
+    array, bit-identical to `diffusion_matrix(gaussian_kernel(cloud, epsilon))`;
+    after float32 probes, its lambda2 outside the tolerance sends the search on
+    from there on float64 probes.
 
     Raises CalibrationError, reporting the range of eigenvalues reached, when
     no bandwidth in the reach crosses the target or the refinement stalls.
     """
-    return _calibrate(cloud, target_lambda2)[:2]
+    return _calibrate(cloud, target_lambda2)
 
 
 def _calibrate(
-    cloud: PointCloud, target_lambda2: float, start: _Start | None = None, finish=None
-) -> tuple[float, DiffusionMatrix, _Start]:
-    """`calibrated_diffusion_matrix`'s search from `start`, or from the median
-    pairwise distance when `start` is None; also the start for the next member
-    of a family whose calibrated bandwidth moves little from member to member.
-
-    A warm start that misses takes a secant step first: its size is
-    |logit(lambda2) - logit(target)| / |slope|, at most log 2, and without a
-    negative slope or a finite logit it is log 2. The factor-2 walk, Illinois
-    and the grid scan (up to its first point within CALIBRATION_TOL), centred
-    on the start, follow unchanged. The returned start is the accepted (the
-    latest) probe's log(epsilon) and the slope of logit(lambda2) between the
-    last two probes at distinct bandwidths (None when it is not finite), or the
-    slope received when the first probe was accepted.
+    cloud: PointCloud, target_lambda2: float, start: float | None = None, finish=None
+) -> tuple[float, DiffusionMatrix]:
+    """`calibrated_diffusion_matrix`'s search from log(epsilon) = `start`, or
+    from the median pairwise distance when `start` is None: along a family
+    whose calibrated bandwidth moves little from member to member, the log of
+    the bandwidth accepted for the member before. The grid scan is centred on
+    the start.
 
     From n = LANCZOS_MIN_N on, each probe is the float32 Gaussian kernel, and
     `_second_eigenvalue` applies its D^{-1/2} inside Lanczos. `finish(matrix)`, on
     the float64 matrix returned, gives what to return in its place and that
-    matrix's lambda2, or None for `_second_eigenvalue` to find it; outside
+    matrix's lambda2, or None for `_eigensolve` to find it; outside
     CALIBRATION_TOL the search resumes there on float64 probes.
     """
     if not 0.0 < target_lambda2 < 1.0:
@@ -449,120 +462,98 @@ def _calibrate(
     finish = finish or (lambda mat: (mat, None))
     with contextlib.suppress(CalibrationError):  # a float64 search decides a failure
         if cloud.n >= LANCZOS_MIN_N:
-            eps, (kept, lam2), found = _search(cloud, target_lambda2, start, finish, np.float32)
+            eps, kept, lam2 = _search(cloud, target_lambda2, start, finish, np.float32)
             if abs(lam2 - target_lambda2) <= CALIBRATION_TOL:
-                return eps, kept, found
+                return eps, kept
             del kept  # before the float64 search's arrays
-            start = found
-    eps, (kept, _), found = _search(cloud, target_lambda2, start, finish, np.float64)
-    return eps, kept, found
+            start = math.log(eps)
+    return _search(cloud, target_lambda2, start, finish, np.float64)[:2]
 
 
-def _search(cloud: PointCloud, target_lambda2: float, start: _Start | None, finish, dtype):
-    """`_calibrate`'s search on `dtype` probes, with `finish`'s pair for the matrix."""
+def _search(cloud: PointCloud, target_lambda2: float, start: float | None, finish, dtype):
+    """`_calibrate`'s search on `dtype` probes: the bandwidth, `finish`'s pair for
+    its matrix, and (after float32 probes) that matrix's lambda2."""
     tol = CALIBRATION_TOL
 
     sq = squared_distances(cloud.points)
     if start is None:
-        # log of the median distance
-        start = _Start(0.5 * math.log(_median_squared_distance(sq)), None)
+        start = 0.5 * math.log(_median_squared_distance(sq))  # log of the median distance
     elif not sq.any():
         raise _coincident_points()
-    x0 = start.log_epsilon
-    probed: list[float] = []  # log(epsilon) of each probe
-    reached: list[float] = []  # its lambda2
-    gaps: list[float] = []  # and its gap(x)
-    probe = np.empty(sq.shape, dtype)  # the latest probe's diffusion matrix, or float32 kernel
-    build = _gaussian_diffusion_values if dtype == np.float64 else _gaussian_values
+    reached: list[float] = []  # lambda2 of each probe
+    probe = np.empty(sq.shape, dtype)  # the latest probe
     edge = float(np.finfo(dtype).eps)
     logit_target = math.log(target_lambda2 / (1.0 - target_lambda2))
+    log2 = math.log(2.0)
 
-    def gap(x: float) -> float:
-        """logit(lambda2) - logit(target) at epsilon = exp(x), whose probe is
-        kept: +-inf for a lambda2 within `edge` of 1 or 0."""
-        lam2 = _second_eigenvalue(build(sq, math.exp(x), out=probe))
-        probed.append(x)
+    def gap(x: float):
+        """g(x) = logit(lambda2) - logit(target) at epsilon = exp(x), and a
+        function giving g'(x) until the next probe; +-inf and None for a lambda2
+        within `edge` of 1 or 0."""
+        lam2, slope = _second_eigenvalue(sq, x, probe)
         reached.append(lam2)
         if lam2 >= 1.0 - edge or lam2 <= edge:
-            gaps.append(math.copysign(math.inf, lam2 - 0.5))
-        else:
-            gaps.append(math.log(lam2 / (1.0 - lam2)) - logit_target)
-        return gaps[-1]
+            return math.copysign(math.inf, lam2 - 0.5), None
+        return math.log(lam2 / (1.0 - lam2)) - logit_target, lambda: slope() / (lam2 * (1.0 - lam2))
 
     def hit() -> bool:
         return abs(reached[-1] - target_lambda2) <= tol
 
-    def next_start(x: float) -> _Start:
-        last = len(probed) - 1
-        for k in range(last - 1, -1, -1):
-            if probed[k] != probed[last]:
-                slope = (gaps[last] - gaps[k]) / (probed[last] - probed[k])
-                return _Start(x, slope if math.isfinite(slope) else None)
-        return _Start(x, start.slope)
+    def advance(x: float, g: float, dg, a: float | None):
+        """Probe the point after x, the latest probe or bracket end: its Newton
+        point where g'(x) < 0. Without a bracket (`a` None) the step is at most
+        2 log 2, and log 2 toward the root without a Newton point; inside the
+        bracket between a and x, a Newton point outside it bisects instead.
+        Returns the new (x, g, dg, a), `a` the bracket's end opposite x."""
+        slope = dg() if dg is not None else math.nan
+        newton = x - g / slope if slope < 0.0 else None
+        if a is None:
+            step = math.copysign(log2, g) if newton is None else newton - x
+            x1 = x + min(max(step, -2.0 * log2), 2.0 * log2)
+        elif newton is not None and min(a, x) < newton < max(a, x):
+            x1 = newton
+        else:
+            x1 = 0.5 * (a + x)
+        g1, dg1 = gap(x1)
+        return x1, g1, dg1, (x if g * g1 < 0.0 else a)
 
-    def accept(x: float):  # x: the latest probe; a float32 one is rebuilt in float64
+    def accept(x: float):  # rebuilt in float64 in the squared distances' array
         eps = math.exp(x)
-        if dtype == np.float64:
-            return eps, finish(DiffusionMatrix(probe)), next_start(x)
         mat = DiffusionMatrix(_gaussian_diffusion_values(sq, eps, out=sq))
         kept, lam2 = finish(mat)
-        return eps, (kept, _second_eigenvalue(mat.values) if lam2 is None else lam2), next_start(x)
+        if lam2 is None and dtype == np.float32:
+            lam2 = float(_eigensolve(mat.values, 2, vectors=False)[-2])
+        return eps, kept, lam2
 
     def miss(message: str) -> CalibrationError:
         achieved = (min(reached), max(reached))
         return CalibrationError(f"{message}: achieved range {achieved}", achieved_range=achieved)
 
-    # walk: lambda2 above the target means the bandwidth is too narrow
-    b, fb = x0, gap(x0)
-    if hit():
-        return accept(b)
-    step = math.log(2.0)
-    if start.slope is not None and start.slope < 0.0:
-        step = min(step, abs(fb / start.slope))  # the secant step
-    sign = 1.0 if fb > 0.0 else -1.0
-    for _ in range(MAX_DOUBLINGS):
-        a, fa = b, fb
-        b, fb = a + sign * step, gap(a + sign * step)
-        if hit():
-            return accept(b)
-        if fa * fb < 0.0:
+    x, (g, dg), a = start, gap(start), None
+    for _ in range(MAX_DOUBLINGS):  # the walk: until g changes sign
+        if hit() or a is not None:
             break
-        step = math.log(2.0)
-    else:
-        # no sign change within the reach: scan it, up to its first point
-        # within tol, for a crossing of a non-monotone profile
-        reach = MAX_DOUBLINGS * math.log(2.0)
-        grid = np.linspace(x0 - reach, x0 + reach, GRID_POINTS).tolist()
+        x, g, dg, a = advance(x, g, dg, a)
+    if not hit() and a is None:
+        # no sign change: scan the reach, up to its first point within tol,
+        # for a crossing of a non-monotone profile
+        reach = MAX_DOUBLINGS * log2
+        grid = np.linspace(start - reach, start + reach, GRID_POINTS).tolist()
         scans = []
         for x in grid:
-            scans.append(gap(x))
+            scans.append(gap(x)[0])
             if hit():
                 return accept(x)
         crossings = np.flatnonzero(np.multiply(scans[:-1], scans[1:]) < 0.0)
         if crossings.size == 0:
             raise miss(f"second eigenvalue never crosses {target_lambda2}")
         k = crossings[0]
-        a, fa, b, fb = grid[k], scans[k], grid[k + 1], scans[k + 1]
-
-    # Illinois: halve the stored value of an endpoint kept twice in a row;
-    # bisect while an endpoint's logit is infinite
-    kept = 0
-    for _ in range(MAX_REFINEMENTS):
-        if math.isinf(fa) or math.isinf(fb):
-            x = 0.5 * (a + b)
-        else:
-            x = (a * fb - b * fa) / (fb - fa)
-        fx = gap(x)
+        # x is not the latest probe, so it has no slope: the bracket bisects first
+        a, x, g, dg = grid[k], grid[k + 1], scans[k + 1], None
+    for _ in range(MAX_REFINEMENTS):  # inside the bracket
         if hit():
-            return accept(x)
-        if fx * fb > 0.0:
-            b, fb = x, fx
-            if kept < 0:
-                fa *= 0.5
-            kept = -1
-        else:
-            a, fa = x, fx
-            if kept > 0:
-                fb *= 0.5
-            kept = 1
+            break
+        x, g, dg, a = advance(x, g, dg, a)
+    if hit():
+        return accept(x)
     raise miss(f"refinement stalled short of |lambda2 - {target_lambda2}| <= {tol:.3e}")

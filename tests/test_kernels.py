@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
@@ -43,7 +43,6 @@ from dynamap.kernels import (
     _median_squared_distance,
     _scipy_openblas,
     _second_eigenvalue,
-    _Start,
     squared_distances,
 )
 from dynamap.operators import DiffusionMatrix
@@ -163,25 +162,41 @@ def test_calibrate_coincident_points_fails_with_range():
         calibrated_diffusion_matrix(cloud, 0.5)
     # a warm start has no median distance to find the coincidence for it
     with pytest.raises(CalibrationError, match="all points coincide") as info:
-        _calibrate(cloud, 0.5, _Start(0.0, -0.5))
+        _calibrate(cloud, 0.5, 0.0)
     assert info.value.achieved_range is None
+
+
+def _rig_probes(monkeypatch, profile, slope):
+    """Rig the lambda2 probe: at x = log(epsilon) it reads profile(x), with
+    d lambda2 / dx = slope(x); returns the list of the x probed."""
+    import dynamap.kernels as kernels_mod
+
+    probed = []
+
+    def rigged(sq, x, out):
+        probed.append(x)
+        return profile(x), lambda: slope(x)
+
+    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    return probed
+
+
+def _bump(x):
+    return math.exp(-(x * x))
 
 
 def test_calibrate_grid_scan_fallback(monkeypatch):
     # rig a non-monotone profile: the target is crossed only inside a bump,
-    # whose wide side the first factor-2 step brackets; a target above the
-    # bump's peak sends the walk and the grid scan past every bandwidth
-    import dynamap.kernels as kernels_mod
+    # whose wide side the first step, log 2 from the flat peak, brackets; a
+    # target above the bump's peak sends the walk and the grid scan past
+    # every bandwidth
+    def profile(x):
+        return 0.8 * _bump(x)  # peak 0.8 at x = 0
 
-    def rigged(values):
-        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
-        eps = math.sqrt(-1.0 / math.log(k12)) if 0.0 < k12 < 1.0 else 1e6
-        return 0.8 * math.exp(-((math.log(eps)) ** 2))  # peak 0.8 at eps = 1
-
-    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    _rig_probes(monkeypatch, profile, lambda x: -1.6 * x * _bump(x))
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     eps = calibrated_diffusion_matrix(cloud, 0.5)[0]
-    assert abs(rigged(gaussian_kernel(cloud, eps).values) - 0.5) <= 1e-3
+    assert abs(profile(math.log(eps)) - 0.5) <= 1e-3
 
     # a target above the bump's peak is unreachable: error reports the range
     with pytest.raises(CalibrationError) as info:
@@ -190,44 +205,35 @@ def test_calibrate_grid_scan_fallback(monkeypatch):
     assert info.value.achieved_range[1] <= 0.8 + 1e-12
 
 
-def test_calibrate_grid_scan_crossing_goes_to_illinois(monkeypatch):
+def test_calibrate_grid_scan_crossing_goes_to_the_bracket(monkeypatch):
     # rig a profile below the target on the narrow side, where the walk looks
     # from the median distance 1, with a smooth bump on the wide side that
     # crosses the target between grid points: the scan hits no point within
-    # tol and hands its first crossing to Illinois
-    import dynamap.kernels as kernels_mod
-
+    # tol, and its first crossing is the bracket that the search refines
     def profile(x):
-        return 0.3 + 0.4 * math.exp(-(((x - 2.0) / 0.5) ** 2))
+        return 0.3 + 0.4 * _bump((x - 2.0) / 0.5)
 
-    def rigged(values):
-        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
-        return profile(math.log(math.sqrt(-1.0 / math.log(k12)))) if 0.0 < k12 < 1.0 else 0.3
-
+    probed = _rig_probes(monkeypatch, profile, lambda x: -3.2 * (x - 2.0) * _bump((x - 2.0) / 0.5))
     reach = MAX_DOUBLINGS * math.log(2.0)
     grid = np.linspace(-reach, reach, GRID_POINTS)
     scans = np.array([profile(x) for x in grid]) - 0.5
     assert np.all(np.abs(scans) > 1e-3)
     k = int(np.flatnonzero(scans[:-1] * scans[1:] < 0.0)[0])
-    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
     assert grid[k] < math.log(eps) < grid[k + 1]
     assert abs(profile(math.log(eps)) - 0.5) <= 1e-3
-    assert abs(rigged(mat.values) - 0.5) <= 1e-3
+    assert _same_diffusion_matrix(mat, cloud, eps)
+    # the bracket's first probe, with no slope from the latest grid point, bisects it
+    scan_end = 1 + MAX_DOUBLINGS + GRID_POINTS
+    assert probed[scan_end] == pytest.approx(0.5 * (grid[k] + grid[k + 1]), abs=1e-12)
+    assert all(grid[k] < x < grid[k + 1] for x in probed[scan_end:])
 
 
-def test_calibrate_illinois_stall_reports_the_range(monkeypatch):
+def test_calibrate_refinement_stall_reports_the_range(monkeypatch):
     # a jump across the target at x = 0.1: the walk brackets it at once, and
-    # no bandwidth in the bracket comes within tol, so Illinois gives up
-    import dynamap.kernels as kernels_mod
-
-    def rigged(values):
-        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
-        wide = 0.0 < k12 < 1.0 and math.log(math.sqrt(-1.0 / math.log(k12))) >= 0.1
-        return 0.3 if wide or k12 >= 1.0 else 0.7
-
-    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    # no bandwidth in the bracket comes within tol, so the bisection gives up
+    _rig_probes(monkeypatch, lambda x: 0.3 if x >= 0.1 else 0.7, lambda x: 0.0)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     with pytest.raises(CalibrationError, match="refinement stalled") as info:
         calibrated_diffusion_matrix(cloud, 0.5)
@@ -394,9 +400,9 @@ def _calibrate_counting(monkeypatch, cloud, target):
     probes = []
     second = kernels_mod._second_eigenvalue
 
-    def counting_probe(values):
+    def counting_probe(*args):
         probes.append(1)
-        return second(values)
+        return second(*args)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
     eps, mat = calibrated_diffusion_matrix(cloud, target)
@@ -411,12 +417,25 @@ def _walk_start(cloud):
     return 0.5 * math.log(_median_squared_distance(squared_distances(cloud.points)))
 
 
+def _probe(cloud, x, dtype=float):
+    """The lambda2 probe at x = log(epsilon): lambda2 and d lambda2 / dx."""
+    sq = squared_distances(cloud.points)
+    lam2, slope = _second_eigenvalue(sq, x, np.empty(sq.shape, dtype))
+    return lam2, slope()
+
+
 def _probe_lambda2(cloud, x):
-    return _second_eigenvalue(diffusion_matrix(gaussian_kernel(cloud, math.exp(x))).values)
+    return _probe(cloud, x)[0]
 
 
 def _logit(p):
     return math.log(p / (1.0 - p))
+
+
+def _newton_point(cloud, x, target):
+    """x's Newton point on logit(lambda2) - logit(target), from x's own slope."""
+    lam2, slope = _probe(cloud, x)
+    return x - (_logit(lam2) - _logit(target)) * lam2 * (1.0 - lam2) / slope
 
 
 def test_calibrated_kernel_first_probe_hit(monkeypatch):
@@ -427,37 +446,39 @@ def test_calibrated_kernel_first_probe_hit(monkeypatch):
 
 
 def test_calibrated_kernel_walk_hit(monkeypatch):
+    # a target 0.05 wider than the median distance: the first probe misses,
+    # and the Newton step from its own slope lands within the tolerance
     cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
     x0 = _walk_start(cloud)
-    x1 = x0 + math.log(2.0)
-    target = _probe_lambda2(cloud, x1)
+    target = _probe_lambda2(cloud, x0 + 0.05)
     assert _probe_lambda2(cloud, x0) - target > 1e-3  # so the first probe misses
     eps, probes = _calibrate_counting(monkeypatch, cloud, target)
-    assert probes == 2 and eps == math.exp(x1)
+    assert probes == 2
+    assert math.log(eps) == pytest.approx(_newton_point(cloud, x0, target), abs=1e-12)
 
 
-def test_calibrated_kernel_illinois_hit(monkeypatch):
+def test_calibrated_kernel_bracketed_newton_hit(monkeypatch):
+    # at target 0.5 the first Newton step overshoots the root; inside the
+    # bracket it makes, Newton steps from the latest probe's slope converge
     cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
-    eps, probes = _calibrate_counting(monkeypatch, cloud, 0.5)
-    steps = (math.log(eps) - _walk_start(cloud)) / math.log(2.0)
-    assert probes >= 3 and abs(steps - round(steps)) > 1e-6  # not a walk point
+    x0 = _walk_start(cloud)
+    eps, probes = _warm_calibrate(monkeypatch, None, cloud, 0.5)
+    readings = [_probe_lambda2(cloud, x) - 0.5 for x in probes]
+    assert len(probes) == 4 and probes[0] == x0
+    assert probes[1] == pytest.approx(_newton_point(cloud, x0, 0.5), abs=1e-12)
+    assert readings[0] < -1e-3 and readings[1] > 1e-3  # the bracket
+    assert all(probes[1] < x < x0 for x in probes[2:])
+    for x, nxt in zip(probes[1:], probes[2:]):
+        assert nxt == pytest.approx(_newton_point(cloud, x, 0.5), abs=1e-12)
     assert abs(_lambda2_via_full_path(cloud, eps) - 0.5) <= 1e-3
 
 
 def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     # rig a profile that sits below the target everywhere the walk looks (it
-    # walks toward small bandwidths from the median distance 1) and on it only
-    # on a plateau at larger bandwidths, which holds one grid point (x = 0.22)
-    import dynamap.kernels as kernels_mod
-
-    def rigged(values):
-        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
-        if not 0.0 < k12 < 1.0:
-            return 0.3
-        x = math.log(math.sqrt(-1.0 / math.log(k12)))
-        return 0.5 if 0.1 <= x <= 0.35 else 0.3
-
-    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    # walks toward small bandwidths from the median distance 1, log 2 at a time
+    # on the flat profile) and on it only on a plateau at larger bandwidths,
+    # which holds one grid point (x = 0.22)
+    _rig_probes(monkeypatch, lambda x: 0.5 if 0.1 <= x <= 0.35 else 0.3, lambda x: 0.0)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     eps, probes = _calibrate_counting(monkeypatch, cloud, 0.5)
     reach = MAX_DOUBLINGS * math.log(2.0)
@@ -467,184 +488,155 @@ def test_calibrated_kernel_grid_scan_hit(monkeypatch):
     # the scan stops at the hit, and the bandwidth is the one it probed
     assert probes == 1 + MAX_DOUBLINGS + k + 1
     assert eps == math.exp(grid[k])
-    # the kernel is the hit's, not that of the grid's last (widest) point
-    assert rigged(calibrated_diffusion_matrix(cloud, 0.5)[1].values) == 0.5
-
-
-def _rigged_log_epsilon(values):
-    """log(epsilon) of a 2-point probe, whose normalized off-diagonal ratio is
-    the kernel entry exp(-1 / epsilon^2): -inf where it underflows to 0, +inf
-    where it rounds to 1."""
-    k12 = values[0, 1] / values[0, 0]
-    if not 0.0 < k12 < 1.0:
-        return math.copysign(math.inf, k12 - 0.5)
-    return math.log(math.sqrt(-1.0 / math.log(k12)))
 
 
 def test_calibrated_kernel_logistic_profile_hit(monkeypatch):
     # lambda2 = 1 / (1 + e^(2 (x - s))) has logit(lambda2) = -2 (x - s), linear
-    # in x = log(epsilon): the walk's first step from 0 brackets the root 0.3,
-    # and one regula-falsi step on the logit lands on it
-    import dynamap.kernels as kernels_mod
-
+    # in x = log(epsilon): the Newton step from 0 lands on the root 0.3
     root = 0.3
     s = root + 0.5 * _logit(0.97)
 
-    def rigged(values):
-        return 1.0 / (1.0 + math.exp(2.0 * (_rigged_log_epsilon(values) - s)))
+    def profile(x):
+        return 1.0 / (1.0 + math.exp(2.0 * (x - s)))
 
-    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    _rig_probes(monkeypatch, profile, lambda x: -2.0 * profile(x) * (1.0 - profile(x)))
     cloud = PointCloud(np.array([[0.0], [1.0]]))
-    assert _walk_start(cloud) == 0.0 < root < math.log(2.0)
+    assert _walk_start(cloud) == 0.0
     eps, probes = _calibrate_counting(monkeypatch, cloud, 0.97)
-    assert probes == 3 and math.log(eps) == pytest.approx(root, abs=1e-9)
+    assert probes == 2 and math.log(eps) == pytest.approx(root, abs=1e-9)
 
 
 def test_calibrated_kernel_clamped_readings(monkeypatch):
     # a continuous profile that reads exactly 1.0 on the narrow side, as float32
-    # probes of a nearly disconnected graph do: the walk brackets the root
-    # between a reading of 1.0, which has no finite logit, and one below the
-    # target; Illinois bisects until both ends are finite, then interpolates
-    import dynamap.kernels as kernels_mod
+    # probes of a nearly disconnected graph do: a reading of 1.0 has no finite
+    # logit, so the walk steps log 2 from it; that step brackets the root with
+    # a reading below the target, from which Newton steps converge
+    def logistic(x):
+        return 1.0 / (1.0 + math.exp(2.0 * (x - 2.0)))
 
     def profile(x):
-        return min(1.0, 1.02 / (1.0 + math.exp(2.0 * (x - 2.0))))
+        return min(1.0, 1.02 * logistic(x))
 
-    def rigged(values):
-        return profile(_rigged_log_epsilon(values))
-
-    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    probed = _rig_probes(
+        monkeypatch, profile, lambda x: -2.04 * logistic(x) * (1.0 - logistic(x))
+    )
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     assert profile(0.0) == 1.0 and profile(math.log(2.0)) < 0.97 - 1e-3
-    eps, _, probes = _warm_calibrate(monkeypatch, None, cloud, 0.97)
-    assert len(probes) <= 6 and all(map(math.isfinite, probes))
+    eps, probes = _calibrate_counting(monkeypatch, cloud, 0.97)
+    assert probed[:2] == [0.0, math.log(2.0)]
+    assert probes <= 4 and all(0.0 < x < math.log(2.0) for x in probed[2:probes])
     assert abs(profile(math.log(eps)) - 0.97) <= CALIBRATION_TOL
 
 
 def _warm_calibrate(monkeypatch, start, cloud, target):
-    """_calibrate's output from `start` and the log bandwidth of each lambda2
-    probe; its matrix must be diffusion_matrix's of gaussian_kernel's at the
-    bandwidth it returns."""
+    """_calibrate's bandwidth from log(epsilon) = `start` and the x = log(epsilon)
+    of each lambda2 probe; its matrix must be diffusion_matrix's of
+    gaussian_kernel's at the bandwidth it returns."""
     import dynamap.kernels as kernels_mod
 
-    built, probed = [], []
-    gaussian, second = kernels_mod._gaussian_values, kernels_mod._second_eigenvalue
+    probed = []
+    second = kernels_mod._second_eigenvalue
 
-    def recording_build(sq, epsilon, out=None):
-        built.append(math.log(epsilon))
-        return gaussian(sq, epsilon, out=out)
+    def recording_probe(sq, x, out):
+        probed.append(x)
+        return second(sq, x, out)
 
-    def recording_probe(values):
-        probed.append(built[-1])
-        return second(values)
-
-    monkeypatch.setattr(kernels_mod, "_gaussian_values", recording_build)
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", recording_probe)
-    eps, mat, next_start = _calibrate(cloud, target, start)
+    eps, mat = _calibrate(cloud, target, start)
     probes = list(probed)
     assert _same_diffusion_matrix(mat, cloud, eps)
-    return eps, next_start, probes
+    return eps, probes
 
 
 def test_warm_start_first_probe_hit(monkeypatch):
-    # the start is accepted as it stands and passes on the slope it received
+    # the start is accepted as it stands
     cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
     x = _walk_start(cloud) + 0.3
-    start = _Start(x, -0.7)
-    eps, next_start, probes = _warm_calibrate(monkeypatch, start, cloud, _probe_lambda2(cloud, x))
-    assert len(probes) == 1 and eps == math.exp(x)
-    assert next_start == start
+    eps, probes = _warm_calibrate(monkeypatch, x, cloud, _probe_lambda2(cloud, x))
+    assert probes == [x] and eps == math.exp(x)
 
 
-def test_warm_start_secant_step_hit(monkeypatch):
-    # the slope of logit(lambda2) through the start and the root sizes the
-    # first step exactly
+def test_warm_start_newton_step_hit(monkeypatch):
+    # a start 0.05 wider than the root: the first step is the Newton point of
+    # the start's own slope, within the tolerance
     cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
-    root = _walk_start(cloud)
-    x = root - 0.1
+    root = _walk_start(cloud) + 0.3
+    x = root + 0.05
     target = _probe_lambda2(cloud, root)
-    assert _probe_lambda2(cloud, x) - target > 1e-3  # the start misses, on the narrow side
-    gap = _logit(_probe_lambda2(cloud, x)) - _logit(target)
-    eps, next_start, probes = _warm_calibrate(monkeypatch, _Start(x, -gap / 0.1), cloud, target)
-    assert len(probes) == 2 and probes[1] == pytest.approx(root, abs=1e-12)
-    assert math.log(eps) == pytest.approx(root, abs=1e-12)
-    assert eps == math.exp(next_start.log_epsilon)
-    rise = _logit(_probe_lambda2(cloud, probes[1])) - _logit(_probe_lambda2(cloud, x))
-    secant = rise / (probes[1] - x)
-    assert next_start.slope == pytest.approx(secant, rel=1e-9) and secant < 0.0
-
-
-def test_warm_start_short_secant_step_then_walk_and_illinois(monkeypatch):
-    # a slope of logit(lambda2) 500 times too steep makes a first step of
-    # 1e-3, short of the root; the factor-2 walk then brackets it and Illinois
-    # refines inside
-    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
-    root = _walk_start(cloud)
-    x = root - 0.5
-    target = _probe_lambda2(cloud, root)
-    gap = _logit(_probe_lambda2(cloud, x)) - _logit(target)
-    eps, _, probes = _warm_calibrate(monkeypatch, _Start(x, -1e3 * gap), cloud, target)
-    assert probes[1] == pytest.approx(x + 1e-3, abs=1e-12)
-    assert probes[2] == pytest.approx(probes[1] + math.log(2.0), abs=1e-12)
-    assert probes[2] > root
-    assert abs(_probe_lambda2(cloud, probes[2]) - target) > 1e-3  # the walk misses
-    assert len(probes) >= 4
-    assert all(probes[1] < p < probes[2] for p in probes[3:])
-    assert math.log(eps) == pytest.approx(probes[-1], abs=1e-12)
+    assert target - _probe_lambda2(cloud, x) > 1e-3  # the start misses, on the wide side
+    eps, probes = _warm_calibrate(monkeypatch, x, cloud, target)
+    assert len(probes) == 2 and probes[0] == x
+    assert probes[1] == pytest.approx(_newton_point(cloud, x, target), abs=1e-12)
+    assert math.log(eps) == probes[1]
     assert abs(_lambda2_via_full_path(cloud, eps) - target) <= 1e-3
+
+
+def test_warm_start_capped_newton_step_then_bracket(monkeypatch):
+    # logit(lambda2) = -atan(10 (x - 1)) flattens away from its root 1: from
+    # 0.5, the Newton point lies 3.6 away, so the step is capped at 2 log 2;
+    # that crosses the root, and the Newton point from there, 11.6 away, lies
+    # outside the bracket, so the search bisects it and then refines inside
+    def profile(x):
+        return 1.0 / (1.0 + math.exp(math.atan(10.0 * (x - 1.0))))
+
+    def slope(x):
+        lam2 = profile(x)
+        return -lam2 * (1.0 - lam2) * 10.0 / (1.0 + (10.0 * (x - 1.0)) ** 2)
+
+    _rig_probes(monkeypatch, profile, slope)
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    eps, probes = _warm_calibrate(monkeypatch, 0.5, cloud, 0.5)
+    assert probes[1] == pytest.approx(0.5 + 2.0 * math.log(2.0), abs=1e-12) and probes[1] > 1.0
+    assert probes[2] == pytest.approx(0.5 * (probes[0] + probes[1]), abs=1e-12)
+    assert all(probes[0] < x < probes[1] for x in probes[3:])
+    assert math.log(eps) == probes[-1] and abs(profile(probes[-1]) - 0.5) <= CALIBRATION_TOL
+    assert len(probes) == 7
 
 
 @pytest.mark.parametrize("slope", [None, 0.0, 0.4])
 def test_warm_start_without_negative_slope_steps_by_log2(monkeypatch, slope):
-    cloud = PointCloud(np.random.default_rng(21).normal(size=(40, 3)))
-    x = _walk_start(cloud) - 0.3
-    _, _, probes = _warm_calibrate(monkeypatch, _Start(x, slope), cloud, 0.5)
-    assert _probe_lambda2(cloud, x) > 0.5 + 1e-3  # so the first step widens
-    assert probes[1] == pytest.approx(x + math.log(2.0), abs=1e-12)
+    # a start that reads above the target with a slope of lambda2 that is not
+    # negative, or that reads 1.0 (slope None), whose logit is infinite: the
+    # first step widens the bandwidth by a factor 2, onto the target's plateau
+    x = 3.0
+    start = 1.0 if slope is None else 0.7
+    _rig_probes(
+        monkeypatch, lambda y: start if y < x + 0.5 else 0.5, lambda y: slope if y < x + 0.5 else 0.0
+    )
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    eps, probes = _warm_calibrate(monkeypatch, x, cloud, 0.5)
+    assert probes == [x, x + math.log(2.0)] and eps == math.exp(probes[1])
 
 
 def test_warm_start_grid_scan_is_centred_on_the_start(monkeypatch):
     # rig a profile below the target everywhere except on a plateau around one
     # point of the grid centred on the start (x = 3, where the median distance
     # would put it at 0); the walk heads the other way, so the scan finds it
-    import dynamap.kernels as kernels_mod
-
     x = 3.0
     reach = MAX_DOUBLINGS * math.log(2.0)
     grid = np.linspace(x - reach, x + reach, GRID_POINTS)
-
-    def rigged(values):
-        k12 = values[0, 1] / values[0, 0]  # the probe is normalized
-        if not 0.0 < k12 < 1.0:
-            return 0.3
-        return 0.5 if abs(math.log(math.sqrt(-1.0 / math.log(k12))) - grid[40]) < 0.05 else 0.3
-
-    monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    _rig_probes(monkeypatch, lambda y: 0.5 if abs(y - grid[40]) < 0.05 else 0.3, lambda y: 0.0)
     cloud = PointCloud(np.array([[0.0], [1.0]]))
-    eps, next_start, probes = _warm_calibrate(monkeypatch, _Start(x, None), cloud, 0.5)
+    eps, probes = _warm_calibrate(monkeypatch, x, cloud, 0.5)
     assert len(probes) == 1 + MAX_DOUBLINGS + 41  # the scan stops at the hit
     assert probes[1 + MAX_DOUBLINGS :] == pytest.approx(list(grid[:41]), abs=1e-12)
-    assert eps == math.exp(grid[40]) and next_start.log_epsilon == grid[40]
-    # the slope of logit(lambda2) handed on is measured next to the hit, from
-    # the point before it
-    rise = _logit(0.5) - _logit(0.3)
-    assert next_start.slope == pytest.approx(rise / (grid[40] - grid[39]), rel=1e-12)
+    assert eps == math.exp(grid[40])
 
 
 def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
     # member 0 starts cold, as calibrated_diffusion_matrix does; each later
-    # member starts at the bandwidth of the one before, and the family needs at
-    # most 4 probes for member 0 and 2 for each other member, where cold starts
-    # need more
+    # member starts at the bandwidth of the one before, and the family needs
+    # fewer probes than cold starts (11 against 14 measured: a cold start
+    # misses at the median and lands within the tolerance in one Newton step)
     import dynamap.kernels as kernels_mod
 
     clouds = pinched_torus_family(7, n=300)[0][:7]
     probes = []
     second = kernels_mod._second_eigenvalue
 
-    def counting_probe(values):
+    def counting_probe(*args):
         probes.append(1)
-        return second(values)
+        return second(*args)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
     epsilons, decs = _calibrated_decompositions(clouds, 0.5, 2)
@@ -656,7 +648,7 @@ def test_family_calibration_warm_starts_from_the_previous_member(monkeypatch):
         lam2 = np.linalg.eigvalsh(_normalized(gaussian_kernel(cloud, eps).values))[-2]
         assert abs(lam2 - 0.5) <= 1e-3
         assert dec.eigenvalues[1] == pytest.approx(lam2, abs=1e-10)
-    assert warm <= 4 + 2 * (len(clouds) - 1) < len(probes) - 1
+    assert warm <= 11 < len(probes)
 
 
 @pytest.mark.parametrize("n", [300, 513])
@@ -736,23 +728,28 @@ def test_experiments_build_one_kernel_per_member(monkeypatch):
 
 def test_calibrate_torus_solve_count(monkeypatch):
     # the search must settle in a handful of probes, each answered by the
-    # Lanczos route at this size: a dense solve would mean Lanczos stalled
+    # Lanczos route at this size: a dense solve (`eigvalsh`, or `eigh` for a
+    # probe's eigenvector) would mean Lanczos stalled
     import dynamap.kernels as kernels_mod
 
     probes = []
     dense = []
-    second, dense_solve = kernels_mod._second_eigenvalue, kernels_mod.eigvalsh
+    second = kernels_mod._second_eigenvalue
 
-    def counting_probe(values):
+    def counting_probe(*args):
         probes.append(1)
-        return second(values)
+        return second(*args)
 
-    def counting_dense(*args, **kwargs):
-        dense.append(1)
-        return dense_solve(*args, **kwargs)
+    def counting(solve):
+        def counting_dense(*args, **kwargs):
+            dense.append(1)
+            return solve(*args, **kwargs)
+
+        return counting_dense
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
-    monkeypatch.setattr(kernels_mod, "eigvalsh", counting_dense)
+    monkeypatch.setattr(kernels_mod, "eigvalsh", counting(kernels_mod.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     cloud = sample_torus(TorusSpec(), 300, seed=4)
     calibrated_diffusion_matrix(cloud, 0.5)
     assert not dense  # so Lanczos never stalled
@@ -770,25 +767,34 @@ def test_float32_hit_missing_in_float64_resumes_on_float64_probes(monkeypatch):
     cloud = sample_torus(TorusSpec(), 300, seed=4)
     x0 = _walk_start(cloud)
     assert cloud.n >= LANCZOS_MIN_N and abs(_probe_lambda2(cloud, x0) - 0.5) > CALIBRATION_TOL
-    second, probes = kernels_mod._second_eigenvalue, []
+    second, solve, probes, checks = kernels_mod._second_eigenvalue, kernels_mod._eigensolve, [], []
 
-    def rigged(values):
-        probes.append(values.dtype)
-        return 0.5 if values.dtype == np.float32 else second(values)
+    def rigged(sq, x, out):
+        probes.append(out.dtype)
+        return (0.5, lambda: 0.0) if out.dtype == np.float32 else second(sq, x, out)
+
+    def recording_solve(values, k, vectors, kernel=False):
+        if not kernel:  # not a probe
+            checks.append((k, vectors))
+        return solve(values, k, vectors, kernel)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
+    monkeypatch.setattr(kernels_mod, "_eigensolve", recording_solve)
     eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
     # the float32 hit, the check, and at least the resumed search's first
     # probe (at the hit) and the one that meets the target
-    assert probes[0] == np.float32 and len(probes) >= 4
+    assert probes[0] == np.float32 and len(probes) >= 3
     assert set(probes[1:]) == {np.dtype(np.float64)}
+    assert checks == [(2, False)]
     assert abs(np.linalg.eigvalsh(mat.values)[-2] - 0.5) <= CALIBRATION_TOL
     assert _same_diffusion_matrix(mat, cloud, eps)
-    checked = len(probes)
+    searched = len(probes)
     probes.clear()
+    checks.clear()
     epsilons, decs = _calibrated_decompositions([cloud], 0.5, 2)
-    assert probes[0] == np.float32 and len(probes) == checked - 1  # no check solve
+    assert probes[0] == np.float32 and len(probes) == searched
     assert set(probes[1:]) == {np.dtype(np.float64)}
+    assert checks == []  # no check solve
     assert epsilons[0] == eps and abs(decs[0].eigenvalues[1] - 0.5) <= CALIBRATION_TOL
 
 
@@ -801,9 +807,9 @@ def test_failed_float32_search_reruns_on_float64_probes(monkeypatch):
     cloud = sample_torus(TorusSpec(), 300, seed=4)
     second, probes = kernels_mod._second_eigenvalue, []
 
-    def rigged(values):
-        probes.append(values.dtype)
-        return 0.9 if values.dtype == np.float32 else second(values)
+    def rigged(sq, x, out):
+        probes.append(out.dtype)
+        return (0.9, lambda: 0.0) if out.dtype == np.float32 else second(sq, x, out)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", rigged)
     eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
@@ -826,14 +832,12 @@ def test_float32_probe_of_a_nearly_disconnected_graph_finds_lambda2():
     cloud, eps = PointCloud(np.concatenate([line, knot])[:, None]), 0.07
     exact = np.linalg.eigvalsh(_gaussian_diffusion(cloud, eps).values)[-2]
     assert 1e-10 <= 1.0 - exact <= 1e-6
-    probe = _float32_probe(cloud, eps)
-    assert _second_eigenvalue(probe) >= 1.0 - 1e-6
+    assert _float32_lambda2(cloud, eps) >= 1.0 - 1e-6
 
 
-def _float32_probe(cloud, eps):
-    """The float32 kernel probe that calibration builds at bandwidth eps."""
-    sq = squared_distances(cloud.points)
-    return _gaussian_values(sq, eps, out=np.empty(sq.shape, np.float32))
+def _float32_lambda2(cloud, eps):
+    """lambda2 of the float32 kernel probe that calibration builds at bandwidth eps."""
+    return _probe(cloud, math.log(eps), np.float32)[0]
 
 
 def test_float32_probes_keep_calibration_scale_invariant(monkeypatch):
@@ -845,14 +849,14 @@ def test_float32_probes_keep_calibration_scale_invariant(monkeypatch):
 
     second, probes = kernels_mod._second_eigenvalue, []
 
-    def recording_probe(values):
-        probes.append(values.dtype)
-        return second(values)
+    def recording_probe(sq, x, out):
+        probes.append(out.dtype)
+        return second(sq, x, out)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", recording_probe)
     points = np.random.default_rng(0).normal(size=(LANCZOS_MIN_N, 2))
     base = calibrated_diffusion_matrix(PointCloud(points), 0.5)[0]
-    assert probes[0] == np.float32 and probes.count(np.float32) == len(probes) - 1
+    assert probes and set(probes) == {np.dtype(np.float32)}
     runs = list(probes)
     for scale in (1e-24, 1e21):
         probes.clear()
@@ -864,9 +868,9 @@ def test_change_scene_15_calibrates_its_nearly_disconnected_member():
     # member 2 holds the 25 planted pixels as a nearly disconnected cluster:
     # its lambda2 lies within 2e-6 of 1 at bandwidths 0.47-0.6, where
     # undeflated float32 probes can read lambda3 and deflated ones read 1.0;
-    # the search accepts 0.991936 (the root to 1e-9 is 0.991675)
+    # the search accepts 0.991626 (the root to 1e-9 is 0.991675)
     result = change_detection_experiment(scene_seed=15)
-    assert result.epsilons[2] == pytest.approx(0.991936, rel=1e-5)
+    assert result.epsilons[2] == pytest.approx(0.991626, rel=1e-5)
     cloud = synthetic_cube_family(15).clouds[2]
     lam2 = np.linalg.eigvalsh(_gaussian_diffusion(cloud, result.epsilons[2]).values)[-2]
     assert abs(lam2 - 0.97) <= CALIBRATION_TOL
@@ -889,7 +893,7 @@ def test_lambda2_trend_in_epsilon(cloud):
     if cloud.n < LANCZOS_MIN_N:
         lambda2, slack = _lambda2_via_full_path, 1e-12
     else:
-        lambda2, slack = lambda c, eps: _second_eigenvalue(_float32_probe(c, eps)), 1e-6
+        lambda2, slack = _float32_lambda2, 1e-6
     median = math.sqrt(_median_squared_distance(squared_distances(cloud.points)))
     values = [lambda2(cloud, median * 2.0**k) for k in range(-6, 7)]
     assert all(a >= b - slack for a, b in zip(values, values[1:]))
@@ -914,20 +918,22 @@ def test_near_identity_calibrated_lambda2_lies_within_the_tolerance(cloud, targe
     assert np.array_equal(mat.values, _gaussian_diffusion(cloud, eps).values)
 
 
-@pytest.mark.parametrize("scene, most", [(11, 13), (15, 15), (1011, 13)])
+@pytest.mark.parametrize("scene, most", [(11, 13), (15, 15), (1011, 13), (2013, 10), (2020, 10)])
 def test_change_scene_calibration_probe_count(monkeypatch, scene, most):
     # the three near-identity members (lambda2 = 0.97) of a change scene: the
-    # first starts cold, the others from the member before; interpolating
-    # lambda2 - target instead of its logit took 20 probes on each scene.
+    # first starts cold, the others from the member before. The search takes
+    # 9, 10, 10, 10 and 10 probes here; the first three bounds are those of a
+    # secant and regula falsi search on logit(lambda2), and interpolating
+    # lambda2 - target instead took 20 probes on each of those scenes.
     # Scene 1011 once accepted a probe 2.4e-8 inside the tolerance's edge
     import dynamap.kernels as kernels_mod
 
     probes = []
     second = kernels_mod._second_eigenvalue
 
-    def counting_probe(values):
+    def counting_probe(*args):
         probes.append(1)
-        return second(values)
+        return second(*args)
 
     monkeypatch.setattr(kernels_mod, "_second_eigenvalue", counting_probe)
     result = change_detection_experiment(scene_seed=scene)
@@ -954,10 +960,80 @@ def test_float32_probe_allocates_no_n_by_n_temporary():
 
     n = 1000
     sq = squared_distances(sample_torus(TorusSpec(), n, seed=4).points)
-    eps, probe = math.sqrt(_median_squared_distance(sq)), np.empty(sq.shape, np.float32)
-    lam2, peak = peak_bytes(lambda: _second_eigenvalue(_gaussian_values(sq, eps, out=probe)))
+    x, probe = 0.5 * math.log(_median_squared_distance(sq)), np.empty(sq.shape, np.float32)
+    (lam2, _), peak = peak_bytes(lambda: _second_eigenvalue(sq, x, probe))
     assert 0.0 < lam2 < 1.0
     assert peak <= 0.125 * n * n * 4  # an eighth of one float32 n x n array
+
+
+def test_slope_pass_allocates_no_n_by_n_temporary():
+    # the slope is one pass over ROW_BLOCK-row blocks of K o S, each a
+    # ROW_BLOCK x n float64 temporary of 512 n bytes: an eighth of one float32
+    # n x n array from n = 1024 on (peak 0.064 n^2 * 4 bytes measured at n = 2000)
+    import scipy.sparse.linalg  # noqa: F401  its first import allocates ~2 n x n
+
+    n = 2000
+    sq = squared_distances(sample_torus(TorusSpec(), n, seed=4).points)
+    x, probe = 0.5 * math.log(_median_squared_distance(sq)), np.empty(sq.shape, np.float32)
+    _, slope = _second_eigenvalue(sq, x, probe)
+    dlam2, peak = peak_bytes(slope)
+    assert dlam2 < 0.0
+    assert peak <= 0.125 * n * n * 4
+
+
+def _central_difference(cloud, x, h):
+    """d lambda2 / dx at x = log(epsilon) by a float64 central difference."""
+    lam2 = [
+        np.linalg.eigvalsh(_gaussian_diffusion(cloud, math.exp(x + dx)).values)[-2]
+        for dx in (h, -h)
+    ]
+    return (lam2[0] - lam2[1]) / (2.0 * h)
+
+
+# clouds of 2-60 normal points in 1-3 dimensions: float64 probes, dense route
+_float64_clouds = st.builds(
+    lambda n, d, seed: PointCloud(np.random.default_rng(seed).normal(size=(n, d))),
+    st.integers(2, 60), st.integers(1, 3), st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_float64_clouds, st.floats(-1.0, 1.0))
+def test_probe_slope_matches_a_central_difference(cloud, offset):
+    # the first-order perturbation slope of a float64 probe, at e^-1 to e times
+    # the median distance, against a float64 central difference (measured worst
+    # 2.4e-9 over 300 clouds); a slope below 1e-4 is lost to the difference's
+    # roundoff (a nearly disconnected graph, whose lambda2 sits within 1e-8 of 1)
+    x = _walk_start(cloud) + offset
+    reference = _central_difference(cloud, x, 1e-5)
+    assume(abs(reference) > 1e-4)
+    assert _probe(cloud, x)[1] == pytest.approx(reference, rel=1e-6)
+
+
+@pytest.mark.parametrize("member", [0, 11])
+def test_float32_probe_slope_matches_a_float64_central_difference(member):
+    # float32 kernel probes of torus members at their calibrated bandwidths
+    # (measured 5.4e-7 at member 0)
+    cloud = pinched_torus_family(7, n=300)[0][member]
+    x = math.log(calibrated_diffusion_matrix(cloud, 0.5)[0])
+    reference = _central_difference(cloud, x, 1e-4)
+    assert _probe(cloud, x, np.float32)[1] == pytest.approx(reference, rel=1e-5)
+
+
+def test_dense_route_slope_from_a_and_sqrt_d_matches_the_kernel_form(monkeypatch):
+    # the dense solve leaves the normalized A in the probe, and its slope comes
+    # from A and sqrt(d); Lanczos leaves K, and its slope comes from K and w
+    import dynamap.kernels as kernels_mod
+
+    cloud = sample_torus(TorusSpec(), 300, seed=4)
+    x = _walk_start(cloud)
+    refuse_dense_solves(monkeypatch)
+    lanczos = _probe(cloud, x)
+    monkeypatch.undo()
+    monkeypatch.setattr(kernels_mod, "LANCZOS_MIN_N", 10 * cloud.n)
+    dense = _probe(cloud, x)
+    assert dense[0] == pytest.approx(lanczos[0], abs=1e-12)
+    assert dense[1] == pytest.approx(lanczos[1], rel=1e-9)
 
 
 def _normalized(values):
@@ -1000,6 +1076,18 @@ def test_median_squared_distance_matches_triu_reference(points, copies):
     assert _median_squared_distance(sq) == _median_via_triu(sq)
 
 
+def test_median_squared_distance_with_duplicates_across_row_blocks():
+    # 300 points, 5 row blocks, with points repeated within and across
+    # blocks: their zeros drop out of every block, and the gathered multiset
+    # is the triangle's
+    pts = np.random.default_rng(5).normal(size=(300, 3))
+    pts[[1, 70, 140, 299]] = pts[0]
+    pts[[200, 201]] = pts[130]
+    sq = squared_distances(pts)
+    assert np.sum(sq == 0.0) > 300
+    assert _median_squared_distance(sq) == _median_via_triu(sq)
+
+
 def test_median_squared_distance_torus_members():
     clouds, _ = pinched_torus_family(7, n=300)
     for cloud in clouds[:3]:
@@ -1013,9 +1101,9 @@ def test_second_eigenvalue_lanczos_matches_dense(monkeypatch):
     values = _normalized(gaussian_kernel(cloud, eps).values)
     dense = np.linalg.eigvalsh(values)[-2]
     refuse_dense_solves(monkeypatch)
-    first = _second_eigenvalue(values)
+    first = _eigensolve(values, 2, vectors=False)[-2]
     assert abs(first - dense) <= 1e-12
-    assert _second_eigenvalue(values) == first  # fixed start vector: repeatable
+    assert _eigensolve(values, 2, vectors=False)[-2] == first  # fixed start vector: repeatable
 
 
 @pytest.mark.parametrize("member", [0, 1, 11, 21])
@@ -1028,9 +1116,8 @@ def test_float32_probe_on_near_degenerate_torus_spectra(member, monkeypatch):
     eps, mat = calibrated_diffusion_matrix(cloud, 0.5)
     dense = np.linalg.eigvalsh(mat.values)
     assert dense[-2] - dense[-3] < 0.04
-    probe = _float32_probe(cloud, eps)
     refuse_dense_solves(monkeypatch)
-    assert abs(_second_eigenvalue(probe) - dense[-2]) <= 1e-6
+    assert abs(_float32_lambda2(cloud, eps) - dense[-2]) <= 1e-6
 
 
 @functools.cache
@@ -1061,7 +1148,7 @@ def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
     n = values.shape[0]
     dense = float(np.linalg.eigvalsh(values)[-2])
     stats = counting_eigsh(monkeypatch)
-    assert _second_eigenvalue(values) == dense
+    assert _eigensolve(values, 2, vectors=False)[-2] == dense
     assert dense > 0.9999
     assert stats["stalls"] == 1
     assert stats["matvecs"] <= LANCZOS_MATVECS_PER_N * n + 2 * LANCZOS_NCV
@@ -1069,15 +1156,17 @@ def test_near_identity_lambda2_falls_back_to_dense(monkeypatch):
 
 def test_stalled_float32_probe_falls_back_to_the_dense_spectrum_less_its_top(monkeypatch):
     # deflated, Lanczos still stalls on the near-identity kernel probe in
-    # float32; the probe is normalized in place, and the dense solve's spectrum
-    # answers once its top eigenvalue, 1, is dropped
-    import dynamap.kernels as kernels_mod
-
+    # float32; the probe is normalized in place, and the dense solve's whole
+    # spectrum, top included, answers with its second largest eigenvalue
     kernel = near_identity_kernel().values
     dense = float(np.linalg.eigvalsh(_normalized(kernel))[-2])
-    solved, real = [], kernels_mod.eigvalsh
-    monkeypatch.setattr(kernels_mod, "eigvalsh", lambda a: solved.append(a.dtype) or real(a))
-    assert abs(_second_eigenvalue(kernel.astype(np.float32)) - dense) <= 1e-6
+    # near_identity_kernel's points and bandwidth, a quarter of the median distance
+    sq = squared_distances(np.random.default_rng(0).normal(size=(300, 3)))
+    x = 0.5 * math.log(np.median(sq[np.triu_indices(300, k=1)]) / 16.0)
+    solved, real = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or real(a))
+    lam2, _ = _second_eigenvalue(sq, x, np.empty(sq.shape, np.float32))
+    assert abs(lam2 - dense) <= 1e-6
     assert solved == [np.float32]
 
 
@@ -1127,13 +1216,13 @@ def test_lanczos_runs_scipy_blas_on_one_thread_and_restores_it(monkeypatch):
         set_threads(2)
         assert get_threads() == 2
         monkeypatch.setattr(ssl, "eigsh", recording)
-        _second_eigenvalue(values)  # converges
+        _eigensolve(values, 2, vectors=False)  # converges
         assert (inside, get_threads()) == ([1], 2)
-        _second_eigenvalue(stalling)  # ArpackNoConvergence, then the dense solve
+        _eigensolve(stalling, 2, vectors=False)  # ArpackNoConvergence, then the dense solve
         assert (inside, get_threads()) == ([1, 1], 2)
         monkeypatch.setattr(ssl, "eigsh", rigged)
         with pytest.raises(RuntimeError, match="rigged"):
-            _second_eigenvalue(values)
+            _eigensolve(values, 2, vectors=False)
         assert (inside, get_threads()) == ([1, 1, 1], 2)
     finally:
         set_threads(previous)
